@@ -18,6 +18,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -34,15 +35,22 @@ using namespace sesame;
 namespace {
 
 /// Moves bytes between the bridge and the socket (both directions).
-/// Returns false when the peer hung up.
+/// Returns false when the peer hung up. A peer that hangs up may still
+/// have sent frames we have not read (the vehicle closes right after its
+/// ack), so a failed write stops writing but still drains the socket.
 bool pump_socket(mw::BusBridge& bridge, int fd,
                  std::vector<std::uint8_t>& unsent) {
   if (unsent.empty() && bridge.has_outbound()) unsent = bridge.take_outbound();
+  bool peer_gone = false;
   while (!unsent.empty()) {
-    const ssize_t n = ::write(fd, unsent.data(), unsent.size());
+    // MSG_NOSIGNAL: a closed peer is an EPIPE error here, not a SIGPIPE
+    // that kills the process.
+    const ssize_t n = ::send(fd, unsent.data(), unsent.size(), MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      return false;
+      unsent.clear();  // EPIPE / ECONNRESET: nobody will read these
+      peer_gone = true;
+      break;
     }
     unsent.erase(unsent.begin(), unsent.begin() + n);
     if (unsent.empty() && bridge.has_outbound())
@@ -53,7 +61,7 @@ bool pump_socket(mw::BusBridge& bridge, int fd,
     const ssize_t n = ::read(fd, buf, sizeof buf);
     if (n == 0) return false;  // peer closed
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return !peer_gone;
       return false;
     }
     bridge.feed_inbound({buf, static_cast<std::size_t>(n)});

@@ -282,8 +282,18 @@ int main(int argc, char** argv) {
       }
 
       if (!conn.out.empty()) {
-        const ssize_t n = ::write(conn.fd, conn.out.data(), conn.out.size());
-        if (n > 0) conn.out.erase(0, static_cast<std::size_t>(n));
+        // MSG_NOSIGNAL: a client that reset its connection must cost us
+        // that connection only, not a SIGPIPE that kills the daemon.
+        const ssize_t n = ::send(conn.fd, conn.out.data(), conn.out.size(),
+                                 MSG_NOSIGNAL);
+        if (n > 0) {
+          conn.out.erase(0, static_cast<std::size_t>(n));
+        } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+                   errno != EINTR) {
+          // EPIPE / ECONNRESET: the unsent bytes can never be delivered.
+          closed.push_back(conn.fd);
+          continue;
+        }
       }
       if (conn.out.empty() && conn.closing) closed.push_back(conn.fd);
     }

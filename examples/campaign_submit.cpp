@@ -56,7 +56,9 @@ int dial(std::uint16_t port) {
 
 bool send_all(int fd, const char* data, std::size_t n) {
   while (n > 0) {
-    const ssize_t w = ::write(fd, data, n);
+    // MSG_NOSIGNAL: a daemon that closed the connection is a failed send,
+    // not a SIGPIPE.
+    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
     if (w <= 0) return false;
     data += w;
     n -= static_cast<std::size_t>(w);

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <memory>
 #include <optional>
 #include <string>
@@ -218,36 +217,32 @@ class MissionRunner {
   /// The named UAV's EDDI (SESAME runs only; throws std::out_of_range
   /// otherwise) — diagnostics access to per-monitor assessments.
   const eddi::UavEddi& uav_eddi(const std::string& name) const {
-    return *eddis_.at(uav_ix(name));
+    return *eddis_.at(world_->uav_by_name(name).fleet_index());
   }
 
   /// Age of the named UAV's last *received* telemetry (mission clock
   /// seconds). 0 while telemetry flows every tick; grows under link loss.
-  double telemetry_staleness_s(const std::string& name) const;
-
-  /// The recovery state machine, or nullptr while recovery is disabled.
-  const RecoveryManager* recovery() const noexcept { return recovery_.get(); }
-
-  /// The safety-invariant checker (always present after construction).
-  const InvariantChecker& invariants() const noexcept { return *invariants_; }
+  double telemetry_staleness_s(const std::string& name) const {
+    return telemetry_age_s(world_->uav_by_name(name).fleet_index());
+  }
 
  private:
   RunnerConfig config_;
   std::unique_ptr<sim::World> world_;
-  // Vehicle names in add order; per-vehicle runner state below is held in
-  // vectors parallel to names_ (index == World fleet index), so the
-  // per-tick loops are linear sweeps instead of string-map lookups at
-  // fleet scale. Name-keyed entry points resolve through uav_ix().
+  // Vehicle names in add order. Everything below addresses a vehicle by
+  // its fleet index (== its position in names_ and in the World); names
+  // appear only at the API edge, in bus topics, metric labels and trace
+  // attributes, and as RunnerResult's map keys.
   std::vector<std::string> names_;
   std::vector<geo::EnuPoint> home_enu_;
-  std::vector<sar::SweepPlan> plans_;  // parallel to names_
+  std::vector<sar::SweepPlan> plans_;
   std::unique_ptr<sar::SarMission> mission_;
   std::unique_ptr<UavManager> uav_manager_;
   std::unique_ptr<TaskManager> task_manager_;
   std::unique_ptr<DatabaseManager> database_;
   std::unique_ptr<security::IntrusionDetectionSystem> ids_;
   std::shared_ptr<security::SecurityEddi> security_;
-  std::vector<std::unique_ptr<eddi::UavEddi>> eddis_;  // parallel to names_
+  std::vector<std::unique_ptr<eddi::UavEddi>> eddis_;
   conserts::ConSertNetwork consert_network_;
   std::unique_ptr<conserts::AssuranceTrace> assurance_trace_;
   sim::CommLink comm_link_{sim::CommLinkConfig{}};
@@ -255,10 +250,20 @@ class MissionRunner {
   obs::Observability* obs_ = nullptr;
   obs::Counter* ticks_counter_ = nullptr;
   obs::Counter* consert_evals_counter_ = nullptr;
+  /// Current fleet phase and its span (launch → search → recovery).
+  std::string phase_;
+  obs::Span phase_span_;
+
+  // Per-vehicle state carried across ticks of run().
+  std::vector<double> productive_s_;  ///< time spent serving (availability)
+  std::vector<conserts::UavAction> current_action_;
+  std::vector<std::vector<UavTickRecord>> series_;
+  double next_consert_eval_s_ = 0.0;
 
   // Baseline battery-swap state per vehicle: -1 = no swap pending,
   // >= 1e18 = landing commanded, else the mission time the swap finishes.
   std::vector<double> swap_until_;
+  std::size_t battery_fault_uav_ = 0;  ///< fleet index, when configured
   bool fault_injected_ = false;
   int over_threshold_streak_ = 0;
   bool descended_ = false;
@@ -266,8 +271,9 @@ class MissionRunner {
   // Spoofing-scenario state. Attack attribution is per-UAV: an IDS alert
   // on a vehicle's fix topic marks only that vehicle compromised, so the
   // rest of the fleet keeps its GPS-based navigation guarantees.
-  std::set<std::string> compromised_;
+  std::vector<std::uint8_t> compromised_;
   mw::Subscription alert_subscription_;
+  std::size_t spoof_victim_ = 0;  ///< fleet index, when configured
   double spoof_offset_m_ = 0.0;
   bool spoof_response_started_ = false;
   std::unique_ptr<localization::CollaborativeLocalizer> cl_;
@@ -293,26 +299,40 @@ class MissionRunner {
   std::vector<mw::Subscription> health_subscriptions_;
   std::vector<obs::Counter*> comm_demotion_counters_;
   std::size_t recovery_replans_ = 0;
-  std::size_t recovery_redistributed_ = 0;
+  /// Waypoints moved by any hand-over: ConSert, recovery or spoofing.
+  std::size_t waypoints_redistributed_ = 0;
   double first_replan_time_s_ = -1.0;
-
-  void inject_spoofed_fix(RunnerResult& result);
-  void start_spoof_response(const std::string& victim, RunnerResult& result);
 
   void setup_world();
   void setup_sesame();
   void setup_recovery();
-  void update_watchdog();
-  /// Fleet index of a scenario vehicle (== its position in names_).
-  std::size_t uav_ix(const std::string& name) const;
-  void set_comm_demoted(const std::string& name, bool demoted);
-  void set_comm_demoted_ix(std::size_t i, bool demoted);
-  double recovery_staleness_s(const std::string& name) const;
-  double failure_onset_s(const std::string& name) const;
-  void declare_lost(const std::string& name);
   std::vector<std::vector<double>> collect_safeml_reference();
-  eddi::EddiInputs gather_inputs(const std::string& name);
-  void baseline_policy(const std::string& name, RunnerResult& result);
+
+  // The tick stages of run(), in call order (docs/ARCHITECTURE.md).
+  void inject_events();
+  void step_world();
+  void recover();
+  void respond_to_spoofing(RunnerResult& result);
+  void tick_mission();
+  void sesame_tick();
+  void baseline_policy(std::size_t i);
+  void record();
+  bool finished(RunnerResult& result);
+  void finish_run(RunnerResult& result);
+
+  // Helpers of the stages.
+  void begin_phase(const std::string& next);
+  void end_phase();
+  double telemetry_age_s(std::size_t i) const;
+  void set_comm_demoted(std::size_t i, bool demoted);
+  void declare_lost(std::size_t i);
+  void record_replan(std::size_t from, std::size_t to);
+  void start_spoof_response(RunnerResult& result);
+  eddi::EddiInputs gather_inputs(std::size_t i);
+  conserts::EvaluationContext collect_evidence();
+  void redistribute_dropped_out();
+  void descend_if_uncertain();
+  double failure_onset_s(std::size_t i) const;
 };
 
 }  // namespace sesame::platform

@@ -17,13 +17,16 @@
 // terminal — a vehicle written off stays written off even if its radio
 // comes back, it just flies home with no tasks.
 //
+// Vehicles are addressed by their index in the construction-order name
+// list (MissionRunner builds it in fleet order, so the index is the world
+// fleet index); names only label metrics, trace events and lost_uavs().
+//
 // Determinism: the manager iterates vehicles in construction order, holds
 // no randomness, and advances purely on the staleness values it is handed,
 // so identical runs produce identical escalation timelines.
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -58,14 +61,15 @@ enum class RecoveryState { kHealthy, kPinging, kDemoted, kRthCommanded, kLost };
 
 std::string recovery_state_name(RecoveryState s);
 
-/// Side effects of the escalation, supplied by the owner. Unset hooks are
-/// skipped. Hooks run synchronously inside step(), in vehicle order.
+/// Side effects of the escalation, supplied by the owner; each receives the
+/// vehicle's index. Unset hooks are skipped. Hooks run synchronously inside
+/// step(), in vehicle order.
 struct RecoveryHooks {
-  std::function<void(const std::string&)> ping;          ///< publish a re-ping
-  std::function<void(const std::string&)> demote;        ///< drop ConSert service level
-  std::function<void(const std::string&)> command_rth;   ///< send the vehicle home
-  std::function<void(const std::string&)> declare_lost;  ///< write it off, re-plan
-  std::function<void(const std::string&)> recovered;     ///< staleness recovered
+  std::function<void(std::size_t)> ping;          ///< publish a re-ping
+  std::function<void(std::size_t)> demote;        ///< drop ConSert service level
+  std::function<void(std::size_t)> command_rth;   ///< send the vehicle home
+  std::function<void(std::size_t)> declare_lost;  ///< write it off, re-plan
+  std::function<void(std::size_t)> recovered;     ///< staleness recovered
 };
 
 /// Escalation timestamps of one vehicle (mission seconds; -1 = never).
@@ -89,32 +93,28 @@ class RecoveryManager {
   /// trace events.
   void attach_observability(obs::Observability* o);
 
-  /// Per-UAV staleness signal (mission seconds since last contact).
-  using StalenessFn = std::function<double(const std::string&)>;
+  /// Per-UAV staleness signal (mission seconds since last contact), by
+  /// vehicle index.
+  using StalenessFn = std::function<double(std::size_t)>;
 
   /// Advances the state machine to `now_s`. Call once per platform tick.
   void step(double now_s, const StalenessFn& staleness);
 
-  RecoveryState state(const std::string& uav) const;
-  bool lost(const std::string& uav) const {
+  /// Queries by vehicle index; throw std::out_of_range past the fleet.
+  RecoveryState state(std::size_t uav) const { return tracks_.at(uav).state; }
+  bool lost(std::size_t uav) const {
     return state(uav) == RecoveryState::kLost;
   }
-  /// True from demotion until recovery (or forever once lost).
-  bool demoted(const std::string& uav) const {
-    const RecoveryState s = state(uav);
-    return s == RecoveryState::kDemoted || s == RecoveryState::kRthCommanded ||
-           s == RecoveryState::kLost;
-  }
-
+  /// Names of the vehicles declared lost, in vehicle order.
   std::vector<std::string> lost_uavs() const;
-  const RecoveryTimes& times(const std::string& uav) const;
+  const RecoveryTimes& times(std::size_t uav) const {
+    return tracks_.at(uav).times;
+  }
 
   std::size_t pings_sent() const noexcept { return pings_sent_; }
   std::size_t demotions() const noexcept { return demotions_; }
   std::size_t rth_commands() const noexcept { return rth_commands_; }
   std::size_t recoveries() const noexcept { return recoveries_; }
-
-  const RecoveryConfig& config() const noexcept { return config_; }
 
  private:
   struct Track {
@@ -124,19 +124,15 @@ class RecoveryManager {
     RecoveryTimes times;
   };
 
-  std::size_t index_of(const std::string& uav) const;
   void escalate(std::size_t i, double now_s);
-  void emit(const char* event, const std::string& uav, double now_s);
+  void emit(const char* event, std::size_t i, double now_s);
 
   // Vehicles in construction order; tracks_ and the per-UAV counters are
-  // parallel vectors indexed the same way, so the per-tick step() loop is
-  // a linear sweep instead of N string-map lookups at fleet scale. The
-  // name-keyed public API resolves through index_.
+  // parallel vectors indexed the same way.
   std::vector<std::string> uavs_;
   RecoveryConfig config_;
   RecoveryHooks hooks_;
   std::vector<Track> tracks_;
-  std::map<std::string, std::size_t, std::less<>> index_;
 
   std::size_t pings_sent_ = 0;
   std::size_t demotions_ = 0;

@@ -28,18 +28,6 @@ RecoveryManager::RecoveryManager(std::vector<std::string> uavs,
     throw std::invalid_argument("RecoveryManager: non-positive bound");
   }
   tracks_.resize(uavs_.size());
-  for (std::size_t i = 0; i < uavs_.size(); ++i) index_[uavs_[i]] = i;
-  if (index_.size() != uavs_.size()) {
-    throw std::invalid_argument("RecoveryManager: duplicate vehicle name");
-  }
-}
-
-std::size_t RecoveryManager::index_of(const std::string& uav) const {
-  const auto it = index_.find(uav);
-  if (it == index_.end()) {
-    throw std::out_of_range("RecoveryManager: unknown vehicle " + uav);
-  }
-  return it->second;
 }
 
 void RecoveryManager::attach_observability(obs::Observability* o) {
@@ -64,19 +52,10 @@ void RecoveryManager::attach_observability(obs::Observability* o) {
   }
 }
 
-void RecoveryManager::emit(const char* event, const std::string& uav,
-                           double now_s) {
+void RecoveryManager::emit(const char* event, std::size_t i, double now_s) {
   if (obs_ == nullptr) return;
   obs_->tracer.event(std::string("sesame.recovery.") + event,
-                     {{"uav", uav}, {"t_s", obs::attr_value(now_s)}});
-}
-
-RecoveryState RecoveryManager::state(const std::string& uav) const {
-  return tracks_[index_of(uav)].state;
-}
-
-const RecoveryTimes& RecoveryManager::times(const std::string& uav) const {
-  return tracks_[index_of(uav)].times;
+                     {{"uav", uavs_[i]}, {"t_s", obs::attr_value(now_s)}});
 }
 
 std::vector<std::string> RecoveryManager::lost_uavs() const {
@@ -89,11 +68,10 @@ std::vector<std::string> RecoveryManager::lost_uavs() const {
 
 void RecoveryManager::step(double now_s, const StalenessFn& staleness) {
   for (std::size_t i = 0; i < uavs_.size(); ++i) {
-    const std::string& name = uavs_[i];
     Track& track = tracks_[i];
     if (track.state == RecoveryState::kLost) continue;  // terminal
 
-    if (staleness(name) <= config_.staleness_window_s) {
+    if (staleness(i) <= config_.staleness_window_s) {
       if (track.state != RecoveryState::kHealthy) {
         // Single re-arm on recovery: one hook call per outage, however many
         // escalation steps it climbed.
@@ -101,8 +79,8 @@ void RecoveryManager::step(double now_s, const StalenessFn& staleness) {
         track.pings = 0;
         ++recoveries_;
         if (recovered_counter_ != nullptr) recovered_counter_->inc();
-        emit("recovered", name, now_s);
-        if (hooks_.recovered) hooks_.recovered(name);
+        emit("recovered", i, now_s);
+        if (hooks_.recovered) hooks_.recovered(i);
       }
       continue;
     }
@@ -111,7 +89,6 @@ void RecoveryManager::step(double now_s, const StalenessFn& staleness) {
 }
 
 void RecoveryManager::escalate(std::size_t i, double now_s) {
-  const std::string& name = uavs_[i];
   Track& track = tracks_[i];
   switch (track.state) {
     case RecoveryState::kHealthy:
@@ -123,8 +100,8 @@ void RecoveryManager::escalate(std::size_t i, double now_s) {
       if (i < ping_counters_.size() && ping_counters_[i] != nullptr) {
         ping_counters_[i]->inc();
       }
-      emit("ping", name, now_s);
-      if (hooks_.ping) hooks_.ping(name);
+      emit("ping", i, now_s);
+      if (hooks_.ping) hooks_.ping(i);
       break;
 
     case RecoveryState::kPinging:
@@ -139,8 +116,8 @@ void RecoveryManager::escalate(std::size_t i, double now_s) {
         if (i < ping_counters_.size() && ping_counters_[i] != nullptr) {
           ping_counters_[i]->inc();
         }
-        emit("ping", name, now_s);
-        if (hooks_.ping) hooks_.ping(name);
+        emit("ping", i, now_s);
+        if (hooks_.ping) hooks_.ping(i);
       } else {
         track.state = RecoveryState::kDemoted;
         track.deadline_s = now_s + config_.demote_grace_s;
@@ -148,8 +125,8 @@ void RecoveryManager::escalate(std::size_t i, double now_s) {
         if (i < demote_counters_.size() && demote_counters_[i] != nullptr) {
           demote_counters_[i]->inc();
         }
-        emit("demote", name, now_s);
-        if (hooks_.demote) hooks_.demote(name);
+        emit("demote", i, now_s);
+        if (hooks_.demote) hooks_.demote(i);
       }
       break;
 
@@ -161,8 +138,8 @@ void RecoveryManager::escalate(std::size_t i, double now_s) {
       if (i < rth_counters_.size() && rth_counters_[i] != nullptr) {
         rth_counters_[i]->inc();
       }
-      emit("rth_commanded", name, now_s);
-      if (hooks_.command_rth) hooks_.command_rth(name);
+      emit("rth_commanded", i, now_s);
+      if (hooks_.command_rth) hooks_.command_rth(i);
       break;
 
     case RecoveryState::kRthCommanded:
@@ -170,8 +147,8 @@ void RecoveryManager::escalate(std::size_t i, double now_s) {
       track.state = RecoveryState::kLost;
       track.times.lost_s = now_s;
       if (lost_counter_ != nullptr) lost_counter_->inc();
-      emit("uav_lost", name, now_s);
-      if (hooks_.declare_lost) hooks_.declare_lost(name);
+      emit("uav_lost", i, now_s);
+      if (hooks_.declare_lost) hooks_.declare_lost(i);
       break;
 
     case RecoveryState::kLost:

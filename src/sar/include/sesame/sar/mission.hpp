@@ -4,7 +4,7 @@
 // redistribute task among remaining capable UAVs", paper Fig. 1).
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,9 +35,11 @@ struct DetectionStats {
 class SarMission {
  public:
   /// Assigns one sweep plan per UAV (sizes must match; UAVs are world
-  /// names). Waypoints are pushed to the vehicles; takeoff must be
-  /// commanded by the caller (the platform layer owns mode decisions).
-  SarMission(sim::World& world, std::vector<std::string> uav_names,
+  /// names, resolved to fleet indices here once). Waypoints are pushed to
+  /// the vehicles; takeoff must be commanded by the caller (the platform
+  /// layer owns mode decisions). Every other member addresses vehicles by
+  /// their world fleet index.
+  SarMission(sim::World& world, const std::vector<std::string>& uav_names,
              std::vector<SweepPlan> plans, perception::DetectorConfig detector = {});
 
   /// Runs one detection tick: every airborne mission UAV images the ground
@@ -48,7 +50,7 @@ class SarMission {
   const DetectionStats& stats() const noexcept { return stats_; }
 
   /// Remaining waypoints of one UAV.
-  std::size_t remaining_waypoints(const std::string& uav) const;
+  std::size_t remaining_waypoints(std::size_t uav) const;
 
   /// Total remaining waypoints across the fleet.
   std::size_t total_remaining() const;
@@ -67,25 +69,38 @@ class SarMission {
 
   /// Removes `failed_uav` from the mission and appends its unfinished
   /// waypoints to `takeover_uav`'s queue (task redistribution). Returns
-  /// the number of reassigned waypoints.
-  std::size_t redistribute(const std::string& failed_uav,
-                           const std::string& takeover_uav);
+  /// the number of reassigned waypoints. Throws std::invalid_argument
+  /// unless both are distinct mission-active vehicles.
+  std::size_t redistribute(std::size_t failed_uav, std::size_t takeover_uav);
 
   /// Removes a vehicle from the mission *without* reassigning its tasks
   /// (no surviving vehicle could absorb them); its remaining waypoints are
   /// abandoned. Returns the number of waypoints stranded. Throws
   /// std::invalid_argument on a vehicle that is not mission-active.
-  std::size_t retire(const std::string& uav);
+  std::size_t retire(std::size_t uav);
 
-  /// UAVs currently carrying mission tasks.
-  const std::vector<std::string>& active_uavs() const noexcept {
+  /// The takeover rule of task redistribution: the mission-active vehicle
+  /// other than `failed_uav` with the fewest remaining waypoints that can
+  /// still fly them (airborne, neither emergency-landing nor returning to
+  /// base). Ties go to the earliest roster entry; nullopt when no vehicle
+  /// qualifies.
+  std::optional<std::size_t> takeover_for(std::size_t failed_uav) const;
+
+  /// Fleet indices of the UAVs currently carrying mission tasks, in roster
+  /// order (the order tick() images the ground in).
+  const std::vector<std::size_t>& active_uavs() const noexcept {
     return active_uavs_;
+  }
+
+  /// Whether the UAV is on the active roster (constant time).
+  bool active(std::size_t uav) const noexcept {
+    return uav < on_roster_.size() && on_roster_[uav] != 0;
   }
 
   /// UAVs whose camera produced at least one detection on the most recent
   /// tick() (the safety-invariant checker cross-references these against
   /// sensor health: a detection must never come from a blind sensor).
-  const std::vector<std::string>& last_tick_detectors() const noexcept {
+  const std::vector<std::size_t>& last_tick_detectors() const noexcept {
     return last_tick_detectors_;
   }
 
@@ -110,9 +125,13 @@ class SarMission {
   }
 
  private:
+  /// Drops a mission-active UAV from the roster, keeping the others' order.
+  void leave_roster(std::size_t uav);
+
   sim::World* world_;
-  std::vector<std::string> active_uavs_;
-  std::vector<std::string> last_tick_detectors_;
+  std::vector<std::size_t> active_uavs_;
+  std::vector<std::uint8_t> on_roster_;  ///< by fleet index
+  std::vector<std::size_t> last_tick_detectors_;
   perception::PersonDetector detector_;
   perception::PersonTracker person_tracker_;
   DetectionStats stats_;

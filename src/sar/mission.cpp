@@ -16,15 +16,19 @@ double DetectionStats::recall() const {
   return static_cast<double>(persons_found) / static_cast<double>(persons_total);
 }
 
-SarMission::SarMission(sim::World& world, std::vector<std::string> uav_names,
+SarMission::SarMission(sim::World& world,
+                       const std::vector<std::string>& uav_names,
                        std::vector<SweepPlan> plans,
                        perception::DetectorConfig detector)
-    : world_(&world), active_uavs_(std::move(uav_names)), detector_(detector) {
-  if (active_uavs_.size() != plans.size() || active_uavs_.empty()) {
+    : world_(&world), detector_(detector) {
+  if (uav_names.size() != plans.size() || uav_names.empty()) {
     throw std::invalid_argument("SarMission: UAV/plan count mismatch");
   }
-  for (std::size_t i = 0; i < active_uavs_.size(); ++i) {
-    sim::Uav& uav = world_->uav_by_name(active_uavs_[i]);
+  on_roster_.assign(world_->num_uavs(), 0);
+  for (std::size_t i = 0; i < uav_names.size(); ++i) {
+    sim::Uav& uav = world_->uav_by_name(uav_names[i]);
+    active_uavs_.push_back(uav.fleet_index());
+    on_roster_[uav.fleet_index()] = 1;
     uav.clear_waypoints();
     for (const auto& wp : plans[i].waypoints) uav.add_waypoint(wp);
   }
@@ -46,8 +50,8 @@ double SarMission::eta_s(double fleet_speed_mps) const {
   double longest_m = 0.0;
   double total_m = 0.0;
   std::size_t active_airborne = 0;
-  for (const auto& name : active_uavs_) {
-    const double d = world_->uav_by_name(name).remaining_path_length_m();
+  for (const std::size_t i : active_uavs_) {
+    const double d = world_->uav(i).remaining_path_length_m();
     total_m += d;
     longest_m = std::max(longest_m, d);
     ++active_airborne;
@@ -74,8 +78,8 @@ void SarMission::tick() {
                            return persons[i].position;
                          });
   }
-  for (const auto& name : active_uavs_) {
-    const sim::Uav& uav = world_->uav_by_name(name);
+  for (const std::size_t i : active_uavs_) {
+    const sim::Uav& uav = world_->uav(i);
     if (!uav.airborne()) continue;
     if (!uav.vision_sensor_healthy()) continue;  // camera blind: no frames
     const auto fp = detector_.camera().footprint(uav.true_position());
@@ -88,7 +92,7 @@ void SarMission::tick() {
                             candidate_scratch_);
     const auto detections = detector_.detect(uav.true_position(), persons,
                                              candidate_scratch_, world_->rng());
-    if (!detections.empty()) last_tick_detectors_.push_back(name);
+    if (!detections.empty()) last_tick_detectors_.push_back(i);
     person_tracker_.update(detections);
     for (const auto& d : detections) {
       if (d.person_index.has_value()) {
@@ -105,52 +109,67 @@ void SarMission::tick() {
   }
 }
 
-std::size_t SarMission::remaining_waypoints(const std::string& uav) const {
-  return world_->uav_by_name(uav).waypoints_remaining();
+std::size_t SarMission::remaining_waypoints(std::size_t uav) const {
+  return world_->uav(uav).waypoints_remaining();
 }
 
 std::size_t SarMission::total_remaining() const {
   std::size_t total = 0;
-  for (const auto& name : active_uavs_) total += remaining_waypoints(name);
+  for (const std::size_t i : active_uavs_) total += remaining_waypoints(i);
   return total;
 }
 
 bool SarMission::complete() const { return total_remaining() == 0; }
 
-std::size_t SarMission::redistribute(const std::string& failed_uav,
-                                     const std::string& takeover_uav) {
-  const auto it =
-      std::find(active_uavs_.begin(), active_uavs_.end(), failed_uav);
-  if (it == active_uavs_.end()) {
-    throw std::invalid_argument("redistribute: unknown mission UAV " + failed_uav);
+std::optional<std::size_t> SarMission::takeover_for(
+    std::size_t failed_uav) const {
+  std::optional<std::size_t> takeover;
+  std::size_t best_load = ~std::size_t{0};
+  for (const std::size_t i : active_uavs_) {
+    if (i == failed_uav) continue;
+    const sim::Uav& c = world_->uav(i);
+    if (!c.airborne() || c.mode() == sim::FlightMode::kEmergencyLand ||
+        c.mode() == sim::FlightMode::kReturnToBase) {
+      continue;
+    }
+    if (c.waypoints_remaining() < best_load) {
+      best_load = c.waypoints_remaining();
+      takeover = i;
+    }
   }
-  if (failed_uav == takeover_uav) {
-    throw std::invalid_argument("redistribute: takeover UAV equals failed UAV");
-  }
-  if (std::find(active_uavs_.begin(), active_uavs_.end(), takeover_uav) ==
-      active_uavs_.end()) {
-    throw std::invalid_argument("redistribute: unknown takeover UAV " +
-                                takeover_uav);
-  }
+  return takeover;
+}
 
-  sim::Uav& failed = world_->uav_by_name(failed_uav);
-  sim::Uav& takeover = world_->uav_by_name(takeover_uav);
-
-  const std::size_t moved = failed.transfer_waypoints_to(takeover);
-  active_uavs_.erase(it);
+std::size_t SarMission::redistribute(std::size_t failed_uav,
+                                     std::size_t takeover_uav) {
+  if (!active(failed_uav) || !active(takeover_uav) ||
+      failed_uav == takeover_uav) {
+    throw std::invalid_argument(
+        "redistribute: UAVs " + std::to_string(failed_uav) + " -> " +
+        std::to_string(takeover_uav) + " are not two distinct mission UAVs");
+  }
+  const std::size_t moved =
+      world_->uav(failed_uav).transfer_waypoints_to(world_->uav(takeover_uav));
+  leave_roster(failed_uav);
   return moved;
 }
 
-std::size_t SarMission::retire(const std::string& uav) {
-  const auto it = std::find(active_uavs_.begin(), active_uavs_.end(), uav);
-  if (it == active_uavs_.end()) {
-    throw std::invalid_argument("retire: unknown mission UAV " + uav);
+std::size_t SarMission::retire(std::size_t uav) {
+  if (!active(uav)) {
+    throw std::invalid_argument("retire: UAV " + std::to_string(uav) +
+                                " is not on the mission roster");
   }
-  sim::Uav& vehicle = world_->uav_by_name(uav);
+  sim::Uav& vehicle = world_->uav(uav);
   const std::size_t stranded = vehicle.waypoints_remaining();
   vehicle.clear_waypoints();
-  active_uavs_.erase(it);
+  leave_roster(uav);
   return stranded;
+}
+
+void SarMission::leave_roster(std::size_t uav) {
+  active_uavs_.erase(
+      std::find(active_uavs_.begin(), active_uavs_.end(), uav));
+  on_roster_[uav] = 0;
 }
 
 }  // namespace sesame::sar

@@ -15,23 +15,20 @@ namespace sim = sesame::sim;
 
 namespace {
 
-/// Records every hook invocation as "event:uav" in call order.
+/// Records every hook invocation as "event:uav<index>" in call order.
 struct HookLog {
   std::vector<std::string> calls;
   pf::RecoveryHooks hooks() {
     pf::RecoveryHooks h;
-    h.ping = [this](const std::string& u) { calls.push_back("ping:" + u); };
-    h.demote = [this](const std::string& u) { calls.push_back("demote:" + u); };
-    h.command_rth = [this](const std::string& u) {
-      calls.push_back("rth:" + u);
-    };
-    h.declare_lost = [this](const std::string& u) {
-      calls.push_back("lost:" + u);
-    };
-    h.recovered = [this](const std::string& u) {
-      calls.push_back("recovered:" + u);
-    };
+    h.ping = [this](std::size_t i) { log("ping", i); };
+    h.demote = [this](std::size_t i) { log("demote", i); };
+    h.command_rth = [this](std::size_t i) { log("rth", i); };
+    h.declare_lost = [this](std::size_t i) { log("lost", i); };
+    h.recovered = [this](std::size_t i) { log("recovered", i); };
     return h;
+  }
+  void log(const char* event, std::size_t i) {
+    calls.push_back(std::string(event) + ":uav" + std::to_string(i));
   }
 };
 
@@ -40,7 +37,7 @@ pf::RecoveryConfig default_config() { return pf::RecoveryConfig{}; }
 /// Staleness that grows linearly from a silence-onset time (contact is
 /// fresh before onset, then nothing ever arrives again).
 pf::RecoveryManager::StalenessFn silent_since(double onset_s, double* now_s) {
-  return [onset_s, now_s](const std::string&) {
+  return [onset_s, now_s](std::size_t) {
     return *now_s < onset_s ? 0.0 : *now_s - onset_s;
   };
 }
@@ -73,19 +70,19 @@ TEST(RecoveryManager, EscalatesThroughAllStatesWhenSilent) {
   for (now = 1.0; now <= 40.0; now += 1.0) {
     mgr.step(now, staleness);
     if (const auto it = expect.find(now); it != expect.end()) {
-      EXPECT_EQ(mgr.state("u1"), it->second) << "at t=" << now;
+      EXPECT_EQ(mgr.state(0), it->second) << "at t=" << now;
     }
   }
 
   EXPECT_EQ(log.calls, (std::vector<std::string>{
-                           "ping:u1", "ping:u1", "demote:u1", "rth:u1",
-                           "lost:u1"}));
+                           "ping:uav0", "ping:uav0", "demote:uav0", "rth:uav0",
+                           "lost:uav0"}));
   EXPECT_EQ(mgr.pings_sent(), 2u);
   EXPECT_EQ(mgr.demotions(), 1u);
   EXPECT_EQ(mgr.rth_commands(), 1u);
   EXPECT_EQ(mgr.lost_uavs(), std::vector<std::string>{"u1"});
-  EXPECT_DOUBLE_EQ(mgr.times("u1").detect_s, 6.0);
-  EXPECT_DOUBLE_EQ(mgr.times("u1").lost_s, 37.0);
+  EXPECT_DOUBLE_EQ(mgr.times(0).detect_s, 6.0);
+  EXPECT_DOUBLE_EQ(mgr.times(0).lost_s, 37.0);
 }
 
 TEST(RecoveryManager, RecoversWithSingleReArmMidEscalation) {
@@ -95,16 +92,16 @@ TEST(RecoveryManager, RecoversWithSingleReArmMidEscalation) {
 
   // Silent from t=0 until contact resumes at t=13 (vehicle was demoted at
   // t=12); staleness then drops back to zero.
-  const auto staleness = [&now](const std::string&) {
+  const auto staleness = [&now](std::size_t) {
     return now < 13.0 ? now : 0.0;
   };
   for (now = 1.0; now <= 20.0; now += 1.0) mgr.step(now, staleness);
 
-  EXPECT_EQ(mgr.state("u1"), pf::RecoveryState::kHealthy);
+  EXPECT_EQ(mgr.state(0), pf::RecoveryState::kHealthy);
   EXPECT_EQ(mgr.recoveries(), 1u);
   // Exactly one recovered event: the re-arm must not repeat every tick.
   int recovered = 0;
-  for (const auto& c : log.calls) recovered += (c == "recovered:u1");
+  for (const auto& c : log.calls) recovered += (c == "recovered:uav0");
   EXPECT_EQ(recovered, 1);
   EXPECT_TRUE(mgr.lost_uavs().empty());
 }
@@ -114,11 +111,11 @@ TEST(RecoveryManager, LostIsTerminalEvenIfContactResumes) {
   double now = 0.0;
   pf::RecoveryManager mgr({"u1"}, default_config(), log.hooks());
   // Silent long enough to be written off, then the radio comes back.
-  const auto staleness = [&now](const std::string&) {
+  const auto staleness = [&now](std::size_t) {
     return now < 50.0 ? now : 0.0;
   };
   for (now = 1.0; now <= 80.0; now += 1.0) mgr.step(now, staleness);
-  EXPECT_EQ(mgr.state("u1"), pf::RecoveryState::kLost);
+  EXPECT_EQ(mgr.state(0), pf::RecoveryState::kLost);
   EXPECT_EQ(mgr.recoveries(), 0u);
 }
 
@@ -126,14 +123,13 @@ TEST(RecoveryManager, EscalationIsPerVehicle) {
   HookLog log;
   double now = 0.0;
   pf::RecoveryManager mgr({"u1", "u2"}, default_config(), log.hooks());
-  // Only u2 goes silent.
-  const auto staleness = [&now](const std::string& u) {
-    return u == "u2" ? now : 0.0;
-  };
+  // Only u2 (index 1) goes silent.
+  const auto staleness = [&now](std::size_t i) { return i == 1 ? now : 0.0; };
   for (now = 1.0; now <= 40.0; now += 1.0) mgr.step(now, staleness);
-  EXPECT_EQ(mgr.state("u1"), pf::RecoveryState::kHealthy);
-  EXPECT_EQ(mgr.state("u2"), pf::RecoveryState::kLost);
+  EXPECT_EQ(mgr.state(0), pf::RecoveryState::kHealthy);
+  EXPECT_EQ(mgr.state(1), pf::RecoveryState::kLost);
   EXPECT_EQ(mgr.lost_uavs(), std::vector<std::string>{"u2"});
+  EXPECT_EQ(log.calls.back(), "lost:uav1");
 }
 
 TEST(RecoveryManager, PingBackoffIsBounded) {
@@ -147,7 +143,7 @@ TEST(RecoveryManager, PingBackoffIsBounded) {
   for (now = 0.5; now <= 120.0; now += 0.5) mgr.step(now, staleness);
   // Never more pings than the budget, no matter how long the silence.
   EXPECT_EQ(mgr.pings_sent(), 4u);
-  EXPECT_EQ(mgr.state("u1"), pf::RecoveryState::kLost);
+  EXPECT_EQ(mgr.state(0), pf::RecoveryState::kLost);
 }
 
 TEST(RecoveryManager, RejectsBadConfig) {
@@ -161,7 +157,8 @@ TEST(RecoveryManager, RejectsBadConfig) {
   EXPECT_THROW(pf::RecoveryManager({}, default_config(), hooks),
                std::invalid_argument);
   pf::RecoveryManager mgr({"u1"}, default_config(), hooks);
-  EXPECT_THROW(mgr.state("nope"), std::out_of_range);
+  EXPECT_THROW(mgr.state(1), std::out_of_range);
+  EXPECT_THROW(mgr.times(1), std::out_of_range);
 }
 
 TEST(InvariantChecker, MinSocFloorFiresOnlyWhileServing) {

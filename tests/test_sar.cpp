@@ -116,7 +116,7 @@ TEST(Mission, AssignsWaypointsToUavs) {
   sar::CoverageConfig cfg;
   auto plans = sar::plan_coverage(test_area(), 2, cfg);
   sar::SarMission mission(world, {"u1", "u2"}, plans);
-  EXPECT_EQ(mission.remaining_waypoints("u1"), plans[0].waypoints.size());
+  EXPECT_EQ(mission.remaining_waypoints(0), plans[0].waypoints.size());
   EXPECT_EQ(mission.total_remaining(),
             plans[0].waypoints.size() + plans[1].waypoints.size());
   EXPECT_FALSE(mission.complete());
@@ -155,13 +155,15 @@ TEST(Mission, RedistributeMovesRemainingWaypoints) {
   sar::CoverageConfig cfg;
   auto plans = sar::plan_coverage(test_area(), 2, cfg);
   sar::SarMission mission(world, {"u1", "u2"}, plans);
-  const std::size_t before_u2 = mission.remaining_waypoints("u2");
-  const std::size_t from_u1 = mission.remaining_waypoints("u1");
-  const std::size_t moved = mission.redistribute("u1", "u2");
+  const std::size_t before_u2 = mission.remaining_waypoints(1);
+  const std::size_t from_u1 = mission.remaining_waypoints(0);
+  const std::size_t moved = mission.redistribute(0, 1);
   EXPECT_EQ(moved, from_u1);
-  EXPECT_EQ(mission.remaining_waypoints("u2"), before_u2 + from_u1);
+  EXPECT_EQ(mission.remaining_waypoints(1), before_u2 + from_u1);
   ASSERT_EQ(mission.active_uavs().size(), 1u);
-  EXPECT_EQ(mission.active_uavs()[0], "u2");
+  EXPECT_EQ(mission.active_uavs()[0], 1u);
+  EXPECT_FALSE(mission.active(0));
+  EXPECT_TRUE(mission.active(1));
   // Total preserved.
   EXPECT_EQ(mission.total_remaining(), before_u2 + from_u1);
 }
@@ -173,9 +175,46 @@ TEST(Mission, RedistributeValidation) {
   sar::CoverageConfig cfg;
   auto plans = sar::plan_coverage(test_area(), 2, cfg);
   sar::SarMission mission(world, {"u1", "u2"}, plans);
-  EXPECT_THROW(mission.redistribute("zz", "u2"), std::invalid_argument);
-  EXPECT_THROW(mission.redistribute("u1", "u1"), std::invalid_argument);
-  EXPECT_THROW(mission.redistribute("u1", "zz"), std::invalid_argument);
+  EXPECT_THROW(mission.redistribute(7, 1), std::invalid_argument);  // unknown
+  EXPECT_THROW(mission.redistribute(0, 0), std::invalid_argument);  // self
+  EXPECT_THROW(mission.redistribute(0, 7), std::invalid_argument);  // unknown
+  // A retired vehicle is off the roster on both sides of a hand-over.
+  mission.retire(1);
+  EXPECT_THROW(mission.redistribute(1, 0), std::invalid_argument);
+  EXPECT_THROW(mission.redistribute(0, 1), std::invalid_argument);
+  EXPECT_THROW(mission.retire(1), std::invalid_argument);
+}
+
+TEST(Mission, TakeoverRuleSkipsUnfitVehiclesAndBreaksTiesByRoster) {
+  // u1 has failed. u2 returns to base, u3 is emergency-landing and u4
+  // never took off: each carries one waypoint, the lightest load, yet none
+  // can fly it. u5 and u6 tie on two waypoints, and u5 comes first.
+  sim::World world(kOrigin);
+  std::vector<std::string> names;
+  std::vector<sar::SweepPlan> plans;
+  for (int k = 1; k <= 6; ++k) {
+    names.push_back("u" + std::to_string(k));
+    world.add_uav(fast_uav(names.back()), kOrigin);
+    sar::SweepPlan plan;
+    plan.waypoints = {{10.0, 10.0, 30.0}};
+    if (k == 1 || k >= 5) plan.waypoints.push_back({20.0, 20.0, 30.0});
+    plans.push_back(plan);
+  }
+  sar::SarMission mission(world, names, plans);
+  for (std::size_t i : {0u, 1u, 2u, 4u, 5u}) world.uav(i).command_takeoff();
+  world.uav(1).command_return_to_base();
+  world.uav(2).command_emergency_land();
+  ASSERT_FALSE(world.uav(3).airborne());
+  EXPECT_EQ(mission.takeover_for(0), std::optional<std::size_t>{4});
+
+  // The least-loaded fit vehicle wins over roster order.
+  world.uav(4).add_waypoint({30.0, 30.0, 30.0});
+  EXPECT_EQ(mission.takeover_for(0), std::optional<std::size_t>{5});
+
+  // No fit candidate left on the roster: nobody takes over.
+  mission.retire(4);
+  mission.retire(5);
+  EXPECT_EQ(mission.takeover_for(0), std::nullopt);
 }
 
 TEST(Mission, StatsDefaults) {

@@ -8,7 +8,9 @@
 #      campaign_cli --json for the same (preset, config, runs, seed);
 #   3. the same submission over the framed wire transport returns the
 #      same bytes (and hits the result cache);
-#   4. SIGTERM drains gracefully: in-flight work is spooled, the daemon
+#   4. clients that reset their connection before reading a report cost
+#      only their own connection: the daemon keeps answering;
+#   5. SIGTERM drains gracefully: in-flight work is spooled, the daemon
 #      exits 0, and a restarted daemon replays the spool.
 #
 # Usage: tools/service_smoke.sh <build-dir>   (e.g. ./build)
@@ -68,7 +70,39 @@ curl -fsS "http://127.0.0.1:$HTTP_PORT/metrics" \
   | grep -q sesame_service_cache_hits_total || fail "cache metric missing"
 echo "ok: wire report byte-identical and cache hit recorded"
 
-# --- 4. graceful drain spools in-flight work --------------------------------
+# --- 4. report fetches reset before reading ----------------------------------
+# The report (~190 KB: per-vehicle metric families of 256 vehicles) is larger
+# than the loopback socket buffers, so the daemon is still writing when each
+# client's RST lands; the next write must fail that connection only.
+JOB=$(curl -fsS -X POST "http://127.0.0.1:$HTTP_PORT/api/v1/campaigns" \
+  -d '{"preset": "baseline", "config": {"n_uavs": 256, "max_time_s": 20.0},
+       "runs": 1, "seed": 5}' \
+  | python3 -c 'import json, sys; print(json.load(sys.stdin)["job"])')
+for _ in $(seq 100); do
+  curl -fs -o "$WORK/big.json" \
+    "http://127.0.0.1:$HTTP_PORT/api/v1/jobs/$JOB/report" && break
+  sleep 0.1
+done
+[ -s "$WORK/big.json" ] || fail "large report never completed"
+python3 - "$HTTP_PORT" "$JOB" <<'PY'
+import socket, struct, sys
+port, job = int(sys.argv[1]), sys.argv[2]
+request = ("GET /api/v1/jobs/%s/report HTTP/1.1\r\nHost: localhost\r\n"
+           "Connection: close\r\n\r\n" % job).encode()
+for _ in range(50):
+    s = socket.create_connection(("127.0.0.1", port))
+    s.sendall(request)
+    # SO_LINGER 0: close() resets the connection instead of a FIN.
+    s.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    s.close()
+PY
+curl -fsS "http://127.0.0.1:$HTTP_PORT/healthz" >/dev/null \
+  || fail "daemon died after clients reset mid-report"
+curl -fsS "http://127.0.0.1:$HTTP_PORT/api/v1/jobs/$JOB/report" \
+  | cmp - "$WORK/big.json" || fail "report bytes changed after the resets"
+echo "ok: 50 reset report fetches left the daemon serving"
+
+# --- 5. graceful drain spools in-flight work --------------------------------
 curl -fsS -X POST "http://127.0.0.1:$HTTP_PORT/api/v1/campaigns" \
   -d '{"preset": "nominal", "runs": 500, "seed": 99}' >/dev/null
 kill -TERM "$DAEMON_PID"
