@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <stdexcept>
 
 namespace sesame::deepknowledge {
@@ -98,43 +97,57 @@ Analyzer::Analyzer(const Mlp& model, const std::vector<std::vector<double>>& tra
   generalisation_shift_ = tk_neurons_.empty() ? 0.0 : acc / static_cast<double>(k);
 }
 
-CoverageReport Analyzer::assess(
-    const Mlp& model, const std::vector<std::vector<double>>& window) const {
+Observation Analyzer::observe(const Mlp& model,
+                             const std::vector<double>& input) const {
+  for (double x : input) {
+    if (!std::isfinite(x)) {
+      throw std::invalid_argument("Analyzer::observe: non-finite input value");
+    }
+  }
+  ActivationTrace trace;
+  model.forward_traced(input, trace);
+  Observation obs(tk_neurons_.size(), kOutOfRange);
+  for (std::size_t t = 0; t < tk_neurons_.size(); ++t) {
+    const auto& p = tk_neurons_[t];
+    const double a = trace.at(p.id.layer).at(p.id.index);
+    if (!(a >= p.train_min - 1e-12 && a <= p.train_max + 1e-12)) continue;
+    const double span = p.train_max - p.train_min;
+    std::size_t bucket = 0;
+    if (span > 1e-12) {
+      bucket = static_cast<std::size_t>((a - p.train_min) / span *
+                                        static_cast<double>(config_.buckets));
+      bucket = std::min(bucket, config_.buckets - 1);
+    }
+    obs[t] = bucket;
+  }
+  return obs;
+}
+
+CoverageReport Analyzer::assess(const std::vector<Observation>& window) const {
   if (window.empty()) {
     throw std::invalid_argument("Analyzer::assess: empty window");
   }
-  // Hit set of (tk_index, bucket); out-of-range activations counted apart.
-  std::set<std::pair<std::size_t, std::size_t>> hits;
-  std::size_t total_obs = 0;
+  // Hit bitmap over (tk_index, bucket); out-of-range activations counted
+  // apart.
+  std::vector<char> hit(tk_neurons_.size() * config_.buckets, 0);
+  std::size_t hits = 0;
   std::size_t oor = 0;
-
-  ActivationTrace trace;
-  for (const auto& input : window) {
-    model.forward_traced(input, trace);
-    for (std::size_t t = 0; t < tk_neurons_.size(); ++t) {
-      const auto& p = tk_neurons_[t];
-      const double a = trace.at(p.id.layer).at(p.id.index);
-      ++total_obs;
-      const double span = p.train_max - p.train_min;
-      if (a < p.train_min - 1e-12 || a > p.train_max + 1e-12) {
+  for (const auto& obs : window) {
+    for (std::size_t t = 0; t < obs.size(); ++t) {
+      if (obs[t] == kOutOfRange) {
         ++oor;
-        continue;
+      } else if (!hit[t * config_.buckets + obs[t]]) {
+        hit[t * config_.buckets + obs[t]] = 1;
+        ++hits;
       }
-      std::size_t bucket = 0;
-      if (span > 1e-12) {
-        bucket = static_cast<std::size_t>((a - p.train_min) / span *
-                                          static_cast<double>(config_.buckets));
-        bucket = std::min(bucket, config_.buckets - 1);
-      }
-      hits.insert({t, bucket});
     }
   }
+  const std::size_t total_obs = window.size() * tk_neurons_.size();
 
   CoverageReport r;
-  const double total_buckets =
-      static_cast<double>(tk_neurons_.size() * config_.buckets);
+  const double total_buckets = static_cast<double>(hit.size());
   r.coverage = total_buckets > 0.0
-                   ? static_cast<double>(hits.size()) / total_buckets
+                   ? static_cast<double>(hits) / total_buckets
                    : 0.0;
   r.out_of_range =
       total_obs > 0 ? static_cast<double>(oor) / static_cast<double>(total_obs)
@@ -152,6 +165,14 @@ CoverageReport Analyzer::assess(
                              0.0, 1.0);
   r.window_size = window.size();
   return r;
+}
+
+CoverageReport Analyzer::assess(
+    const Mlp& model, const std::vector<std::vector<double>>& window) const {
+  std::vector<Observation> observed;
+  observed.reserve(window.size());
+  for (const auto& input : window) observed.push_back(observe(model, input));
+  return assess(observed);
 }
 
 }  // namespace sesame::deepknowledge

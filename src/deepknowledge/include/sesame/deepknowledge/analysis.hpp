@@ -58,6 +58,12 @@ struct CoverageReport {
   std::size_t window_size = 0;
 };
 
+/// What one input does to the TK neurons: for each TK neuron (in
+/// tk_neurons() order), the coverage bucket its activation falls in, or
+/// kOutOfRange when the activation leaves the neuron's training range.
+using Observation = std::vector<std::size_t>;
+inline constexpr std::size_t kOutOfRange = static_cast<std::size_t>(-1);
+
 /// The DeepKnowledge analyzer bound to one model.
 class Analyzer {
  public:
@@ -85,7 +91,16 @@ class Analyzer {
   /// under domain change, i.e. weaker generalization).
   double generalisation_shift() const noexcept { return generalisation_shift_; }
 
-  /// Evaluates coverage of a runtime input window.
+  /// One forward pass of `input`, bucketed per TK neuron. Throws
+  /// std::invalid_argument on a NaN or infinite input value.
+  Observation observe(const Mlp& model, const std::vector<double>& input) const;
+
+  /// Coverage of a window of observations (their order does not matter).
+  /// Throws std::invalid_argument on an empty window.
+  CoverageReport assess(const std::vector<Observation>& window) const;
+
+  /// Evaluates coverage of a runtime input window: observes each entry,
+  /// then counts as above.
   CoverageReport assess(const Mlp& model,
                         const std::vector<std::vector<double>>& window) const;
 

@@ -1,40 +1,8 @@
 #include "sesame/deepknowledge/test_selection.hpp"
 
-#include <algorithm>
-#include <set>
 #include <stdexcept>
 
 namespace sesame::deepknowledge {
-
-namespace {
-
-/// TK buckets hit by one input: set of (tk_index, bucket); out-of-range
-/// activations contribute nothing (they are anomalies, not coverage).
-std::set<std::pair<std::size_t, std::size_t>> buckets_of(
-    const Analyzer& analyzer, const Mlp& model,
-    const std::vector<double>& input) {
-  std::set<std::pair<std::size_t, std::size_t>> hit;
-  ActivationTrace trace;
-  model.forward_traced(input, trace);
-  const std::size_t buckets = analyzer.config().buckets;
-  const auto& tk = analyzer.tk_neurons();
-  for (std::size_t t = 0; t < tk.size(); ++t) {
-    const auto& p = tk[t];
-    const double a = trace.at(p.id.layer).at(p.id.index);
-    if (a < p.train_min - 1e-12 || a > p.train_max + 1e-12) continue;
-    const double span = p.train_max - p.train_min;
-    std::size_t bucket = 0;
-    if (span > 1e-12) {
-      bucket = static_cast<std::size_t>((a - p.train_min) / span *
-                                        static_cast<double>(buckets));
-      bucket = std::min(bucket, buckets - 1);
-    }
-    hit.insert({t, bucket});
-  }
-  return hit;
-}
-
-}  // namespace
 
 std::vector<RankedInput> select_tests(
     const Analyzer& analyzer, const Mlp& model,
@@ -42,16 +10,20 @@ std::vector<RankedInput> select_tests(
   if (pool.empty()) throw std::invalid_argument("select_tests: empty pool");
   if (budget == 0) throw std::invalid_argument("select_tests: zero budget");
 
-  // Precompute each candidate's bucket set.
-  std::vector<std::set<std::pair<std::size_t, std::size_t>>> candidate_buckets;
-  candidate_buckets.reserve(pool.size());
+  // Each candidate hits one bucket per in-range TK neuron; out-of-range
+  // activations contribute nothing (they are anomalies, not coverage).
+  std::vector<Observation> candidates;
+  candidates.reserve(pool.size());
   for (const auto& input : pool) {
-    candidate_buckets.push_back(buckets_of(analyzer, model, input));
+    candidates.push_back(analyzer.observe(model, input));
   }
 
-  const double total_buckets = static_cast<double>(
-      analyzer.tk_neurons().size() * analyzer.config().buckets);
-  std::set<std::pair<std::size_t, std::size_t>> covered;
+  const std::size_t buckets = analyzer.config().buckets;
+  std::vector<char> covered(analyzer.tk_neurons().size() * buckets, 0);
+  std::size_t covered_count = 0;
+  const auto uncovered = [&](const Observation& obs, std::size_t t) {
+    return obs[t] != kOutOfRange && !covered[t * buckets + obs[t]];
+  };
   std::vector<bool> taken(pool.size(), false);
   std::vector<RankedInput> ranking;
 
@@ -61,8 +33,8 @@ std::vector<RankedInput> select_tests(
     for (std::size_t i = 0; i < pool.size(); ++i) {
       if (taken[i]) continue;
       std::size_t gain = 0;
-      for (const auto& b : candidate_buckets[i]) {
-        if (!covered.count(b)) ++gain;
+      for (std::size_t t = 0; t < candidates[i].size(); ++t) {
+        if (uncovered(candidates[i], t)) ++gain;
       }
       if (gain > best_gain) {
         best_gain = gain;
@@ -71,14 +43,19 @@ std::vector<RankedInput> select_tests(
     }
     if (best == pool.size() || best_gain == 0) break;  // nothing adds coverage
     taken[best] = true;
-    covered.insert(candidate_buckets[best].begin(),
-                   candidate_buckets[best].end());
+    for (std::size_t t = 0; t < candidates[best].size(); ++t) {
+      if (uncovered(candidates[best], t)) {
+        covered[t * buckets + candidates[best][t]] = 1;
+        ++covered_count;
+      }
+    }
     RankedInput r;
     r.pool_index = best;
     r.new_buckets = best_gain;
     r.cumulative_coverage =
-        total_buckets > 0.0 ? static_cast<double>(covered.size()) / total_buckets
-                            : 0.0;
+        covered.empty() ? 0.0
+                        : static_cast<double>(covered_count) /
+                              static_cast<double>(covered.size());
     ranking.push_back(r);
   }
   return ranking;
@@ -86,15 +63,7 @@ std::vector<RankedInput> select_tests(
 
 double suite_coverage(const Analyzer& analyzer, const Mlp& model,
                       const std::vector<std::vector<double>>& suite) {
-  if (suite.empty()) return 0.0;
-  std::set<std::pair<std::size_t, std::size_t>> covered;
-  for (const auto& input : suite) {
-    const auto hit = buckets_of(analyzer, model, input);
-    covered.insert(hit.begin(), hit.end());
-  }
-  const double total = static_cast<double>(analyzer.tk_neurons().size() *
-                                           analyzer.config().buckets);
-  return total > 0.0 ? static_cast<double>(covered.size()) / total : 0.0;
+  return suite.empty() ? 0.0 : analyzer.assess(model, suite).coverage;
 }
 
 }  // namespace sesame::deepknowledge

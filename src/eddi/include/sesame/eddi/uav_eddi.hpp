@@ -79,15 +79,17 @@ struct EddiAssessment {
 
 class UavEddi {
  public:
-  /// `safeml_reference` is the training-time reference sample per feature.
-  /// DeepKnowledge assets (model + analyzer) are optional; when absent the
-  /// combined uncertainty uses SafeML + SINADRA only.
+  /// `safeml_reference` is the training-time reference sample per feature;
+  /// a fleet shares one ReferenceSet. DeepKnowledge assets (model +
+  /// analyzer) are optional; when absent the combined uncertainty uses
+  /// SafeML + SINADRA only.
   UavEddi(std::string uav_name, UavEddiConfig config,
-          std::vector<std::vector<double>> safeml_reference);
+          safeml::ReferenceSet safeml_reference);
 
   /// Attaches DeepKnowledge design-time assets. The analyzer must have
-  /// been built against `model`. Window: detection features accumulate
-  /// until `window` vectors are present, then a report is computed.
+  /// been built against `model`. Window: each detection feature vector is
+  /// observed once on arrival; once `window` observations are present, a
+  /// report is computed on every tick that adds one.
   void attach_deepknowledge(std::shared_ptr<const deepknowledge::Mlp> model,
                             std::shared_ptr<const deepknowledge::Analyzer> analyzer,
                             std::size_t window = 32);
@@ -124,7 +126,10 @@ class UavEddi {
   std::shared_ptr<const deepknowledge::Mlp> dk_model_;
   std::shared_ptr<const deepknowledge::Analyzer> dk_analyzer_;
   std::shared_ptr<security::SecurityEddi> security_;
-  std::vector<std::vector<double>> dk_window_;
+  /// Observations of the last dk_window_size_ detections; once full, a
+  /// ring whose oldest entry is at dk_next_.
+  std::vector<deepknowledge::Observation> dk_window_;
+  std::size_t dk_next_ = 0;
   std::size_t dk_window_size_ = 32;
   EddiAssessment assessment_;
   EddiInputs last_inputs_;

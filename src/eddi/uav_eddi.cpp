@@ -6,7 +6,7 @@
 namespace sesame::eddi {
 
 UavEddi::UavEddi(std::string uav_name, UavEddiConfig config,
-                 std::vector<std::vector<double>> safeml_reference)
+                 safeml::ReferenceSet safeml_reference)
     : name_(std::move(uav_name)), config_(config),
       reliability_(config_.reliability), battery_tracker_(config_.reliability.battery),
       safeml_(config_.safeml, std::move(safeml_reference)),
@@ -32,6 +32,7 @@ void UavEddi::attach_deepknowledge(
   dk_analyzer_ = std::move(analyzer);
   dk_window_size_ = window;
   dk_window_.clear();
+  dk_next_ = 0;
 }
 
 void UavEddi::attach_security(std::shared_ptr<security::SecurityEddi> security) {
@@ -79,22 +80,26 @@ const EddiAssessment& UavEddi::tick(const EddiInputs& inputs) {
       prospective.p_propulsion, battery_tracker_.failure_probability(),
       prospective.p_processor, prospective.p_comms);
 
-  // SafeML distribution-shift monitoring.
+  // SafeML distribution-shift monitoring. A tick without a frame leaves
+  // the window, and so the previous assessment, unchanged.
   if (!inputs.frame_features.empty()) {
     safeml_.push(inputs.frame_features);
+    assessment_.safeml = safeml_.assess();
   }
-  assessment_.safeml = safeml_.assess();
 
   // DeepKnowledge coverage over a sliding detection-feature window.
-  if (dk_analyzer_) {
+  if (dk_analyzer_ && !inputs.detection_features.empty()) {
     for (const auto& f : inputs.detection_features) {
-      dk_window_.push_back(f);
-      if (dk_window_.size() > dk_window_size_) {
-        dk_window_.erase(dk_window_.begin());
+      auto obs = dk_analyzer_->observe(*dk_model_, f);
+      if (dk_window_.size() < dk_window_size_) {
+        dk_window_.push_back(std::move(obs));
+      } else {
+        dk_window_[dk_next_] = std::move(obs);
+        dk_next_ = (dk_next_ + 1) % dk_window_size_;
       }
     }
-    if (dk_window_.size() >= dk_window_size_) {
-      assessment_.deepknowledge = dk_analyzer_->assess(*dk_model_, dk_window_);
+    if (dk_window_.size() == dk_window_size_) {
+      assessment_.deepknowledge = dk_analyzer_->assess(dk_window_);
     }
   }
 

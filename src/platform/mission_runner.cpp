@@ -286,7 +286,9 @@ void MissionRunner::setup_sesame() {
         }
       });
 
-  auto reference = collect_safeml_reference();
+  // One prepared SafeML reference per runner, shared by the calibration
+  // below and every UAV's monitor.
+  const safeml::ReferenceSet reference(collect_safeml_reference());
 
   // The platform deployment pins the Wasserstein measure: KS saturates at
   // 1.0, which leaves too little contrast between the band-internal
@@ -307,26 +309,22 @@ void MissionRunner::setup_sesame() {
   // a deployment would calibrate against held-out validation flights.
   {
     const auto& detector = mission_->detector();
-    // The reference sample is fixed across trials: sort it once and use
-    // the sorted-input distance fast path per trial window.
-    std::vector<std::vector<double>> reference_sorted = reference;
-    for (auto& r : reference_sorted) std::sort(r.begin(), r.end());
+    const std::size_t features = reference.num_features();
     std::vector<double> self_distances;
     for (int trial = 0; trial < 60; ++trial) {
       const double alt = world_->rng().uniform(
           0.8 * config_.descend_altitude_m, 1.4 * config_.descend_altitude_m);
-      std::vector<std::vector<double>> window(reference.size());
+      std::vector<std::vector<double>> window(features);
       for (std::size_t i = 0; i < config_.eddi.safeml.window; ++i) {
         const auto v = detector.frame_features(alt, world_->rng()).as_vector();
         for (std::size_t k = 0; k < v.size(); ++k) window[k].push_back(v[k]);
       }
       double total = 0.0;
-      for (std::size_t k = 0; k < reference.size(); ++k) {
+      for (std::size_t k = 0; k < features; ++k) {
         std::sort(window[k].begin(), window[k].end());
-        total += safeml::distance_sorted(config_.eddi.safeml.measure,
-                                         reference_sorted[k], window[k]);
+        total += reference[k].distance(config_.eddi.safeml.measure, window[k]);
       }
-      self_distances.push_back(total / static_cast<double>(reference.size()));
+      self_distances.push_back(total / static_cast<double>(features));
     }
     const double p95 = mathx::quantile(self_distances, 0.95);
     config_.eddi.safeml.full_scale =

@@ -1,9 +1,9 @@
 #include "sesame/safeml/calibration.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "sesame/mathx/stats.hpp"
-#include "sesame/safeml/distances.hpp"
 
 namespace sesame::safeml {
 
@@ -29,16 +29,19 @@ CalibrationReport calibrate_monitor(
 
   // Bootstrap self-distances: window resampled from the reference vs the
   // reference itself, aggregated across features as the monitor does.
+  const ReferenceSet prepared(reference);
   std::vector<double> self_distances;
   self_distances.reserve(static_cast<std::size_t>(trials));
   std::vector<double> win(window);
   for (int t = 0; t < trials; ++t) {
     double total = 0.0;
-    for (const auto& feature : reference) {
+    for (std::size_t k = 0; k < reference.size(); ++k) {
+      const auto& feature = reference[k];
       for (std::size_t i = 0; i < window; ++i) {
         win[i] = feature[rng.uniform_index(feature.size())];
       }
-      total += distance(measure, feature, win);
+      std::sort(win.begin(), win.end());
+      total += prepared[k].distance(measure, win);
     }
     self_distances.push_back(total / static_cast<double>(reference.size()));
   }

@@ -8,45 +8,18 @@ namespace sesame::safeml {
 
 namespace {
 
+bool has_nan(const std::vector<double>& v) {
+  return std::any_of(v.begin(), v.end(), [](double x) { return std::isnan(x); });
+}
+
 void require_samples(const std::vector<double>& a, const std::vector<double>& b,
                      const char* who) {
   if (a.empty() || b.empty()) {
     throw std::invalid_argument(std::string(who) + ": empty sample");
   }
-}
-
-/// Walks the merged samples (both already ascending-sorted), invoking
-/// cb(fa, fb, x, dx_to_next) at every step of the joint ECDF. `dx_to_next`
-/// is 0 at the final point.
-template <typename Callback>
-void walk_sorted_ecdfs(const std::vector<double>& a, const std::vector<double>& b,
-                       Callback&& cb) {
-  const double na = static_cast<double>(a.size());
-  const double nb = static_cast<double>(b.size());
-  std::size_t ia = 0, ib = 0;
-  while (ia < a.size() || ib < b.size()) {
-    double x;
-    if (ib >= b.size() || (ia < a.size() && a[ia] <= b[ib])) {
-      x = a[ia];
-    } else {
-      x = b[ib];
-    }
-    while (ia < a.size() && a[ia] == x) ++ia;
-    while (ib < b.size() && b[ib] == x) ++ib;
-    const double fa = static_cast<double>(ia) / na;
-    const double fb = static_cast<double>(ib) / nb;
-    double next = x;
-    bool have_next = false;
-    if (ia < a.size()) {
-      next = a[ia];
-      have_next = true;
-    }
-    if (ib < b.size()) {
-      next = have_next ? std::min(next, b[ib]) : b[ib];
-      have_next = true;
-    }
-    const double dx = have_next ? next - x : 0.0;
-    cb(fa, fb, x, dx);
+  // NaN breaks the strict weak ordering the sort and the walk rely on.
+  if (has_nan(a) || has_nan(b)) {
+    throw std::invalid_argument(std::string(who) + ": NaN in sample");
   }
 }
 
@@ -56,82 +29,139 @@ std::vector<double> sorted_copy(const std::vector<double>& v) {
   return out;
 }
 
-double ks_sorted(const std::vector<double>& a, const std::vector<double>& b) {
-  double best = 0.0;
-  walk_sorted_ecdfs(a, b, [&](double fa, double fb, double, double) {
-    best = std::max(best, std::abs(fa - fb));
-  });
-  return best;
-}
-
-double kuiper_sorted(const std::vector<double>& a, const std::vector<double>& b) {
-  double dplus = 0.0, dminus = 0.0;
-  walk_sorted_ecdfs(a, b, [&](double fa, double fb, double, double) {
-    dplus = std::max(dplus, fa - fb);
-    dminus = std::max(dminus, fb - fa);
-  });
-  return dplus + dminus;
-}
-
-double anderson_darling_sorted(const std::vector<double>& a,
-                               const std::vector<double>& b) {
-  const double na = static_cast<double>(a.size());
-  const double nb = static_cast<double>(b.size());
-  const double n = na + nb;
-  double acc = 0.0;
-  // Integrate (Fa-Fb)^2 / (H(1-H)) dH-steps over the pooled ECDF H.
-  walk_sorted_ecdfs(a, b, [&](double fa, double fb, double, double) {
-    const double h = (na * fa + nb * fb) / n;
-    const double w = h * (1.0 - h);
-    if (w > 1e-12) {
-      const double d = fa - fb;
-      acc += d * d / w;
-    }
-  });
-  // Normalize by the number of joint steps so the statistic is comparable
-  // across window sizes (runtime monitors use fixed windows anyway).
-  return acc * (na * nb) / (n * n);
-}
-
-double cramer_von_mises_sorted(const std::vector<double>& a,
-                               const std::vector<double>& b) {
-  const double na = static_cast<double>(a.size());
-  const double nb = static_cast<double>(b.size());
-  const double n = na + nb;
-  double acc = 0.0;
-  walk_sorted_ecdfs(a, b, [&](double fa, double fb, double, double) {
-    const double d = fa - fb;
-    acc += d * d;
-  });
-  return acc * (na * nb) / (n * n);
-}
-
-double wasserstein_sorted(const std::vector<double>& a,
-                          const std::vector<double>& b) {
-  double acc = 0.0;
-  walk_sorted_ecdfs(a, b, [&](double fa, double fb, double, double dx) {
-    acc += std::abs(fa - fb) * dx;
-  });
-  return acc;
-}
-
-double dts_sorted(const std::vector<double>& a, const std::vector<double>& b) {
-  const double na = static_cast<double>(a.size());
-  const double nb = static_cast<double>(b.size());
-  const double n = na + nb;
-  double acc = 0.0;
-  walk_sorted_ecdfs(a, b, [&](double fa, double fb, double, double dx) {
-    const double h = (na * fa + nb * fb) / n;
-    const double w = h * (1.0 - h);
-    if (w > 1e-12) {
-      const double d = fa - fb;
-      acc += (d * d / w) * dx;
-    }
-  });
-  return acc;
-}
-
 }  // namespace
+
+PreparedReference::PreparedReference(std::vector<double> sample)
+    : n_(sample.size()) {
+  if (sample.empty()) {
+    throw std::invalid_argument("PreparedReference: empty sample");
+  }
+  if (has_nan(sample)) {
+    throw std::invalid_argument("PreparedReference: NaN in sample");
+  }
+  std::sort(sample.begin(), sample.end());
+  values_.reserve(n_);
+  cdf_.reserve(n_);
+  const double n = static_cast<double>(n_);
+  std::size_t i = 0;
+  while (i < sample.size()) {
+    // A run of equal values is one ECDF point; keep its first element.
+    const double x = sample[i];
+    while (i < sample.size() && sample[i] == x) ++i;
+    values_.push_back(x);
+    cdf_.push_back(static_cast<double>(i) / n);
+  }
+  gap_.resize(values_.size(), 0.0);
+  for (std::size_t k = 0; k + 1 < values_.size(); ++k) {
+    gap_[k] = values_[k + 1] - values_[k];
+  }
+}
+
+/// The one ECDF walk. Visits every distinct point x of the pooled sample in
+/// ascending order and calls step(fa, fb, dx): the reference ECDF at x, the
+/// window ECDF at x, and the distance from x to the next pooled point (0 at
+/// the last). Each ECDF value is count / size and each dx is one
+/// subtraction of neighbouring sample values, so every measure sees the
+/// same terms in the same order as a merge of the two raw sorted samples.
+template <typename Step>
+void PreparedReference::walk(const std::vector<double>& window_sorted,
+                             Step&& step) const {
+  const std::vector<double>& w = window_sorted;
+  const std::size_t kn = values_.size();
+  const std::size_t wn = w.size();
+  const double nb = static_cast<double>(wn);
+  std::size_t k = 0;  // next reference value
+  std::size_t j = 0;  // next window value
+  double fa = 0.0;    // reference ECDF just below the next point
+  while (j < wn) {
+    const double y = w[j];
+    if (k < kn && values_[k] < y) {
+      // Reference-only points below y: each steps to the next reference
+      // value, except the last, which steps to y.
+      const double fb = static_cast<double>(j) / nb;
+      for (; k + 1 < kn && values_[k + 1] < y; ++k) step(cdf_[k], fb, gap_[k]);
+      fa = cdf_[k];
+      step(fa, fb, y - values_[k]);
+      ++k;
+    }
+    // The window point y, shared with the reference when values_[k] == y.
+    if (k < kn && values_[k] == y) fa = cdf_[k++];
+    std::size_t jn = j + 1;
+    while (jn < wn && w[jn] == y) ++jn;
+    double dx = 0.0;
+    if (jn < wn) {
+      dx = (k < kn ? std::min(values_[k], w[jn]) : w[jn]) - y;
+    } else if (k < kn) {
+      dx = values_[k] - y;
+    }
+    step(fa, static_cast<double>(jn) / nb, dx);
+    j = jn;
+  }
+  // Reference-only points above the window: the window ECDF is wn / wn.
+  for (; k < kn; ++k) step(cdf_[k], 1.0, gap_[k]);
+}
+
+double PreparedReference::distance(Measure m,
+                                   const std::vector<double>& window_sorted) const {
+  if (window_sorted.empty()) {
+    throw std::invalid_argument("PreparedReference::distance: empty window");
+  }
+  const double na = static_cast<double>(n_);
+  const double nb = static_cast<double>(window_sorted.size());
+  const double n = na + nb;
+  double acc = 0.0;
+  switch (m) {
+    case Measure::kKolmogorovSmirnov:
+      walk(window_sorted, [&](double fa, double fb, double) {
+        acc = std::max(acc, std::abs(fa - fb));
+      });
+      return acc;
+    case Measure::kKuiper: {
+      double dminus = 0.0;
+      walk(window_sorted, [&](double fa, double fb, double) {
+        acc = std::max(acc, fa - fb);
+        dminus = std::max(dminus, fb - fa);
+      });
+      return acc + dminus;
+    }
+    case Measure::kAndersonDarling:
+      // Integrate (Fa-Fb)^2 / (H(1-H)) dH-steps over the pooled ECDF H.
+      walk(window_sorted, [&](double fa, double fb, double) {
+        const double h = (na * fa + nb * fb) / n;
+        const double w = h * (1.0 - h);
+        if (w > 1e-12) {
+          const double d = fa - fb;
+          acc += d * d / w;
+        }
+      });
+      // Normalize by the number of joint steps so the statistic is
+      // comparable across window sizes (runtime monitors use fixed windows
+      // anyway).
+      return acc * (na * nb) / (n * n);
+    case Measure::kCramerVonMises:
+      walk(window_sorted, [&](double fa, double fb, double) {
+        const double d = fa - fb;
+        acc += d * d;
+      });
+      return acc * (na * nb) / (n * n);
+    case Measure::kWasserstein:
+      walk(window_sorted, [&](double fa, double fb, double dx) {
+        acc += std::abs(fa - fb) * dx;
+      });
+      return acc;
+    case Measure::kDts:
+      walk(window_sorted, [&](double fa, double fb, double dx) {
+        const double h = (na * fa + nb * fb) / n;
+        const double w = h * (1.0 - h);
+        if (w > 1e-12) {
+          const double d = fa - fb;
+          acc += (d * d / w) * dx;
+        }
+      });
+      return acc;
+  }
+  throw std::invalid_argument("PreparedReference::distance: unknown measure");
+}
 
 std::string measure_name(Measure m) {
   switch (m) {
@@ -154,65 +184,42 @@ const std::vector<Measure>& all_measures() {
 }
 
 double ks_distance(const std::vector<double>& a, const std::vector<double>& b) {
-  require_samples(a, b, "ks_distance");
-  return ks_sorted(sorted_copy(a), sorted_copy(b));
+  return distance(Measure::kKolmogorovSmirnov, a, b);
 }
 
 double kuiper_distance(const std::vector<double>& a, const std::vector<double>& b) {
-  require_samples(a, b, "kuiper_distance");
-  return kuiper_sorted(sorted_copy(a), sorted_copy(b));
+  return distance(Measure::kKuiper, a, b);
 }
 
 double anderson_darling_distance(const std::vector<double>& a,
                                  const std::vector<double>& b) {
-  require_samples(a, b, "anderson_darling_distance");
-  return anderson_darling_sorted(sorted_copy(a), sorted_copy(b));
+  return distance(Measure::kAndersonDarling, a, b);
 }
 
 double cramer_von_mises_distance(const std::vector<double>& a,
                                  const std::vector<double>& b) {
-  require_samples(a, b, "cramer_von_mises_distance");
-  return cramer_von_mises_sorted(sorted_copy(a), sorted_copy(b));
+  return distance(Measure::kCramerVonMises, a, b);
 }
 
 double wasserstein_distance(const std::vector<double>& a,
                             const std::vector<double>& b) {
-  require_samples(a, b, "wasserstein_distance");
-  return wasserstein_sorted(sorted_copy(a), sorted_copy(b));
+  return distance(Measure::kWasserstein, a, b);
 }
 
 double dts_distance(const std::vector<double>& a, const std::vector<double>& b) {
-  require_samples(a, b, "dts_distance");
-  return dts_sorted(sorted_copy(a), sorted_copy(b));
+  return distance(Measure::kDts, a, b);
 }
 
 double distance(Measure m, const std::vector<double>& a,
                 const std::vector<double>& b) {
-  switch (m) {
-    case Measure::kKolmogorovSmirnov: return ks_distance(a, b);
-    case Measure::kKuiper: return kuiper_distance(a, b);
-    case Measure::kAndersonDarling: return anderson_darling_distance(a, b);
-    case Measure::kCramerVonMises: return cramer_von_mises_distance(a, b);
-    case Measure::kWasserstein: return wasserstein_distance(a, b);
-    case Measure::kDts: return dts_distance(a, b);
-  }
-  throw std::invalid_argument("distance: unknown measure");
+  require_samples(a, b, "distance");
+  return PreparedReference(a).distance(m, sorted_copy(b));
 }
 
 double distance_sorted(Measure m, const std::vector<double>& a_sorted,
                        const std::vector<double>& b_sorted) {
   require_samples(a_sorted, b_sorted, "distance_sorted");
-  switch (m) {
-    case Measure::kKolmogorovSmirnov: return ks_sorted(a_sorted, b_sorted);
-    case Measure::kKuiper: return kuiper_sorted(a_sorted, b_sorted);
-    case Measure::kAndersonDarling:
-      return anderson_darling_sorted(a_sorted, b_sorted);
-    case Measure::kCramerVonMises:
-      return cramer_von_mises_sorted(a_sorted, b_sorted);
-    case Measure::kWasserstein: return wasserstein_sorted(a_sorted, b_sorted);
-    case Measure::kDts: return dts_sorted(a_sorted, b_sorted);
-  }
-  throw std::invalid_argument("distance_sorted: unknown measure");
+  return PreparedReference(a_sorted).distance(m, b_sorted);
 }
 
 double permutation_p_value(Measure m, const std::vector<double>& a,

@@ -8,7 +8,7 @@
 // Larger values mean the runtime data looks less like the training data.
 #pragma once
 
-#include <functional>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -63,11 +63,35 @@ double distance(Measure m, const std::vector<double>& a,
                 const std::vector<double>& b);
 
 /// Same as distance(), but requires both samples to already be sorted in
-/// ascending order and skips the per-call copy + sort. Callers with a
-/// fixed reference sample (runtime monitors) sort it once and amortize;
-/// the result is bit-identical to distance() on the unsorted samples.
+/// ascending order and skips the per-call copy + sort of the second one.
+/// The result is bit-identical to distance() on the unsorted samples.
 double distance_sorted(Measure m, const std::vector<double>& a_sorted,
                        const std::vector<double>& b_sorted);
+
+/// A reference sample prepared once for repeated comparison against
+/// runtime windows: its distinct ascending values, the reference ECDF
+/// after each value and the gap to the next value. Runtime monitors keep
+/// one per feature and share it; distance() and distance_sorted() build
+/// one per call, so every measure goes through the same ECDF walk.
+class PreparedReference {
+ public:
+  /// Throws std::invalid_argument on an empty sample or a NaN in it.
+  explicit PreparedReference(std::vector<double> sample);
+
+  /// Distance from this reference (the first sample of distance()) to a
+  /// non-empty, ascending-sorted window. Bit-identical to
+  /// distance(m, reference_sample, window).
+  double distance(Measure m, const std::vector<double>& window_sorted) const;
+
+ private:
+  std::size_t n_ = 0;           ///< sample size, counting repeats
+  std::vector<double> values_;  ///< distinct values, ascending
+  std::vector<double> cdf_;     ///< count(sample <= values_[k]) / n_
+  std::vector<double> gap_;     ///< values_[k + 1] - values_[k]; 0 at the end
+
+  template <typename Step>
+  void walk(const std::vector<double>& window_sorted, Step&& step) const;
+};
 
 /// Permutation-test p-value for the hypothesis that `a` and `b` come from
 /// the same distribution, under the given measure. Small p-values indicate

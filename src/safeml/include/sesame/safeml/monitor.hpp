@@ -8,6 +8,8 @@
 #pragma once
 
 #include <deque>
+#include <initializer_list>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,18 +43,39 @@ struct MonitorConfig {
   double low_threshold = 0.40;   ///< confidence < this -> Low
 };
 
+/// Per-feature prepared references of one training dataset. Copies share
+/// the prepared data, so a fleet of monitors and the design-time
+/// calibration hold one copy between them.
+class ReferenceSet {
+ public:
+  /// One training-time sample per feature. Throws std::invalid_argument
+  /// on an empty or NaN-containing feature sample.
+  ReferenceSet(const std::vector<std::vector<double>>& samples);
+  ReferenceSet(std::initializer_list<std::vector<double>> samples);
+
+  std::size_t num_features() const noexcept { return features_->size(); }
+  const PreparedReference& operator[](std::size_t feature) const {
+    return (*features_)[feature];
+  }
+
+ private:
+  std::shared_ptr<const std::vector<PreparedReference>> features_;
+};
+
 /// Sliding-window distribution-shift monitor over one or more features.
 class Monitor {
  public:
   /// `reference` holds one training-time sample per feature (all non-empty,
   /// same feature count as runtime pushes). Throws std::invalid_argument on
   /// empty/invalid configuration.
-  Monitor(MonitorConfig config, std::vector<std::vector<double>> reference);
+  Monitor(MonitorConfig config, ReferenceSet reference);
 
-  std::size_t num_features() const noexcept { return reference_.size(); }
+  std::size_t num_features() const noexcept { return reference_.num_features(); }
   const MonitorConfig& config() const noexcept { return config_; }
 
-  /// Pushes one runtime observation (one value per feature).
+  /// Pushes one runtime observation (one value per feature). Throws
+  /// std::invalid_argument on a feature-count mismatch or a non-finite
+  /// value; the window is unchanged then.
   void push(const std::vector<double>& features);
 
   /// Number of runtime observations currently buffered.
@@ -73,12 +96,11 @@ class Monitor {
 
  private:
   MonitorConfig config_;
-  std::vector<std::vector<double>> reference_;
-  /// Ascending-sorted copies of reference_, built once so every assessment
-  /// uses the distance_sorted() fast path instead of re-sorting the (large,
-  /// immutable) reference sample.
-  std::vector<std::vector<double>> reference_sorted_;
+  ReferenceSet reference_;
+  /// Per feature: the window in arrival order, and the same values kept
+  /// ascending (one insert and one erase per push) for the ECDF walk.
   std::vector<std::deque<double>> window_;
+  std::vector<std::vector<double>> sorted_;
 
   ConfidenceLevel classify(double confidence) const;
 };

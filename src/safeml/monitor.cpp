@@ -1,6 +1,7 @@
 #include "sesame/safeml/monitor.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace sesame::safeml {
@@ -14,13 +15,29 @@ std::string confidence_level_name(ConfidenceLevel c) {
   return "unknown";
 }
 
-Monitor::Monitor(MonitorConfig config, std::vector<std::vector<double>> reference)
+namespace {
+
+std::vector<PreparedReference> prepare(
+    const std::vector<std::vector<double>>& samples) {
+  std::vector<PreparedReference> out;
+  out.reserve(samples.size());
+  for (const auto& f : samples) out.emplace_back(f);
+  return out;
+}
+
+}  // namespace
+
+ReferenceSet::ReferenceSet(const std::vector<std::vector<double>>& samples)
+    : features_(std::make_shared<const std::vector<PreparedReference>>(
+          prepare(samples))) {}
+
+ReferenceSet::ReferenceSet(std::initializer_list<std::vector<double>> samples)
+    : ReferenceSet(std::vector<std::vector<double>>(samples)) {}
+
+Monitor::Monitor(MonitorConfig config, ReferenceSet reference)
     : config_(config), reference_(std::move(reference)) {
-  if (reference_.empty()) {
+  if (reference_.num_features() == 0) {
     throw std::invalid_argument("Monitor: no reference features");
-  }
-  for (const auto& f : reference_) {
-    if (f.empty()) throw std::invalid_argument("Monitor: empty reference sample");
   }
   if (config_.window < 2) throw std::invalid_argument("Monitor: window < 2");
   if (config_.full_scale <= 0.0) {
@@ -30,18 +47,32 @@ Monitor::Monitor(MonitorConfig config, std::vector<std::vector<double>> referenc
       config_.low_threshold < 0.0 || config_.high_threshold > 1.0) {
     throw std::invalid_argument("Monitor: bad thresholds");
   }
-  window_.resize(reference_.size());
-  reference_sorted_ = reference_;
-  for (auto& f : reference_sorted_) std::sort(f.begin(), f.end());
+  window_.resize(reference_.num_features());
+  sorted_.resize(reference_.num_features());
+  for (auto& s : sorted_) s.reserve(config_.window);
 }
 
 void Monitor::push(const std::vector<double>& features) {
-  if (features.size() != reference_.size()) {
+  if (features.size() != reference_.num_features()) {
     throw std::invalid_argument("Monitor::push: feature count mismatch");
   }
+  // A NaN has no place in the sorted window's order, and an infinity
+  // would turn the walk's gaps into inf - inf.
+  for (double x : features) {
+    if (!std::isfinite(x)) {
+      throw std::invalid_argument("Monitor::push: non-finite feature value");
+    }
+  }
   for (std::size_t i = 0; i < features.size(); ++i) {
+    auto& sorted = sorted_[i];
+    if (window_[i].size() == config_.window) {
+      const double oldest = window_[i].front();
+      window_[i].pop_front();
+      sorted.erase(std::lower_bound(sorted.begin(), sorted.end(), oldest));
+    }
     window_[i].push_back(features[i]);
-    if (window_[i].size() > config_.window) window_[i].pop_front();
+    sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), features[i]),
+                  features[i]);
   }
 }
 
@@ -54,11 +85,9 @@ bool Monitor::ready() const noexcept { return buffered() >= config_.window; }
 std::vector<double> Monitor::per_feature_dissimilarity() const {
   if (!ready()) return {};
   std::vector<double> out;
-  out.reserve(reference_.size());
-  for (std::size_t i = 0; i < reference_.size(); ++i) {
-    std::vector<double> runtime(window_[i].begin(), window_[i].end());
-    std::sort(runtime.begin(), runtime.end());
-    out.push_back(distance_sorted(config_.measure, reference_sorted_[i], runtime));
+  out.reserve(sorted_.size());
+  for (std::size_t i = 0; i < sorted_.size(); ++i) {
+    out.push_back(reference_[i].distance(config_.measure, sorted_[i]));
   }
   return out;
 }
@@ -68,7 +97,7 @@ std::optional<Assessment> Monitor::assess() const {
   const auto per_feature = per_feature_dissimilarity();
   double total = 0.0;
   for (double d : per_feature) total += d;
-  const double dissimilarity = total / static_cast<double>(reference_.size());
+  const double dissimilarity = total / static_cast<double>(per_feature.size());
   Assessment a;
   a.dissimilarity = dissimilarity;
   a.confidence = std::clamp(1.0 - dissimilarity / config_.full_scale, 0.0, 1.0);
@@ -79,6 +108,7 @@ std::optional<Assessment> Monitor::assess() const {
 
 void Monitor::reset() {
   for (auto& w : window_) w.clear();
+  for (auto& s : sorted_) s.clear();
 }
 
 ConfidenceLevel Monitor::classify(double confidence) const {

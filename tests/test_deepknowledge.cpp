@@ -1,7 +1,13 @@
 // Tests for DeepKnowledge: MLP forward/backward correctness, training
 // convergence on a separable problem, TK-neuron selection, and the
 // coverage/uncertainty behaviour under domain shift.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <deque>
+#include <limits>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -283,4 +289,117 @@ TEST(TestSelection, StopsWhenNothingAddsCoverage) {
   const auto ranking = dk::select_tests(an, net, pool, 10);
   EXPECT_EQ(ranking.size(), 1u);
   EXPECT_DOUBLE_EQ(dk::suite_coverage(an, net, {}), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Cached observations: a ring of per-input observations must report
+// exactly what a fresh assessment of the raw window does.
+
+namespace {
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+/// Coverage counted straight from forward passes with a (tk, bucket) set,
+/// independent of Analyzer::observe.
+dk::CoverageReport oracle_assess(const dk::Analyzer& an, const dk::Mlp& net,
+                                 const std::vector<std::vector<double>>& window) {
+  std::set<std::pair<std::size_t, std::size_t>> hits;
+  std::size_t oor = 0;
+  const std::size_t buckets = an.config().buckets;
+  for (const auto& input : window) {
+    dk::ActivationTrace trace;
+    net.forward_traced(input, trace);
+    for (std::size_t t = 0; t < an.tk_neurons().size(); ++t) {
+      const auto& p = an.tk_neurons()[t];
+      const double a = trace[p.id.layer][p.id.index];
+      if (a < p.train_min - 1e-12 || a > p.train_max + 1e-12) {
+        ++oor;
+        continue;
+      }
+      const double span = p.train_max - p.train_min;
+      std::size_t bucket = 0;
+      if (span > 1e-12) {
+        bucket = std::min(
+            static_cast<std::size_t>((a - p.train_min) / span *
+                                     static_cast<double>(buckets)),
+            buckets - 1);
+      }
+      hits.insert({t, bucket});
+    }
+  }
+  dk::CoverageReport r;
+  r.coverage = static_cast<double>(hits.size()) /
+               static_cast<double>(an.tk_neurons().size() * buckets);
+  r.out_of_range = static_cast<double>(oor) /
+                   static_cast<double>(window.size() * an.tk_neurons().size());
+  const double attainable =
+      std::min<double>(static_cast<double>(window.size()),
+                       static_cast<double>(buckets)) /
+      static_cast<double>(buckets);
+  const double effective_cov = std::min(1.0, r.coverage / attainable);
+  r.uncertainty = std::clamp(1.0 - effective_cov * (1.0 - r.out_of_range),
+                             0.0, 1.0);
+  r.window_size = window.size();
+  return r;
+}
+
+void expect_same_report(const dk::CoverageReport& a, const dk::CoverageReport& b) {
+  EXPECT_EQ(bits(a.coverage), bits(b.coverage));
+  EXPECT_EQ(bits(a.out_of_range), bits(b.out_of_range));
+  EXPECT_EQ(bits(a.uncertainty), bits(b.uncertainty));
+  EXPECT_EQ(a.window_size, b.window_size);
+}
+
+}  // namespace
+
+TEST(Analyzer, ObservationRingMatchesFreshAssessment) {
+  mx::Rng rng(4243);
+  std::vector<std::vector<double>> train, targets, shifted, _t;
+  make_dataset(rng, 300, 0.0, train, targets);
+  make_dataset(rng, 300, 2.0, shifted, _t);
+  dk::Mlp net({2, 8, 4, 1}, rng);
+  for (int e = 0; e < 3; ++e) net.train_epoch(train, targets, 0.05, rng);
+  dk::AnalysisConfig cfg;
+  cfg.top_k = 6;
+  const dk::Analyzer an(net, train, shifted, cfg);
+
+  for (std::size_t window : {2u, 5u, 16u, 33u}) {
+    std::vector<dk::Observation> ring;
+    std::size_t next = 0;
+    std::deque<std::vector<double>> raw;
+    for (int p = 0; p < 80; ++p) {
+      // Coarse inputs repeat often; a drift half-way moves them out of range.
+      const double shift = p < 40 ? 0.0 : 4.0;
+      const std::vector<double> input{
+          std::round(rng.normal(shift, 1.0) * 4.0) / 4.0,
+          std::round(rng.normal(0.0, 1.0) * 4.0) / 4.0};
+      if (ring.size() < window) {
+        ring.push_back(an.observe(net, input));
+      } else {
+        ring[next] = an.observe(net, input);
+        next = (next + 1) % window;
+      }
+      raw.push_back(input);
+      if (raw.size() > window) raw.pop_front();
+      if (raw.size() < window) continue;
+      const std::vector<std::vector<double>> entries(raw.begin(), raw.end());
+      const auto fresh = an.assess(net, entries);
+      expect_same_report(an.assess(ring), fresh);
+      expect_same_report(oracle_assess(an, net, entries), fresh);
+    }
+  }
+}
+
+TEST(Analyzer, ObserveRejectsNonFiniteInput) {
+  mx::Rng rng(4244);
+  dk::Mlp net({2, 4, 1}, rng);
+  std::vector<std::vector<double>> train, targets;
+  make_dataset(rng, 50, 0.0, train, targets);
+  const dk::Analyzer an(net, train, train);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(an.observe(net, {nan, 0.0}), std::invalid_argument);
+  EXPECT_THROW(an.observe(net, {0.0, inf}), std::invalid_argument);
+  EXPECT_THROW(an.assess(net, {{1.0, 0.0}, {-inf, 0.0}}), std::invalid_argument);
+  EXPECT_EQ(an.observe(net, {0.5, -0.5}).size(), an.tk_neurons().size());
 }

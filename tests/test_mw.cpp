@@ -305,33 +305,21 @@ TEST(BusMetrics, DetachStopsCounting) {
       reg.counter("sesame.mw.publish_total", {{"topic", "t"}}).value(), 1.0);
 }
 
-#include "sesame/mw/node.hpp"
-
-TEST(NodeHandle, BakesSourceIntoPublications) {
-  mw::Bus bus;
-  mw::NodeHandle node(bus, "uav_7");
-  std::string seen_source;
-  auto sub = node.subscribe<int>(
-      "t", [&](const mw::MessageHeader& h, const int&) {
-        seen_source = h.source;
-      });
-  node.publish("t", 42, 1.5);
-  EXPECT_EQ(seen_source, "uav_7");
-  EXPECT_EQ(node.name(), "uav_7");
-  EXPECT_THROW(mw::NodeHandle(bus, ""), std::invalid_argument);
-}
-
-TEST(NodeHandle, WorksWithPublisherRestrictions) {
+TEST(Bus, ExplicitSourceIsCheckedAgainstPublisherRestrictions) {
   mw::Bus bus;
   bus.restrict_publisher("cmd", "operator");
-  mw::NodeHandle operator_node(bus, "operator");
-  mw::NodeHandle rogue_node(bus, "rogue");
-  int delivered = 0;
+  const auto cmd = bus.intern_topic("cmd");
+  const auto operator_source = bus.intern_source("operator");
+  const auto rogue_source = bus.intern_source("rogue");
+  std::vector<std::string> delivered_from;
   auto sub = bus.subscribe<int>(
-      "cmd", [&](const mw::MessageHeader&, const int&) { ++delivered; });
-  operator_node.publish("cmd", 1, 0.0);
-  rogue_node.publish("cmd", 2, 0.1);
-  EXPECT_EQ(delivered, 1);
+      "cmd", [&](const mw::MessageHeader& h, const int&) {
+        delivered_from.emplace_back(h.source);
+      });
+  bus.publish(cmd, 1, operator_source, 0.0);
+  bus.publish(cmd, 2, rogue_source, 0.1);
+  EXPECT_EQ(delivered_from, std::vector<std::string>{"operator"});
+  EXPECT_EQ(bus.rejected_publications(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 // statistical properties, permutation testing, and the sliding-window
 // monitor's confidence mapping.
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <deque>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -423,4 +427,145 @@ TEST(Distances, SortedVariantRejectsEmptySamples) {
   EXPECT_THROW(
       sml::distance_sorted(sml::Measure::kKolmogorovSmirnov, some, {}),
       std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Incremental monitor: the sorted window and the prepared reference must
+// give exactly the distances of the plain two-sample functions.
+
+namespace {
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+/// A value on a coarse grid, so repeated values (ties) are common.
+double grid_value(mx::Rng& rng, double mean) {
+  return std::round(rng.normal(mean, 1.5) * 2.0) / 2.0;
+}
+
+}  // namespace
+
+TEST(Monitor, SortedWindowMatchesTwoSampleDistanceBitForBit) {
+  mx::Rng rng(4242);
+  for (int sequence = 0; sequence < 12; ++sequence) {
+    const std::size_t window = 2 + rng.uniform_index(63);  // 2..64
+    const std::size_t features = 1 + rng.uniform_index(3);
+    std::vector<std::vector<double>> reference(features);
+    for (auto& f : reference) {
+      const std::size_t n = 1 + rng.uniform_index(120);
+      for (std::size_t i = 0; i < n; ++i) f.push_back(grid_value(rng, 0.0));
+    }
+    std::vector<sml::Monitor> monitors;
+    for (auto m : sml::all_measures()) {
+      sml::MonitorConfig cfg;
+      cfg.measure = m;
+      cfg.window = window;
+      monitors.emplace_back(cfg, reference);
+    }
+    // The test's own window model: arrival order, oldest first.
+    std::vector<std::deque<double>> model(features);
+    const int pushes = 3 * static_cast<int>(window) + 5;
+    for (int p = 0; p < pushes; ++p) {
+      if (p == pushes / 2) {  // reset mid-stream
+        for (auto& mon : monitors) mon.reset();
+        for (auto& w : model) w.clear();
+      }
+      std::vector<double> row;
+      const double drift = p > pushes / 3 ? 1.0 : 0.0;
+      for (std::size_t k = 0; k < features; ++k) row.push_back(grid_value(rng, drift));
+      for (auto& mon : monitors) mon.push(row);
+      for (std::size_t k = 0; k < features; ++k) {
+        model[k].push_back(row[k]);
+        if (model[k].size() > window) model[k].pop_front();
+      }
+      for (std::size_t mi = 0; mi < monitors.size(); ++mi) {
+        const auto per = monitors[mi].per_feature_dissimilarity();
+        if (model[0].size() < window) {
+          EXPECT_TRUE(per.empty());
+          continue;
+        }
+        ASSERT_EQ(per.size(), features);
+        for (std::size_t k = 0; k < features; ++k) {
+          const std::vector<double> copy(model[k].begin(), model[k].end());
+          const auto m = sml::all_measures()[mi];
+          ASSERT_EQ(bits(per[k]), bits(sml::distance(m, reference[k], copy)))
+              << sml::measure_name(m) << " sequence " << sequence << " push "
+              << p << " feature " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(Monitor, RejectsNonFiniteFeatures) {
+  sml::MonitorConfig cfg;
+  cfg.window = 4;
+  sml::Monitor mon(cfg, {{0.0, 1.0, 2.0}, {5.0, 6.0}});
+  for (int i = 0; i < 4; ++i) mon.push({1.0, 5.5});
+  const auto before = mon.per_feature_dissimilarity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(mon.push({nan, 5.0}), std::invalid_argument);
+  EXPECT_THROW(mon.push({1.0, inf}), std::invalid_argument);
+  EXPECT_THROW(mon.push({-inf, 5.0}), std::invalid_argument);
+  // A rejected push leaves the window untouched.
+  EXPECT_EQ(mon.buffered(), 4u);
+  EXPECT_EQ(mon.per_feature_dissimilarity(), before);
+  // A NaN reference cannot be ordered either.
+  EXPECT_THROW(sml::Monitor(cfg, {{0.0, nan}}), std::invalid_argument);
+  EXPECT_THROW(sml::distance(sml::Measure::kKolmogorovSmirnov, {1.0}, {nan}),
+               std::invalid_argument);
+}
+
+// Bit patterns recorded with the merge-walk implementation that predates
+// the prepared reference; the e2e digests only exercise Wasserstein.
+TEST(Distances, PinnedBitsOnTieHeavyPair) {
+  const std::vector<double> a{3.0, 0.0, 1.0, 1.0, -2.0, 1.0, 8.0,
+                              3.0, 0.5, 8.0, 8.0, 13.0, -2.0};
+  const std::vector<double> b{1.0, -0.0, 2.0, 2.0, 8.0, -1.0,
+                              2.0, 3.0,  4.0, 1.0, 21.0};
+  const std::uint64_t expected[] = {
+      0x3fc660abdc322038ull, 0x3fd33ea8479bbf8eull, 0x3fccd7547007d457ull,
+      0x3f9c5b7fe68a0b8aull, 0x3ffe99f5423cde00ull, 0x400490a145ebbd92ull};
+  for (std::size_t mi = 0; mi < sml::all_measures().size(); ++mi) {
+    const auto m = sml::all_measures()[mi];
+    EXPECT_EQ(bits(sml::distance(m, a, b)), expected[mi]) << sml::measure_name(m);
+  }
+}
+
+TEST(Monitor, PinnedBitsOnPlatformShape) {
+  // The platform's shape: 3 features x 400 reference samples, window 64.
+  mx::Rng rng(2025);
+  std::vector<std::vector<double>> reference(3);
+  for (std::size_t k = 0; k < 3; ++k) {
+    for (int i = 0; i < 400; ++i) {
+      reference[k].push_back(rng.normal(2.0 * k, 1.0 + k));
+    }
+  }
+  std::vector<std::vector<double>> pushes;
+  for (int i = 0; i < 64; ++i) {
+    std::vector<double> row;
+    for (std::size_t k = 0; k < 3; ++k) row.push_back(rng.normal(0.3 + 2.0 * k, 1.0 + k));
+    pushes.push_back(row);
+  }
+  const std::uint64_t expected[][3] = {
+      {0x3fc2b851eb851eb8ull, 0x3fc87ae147ae147aull, 0x3fb63d70a3d70a40ull},
+      {0x3fc83d70a3d70a3dull, 0x3fc8e147ae147ae0ull, 0x3fc4e147ae147ae2ull},
+      {0x4001dbc58e87fd6cull, 0x400f739df60ebb91ull, 0x3fe02ff4dc02834cull},
+      {0x3fd844b906b57ec1ull, 0x3fe62b824b906b54ull, 0x3fb229398e4cfa03ull},
+      {0x3fd2d07265f4ac4cull, 0x3fe6de1d9bc07893ull, 0x3fdb5442c72978d7ull},
+      {0x3fca38f9459927edull, 0x3fe355055bb60109ull, 0x3fdc73fd7aadeb48ull}};
+  const sml::ReferenceSet shared(reference);
+  for (std::size_t mi = 0; mi < sml::all_measures().size(); ++mi) {
+    sml::MonitorConfig cfg;
+    cfg.measure = sml::all_measures()[mi];
+    cfg.window = 64;
+    sml::Monitor mon(cfg, shared);
+    for (const auto& row : pushes) mon.push(row);
+    const auto per = mon.per_feature_dissimilarity();
+    ASSERT_EQ(per.size(), 3u);
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(bits(per[k]), expected[mi][k])
+          << sml::measure_name(cfg.measure) << " feature " << k;
+    }
+  }
 }
