@@ -9,18 +9,25 @@
 // (`sim_x_realtime`; ≥ 1 at N = 1024 in a Release build is the acceptance
 // floor). BM_FleetNeighborSweep adds the grid-backed proximity query every
 // vehicle runs per platform tick, replacing the old all-pairs scan.
+// BM_FleetRunnerTick times the whole platform tick instead: the
+// `fleet_1024` campaign preset's MissionRunner with observability attached,
+// whose bus fan-out to the state database and recovery watchdogs costs
+// several times the world step. It is recorded, not gated.
 //
 //   bench_fleet_scaling --json fleet.json    # machine-readable results
 //
 // See docs/PERFORMANCE.md for the measurement methodology.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "bench_json.hpp"
+#include "sesame/campaign/scenario_factory.hpp"
 #include "sesame/geo/geodesy.hpp"
+#include "sesame/obs/observability.hpp"
 #include "sesame/sim/uav.hpp"
 #include "sesame/sim/world.hpp"
 
@@ -89,6 +96,37 @@ void BM_FleetNeighborSweep(benchmark::State& state) {
   state.counters["uavs"] = static_cast<double>(n);
 }
 BENCHMARK(BM_FleetNeighborSweep)->Arg(4)->Arg(32)->Arg(256)->Arg(1024);
+
+/// One platform tick of a `fleet_1024` campaign run (1,024 vehicles, chaos
+/// failures, recovery, the full C2 fan-out), metrics attached as campaigns
+/// attach them. An iteration is one whole run of campaign seed 1, run 0;
+/// runner set-up and teardown are outside the timed region. Reports ticks
+/// per wall-clock second and `ms_per_tick`.
+void BM_FleetRunnerTick(benchmark::State& state) {
+  const auto factory = campaign::ScenarioFactory::preset("fleet_1024");
+  double ticks = 0.0;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    obs::Observability o;
+    const auto runner = factory.make_runner(/*campaign_seed=*/1, /*run=*/0);
+    runner->attach_observability(o);
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(runner->run());
+    const double run_s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+    state.SetIterationTime(run_s);
+    seconds += run_s;
+    ticks += o.metrics.counter("sesame.mission.ticks_total").value();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(ticks));
+  state.counters["ms_per_tick"] = ticks > 0.0 ? 1000.0 * seconds / ticks : 0.0;
+  state.counters["uavs"] = 1024.0;
+}
+BENCHMARK(BM_FleetRunnerTick)
+    ->UseManualTime()
+    ->Iterations(3)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -104,10 +104,9 @@ void Bus::set_journal_capacity(std::size_t capacity) {
   journal_capacity_ = capacity;
 }
 
-void Bus::validate_subscriber_types(const TopicState& ts,
-                                    std::type_index type,
-                                    const char* type_name,
-                                    std::string_view topic) const {
+void Bus::scan_subscriber_types(const TopicState& ts, std::type_index type,
+                                const char* type_name,
+                                std::string_view topic) const {
   for (const auto& e : ts.subscribers) {
     if (e.died != kLive) continue;  // unsubscribed, pending compaction
     if (e.type != type) {
@@ -200,24 +199,20 @@ void Bus::set_metrics(obs::MetricsRegistry* registry) {
                           : nullptr;
 }
 
-Bus::TopicInstruments& Bus::instruments(TopicId topic) {
+Bus::TopicInstruments& Bus::resolve_instruments(TopicId topic) {
   TopicState& ts = topics_[topic.index_];
-  if (!ts.instruments_ready) {
-    const obs::Labels labels{{"topic", topic_names_[topic.index_]}};
-    ts.instruments.publish =
-        &metrics_->counter("sesame.mw.publish_total", labels);
-    ts.instruments.deliver =
-        &metrics_->counter("sesame.mw.deliver_total", labels);
-    ts.instruments.latency =
-        &metrics_->histogram("sesame.mw.delivery_latency_seconds", labels);
-    ts.instruments.dropped =
-        &metrics_->counter("sesame.mw.fault_dropped_total", labels);
-    ts.instruments.delayed =
-        &metrics_->counter("sesame.mw.fault_delayed_total", labels);
-    ts.instruments.duplicated =
-        &metrics_->counter("sesame.mw.fault_duplicated_total", labels);
-    ts.instruments_ready = true;
-  }
+  const obs::Labels labels{{"topic", topic_names_[topic.index_]}};
+  ts.instruments.publish = &metrics_->counter("sesame.mw.publish_total", labels);
+  ts.instruments.deliver = &metrics_->counter("sesame.mw.deliver_total", labels);
+  ts.instruments.latency =
+      &metrics_->histogram("sesame.mw.delivery_latency_seconds", labels);
+  ts.instruments.dropped =
+      &metrics_->counter("sesame.mw.fault_dropped_total", labels);
+  ts.instruments.delayed =
+      &metrics_->counter("sesame.mw.fault_delayed_total", labels);
+  ts.instruments.duplicated =
+      &metrics_->counter("sesame.mw.fault_duplicated_total", labels);
+  ts.instruments_ready = true;
   return ts.instruments;
 }
 

@@ -325,7 +325,13 @@ class Bus {
                                                const void* payload) {
       handler(h, *static_cast<const T*>(payload));
     };
-    topics_[topic.index_].subscribers.push_back(std::move(e));
+    TopicState& ts = topics_[topic.index_];
+    if (ts.subscriber_type == std::type_index(typeid(void))) {
+      ts.subscriber_type = e.type;
+    } else if (ts.subscriber_type != e.type) {
+      ts.mixed_types = true;
+    }
+    ts.subscribers.push_back(std::move(e));
     return Subscription(this, Subscription::Kind::kSubscriber, topic, id);
   }
 
@@ -507,6 +513,12 @@ class Bus {
     TopicInstruments instruments;
     bool instruments_ready = false;
     bool has_tombstones = false;
+    /// Payload type of the first subscriber the topic ever had, and
+    /// whether any later subscriber expected another type. Recorded at
+    /// subscribe time and never cleared, so while `mixed_types` is false
+    /// every subscriber, live or removed, expects `subscriber_type`.
+    std::type_index subscriber_type = std::type_index(typeid(void));
+    bool mixed_types = false;
   };
 
   /// Tracks fan-out nesting; when the outermost fan-out unwinds, dead
@@ -519,13 +531,26 @@ class Bus {
     Bus& bus;
   };
 
-  TopicInstruments& instruments(TopicId topic);
+  TopicInstruments& instruments(TopicId topic) {
+    TopicState& ts = topics_[topic.index_];
+    return ts.instruments_ready ? ts.instruments : resolve_instruments(topic);
+  }
+  /// Registers the topic's instruments with the attached registry.
+  TopicInstruments& resolve_instruments(TopicId topic);
 
   /// Throws std::runtime_error if any live subscriber on the topic expects
-  /// a payload type other than `type`.
+  /// a payload type other than `type`. A topic whose subscribers have all
+  /// expected `type` answers from the type recorded at subscribe time;
+  /// any other topic is scanned.
   void validate_subscriber_types(const TopicState& ts, std::type_index type,
                                  const char* type_name,
-                                 std::string_view topic) const;
+                                 std::string_view topic) const {
+    if (!ts.mixed_types && ts.subscriber_type == type) return;
+    scan_subscriber_types(ts, type, type_name, topic);
+  }
+  void scan_subscriber_types(const TopicState& ts, std::type_index type,
+                             const char* type_name,
+                             std::string_view topic) const;
 
   /// Unregisters a subscriber/tap/policy (Subscription::reset). Outside a
   /// fan-out the entry is erased immediately (ordered — delivery order of

@@ -46,11 +46,13 @@ class PersonTracker {
 
   /// Ingests one frame of detections. Association is greedy
   /// nearest-neighbour in detection order; unmatched detections open new
-  /// tentative tracks; unmatched tentative tracks age and die.
+  /// tentative tracks; unmatched tentative tracks age and die. An empty
+  /// frame costs O(1): ages are derived from frame counts, and tracks that
+  /// died are dropped when the next detection arrives or a query runs.
   void update(const std::vector<Detection>& detections);
 
-  /// All live tracks (tentative + confirmed).
-  const std::vector<Track>& tracks() const noexcept { return tracks_; }
+  /// All live tracks (tentative + confirmed), oldest first.
+  std::vector<Track> tracks() const;
 
   /// Confirmed tracks only (the reported persons).
   std::vector<Track> confirmed() const;
@@ -61,8 +63,21 @@ class PersonTracker {
   std::optional<Track> nearest_confirmed(const geo::EnuPoint& p) const;
 
  private:
+  /// A track as stored: `track.misses` is not maintained; it is
+  /// `frames_ - hit_frame`, materialised by the queries.
+  struct Slot {
+    Track track;
+    std::size_t hit_frame = 0;  ///< frame of the last associated detection
+  };
+
+  /// A tentative track past `max_misses` is dead even while still stored.
+  bool dead(const Slot& s) const noexcept {
+    return !s.track.confirmed && frames_ - s.hit_frame > config_.max_misses;
+  }
+  Track materialise(const Slot& s) const;
+
   TrackerConfig config_;
-  std::vector<Track> tracks_;
+  std::vector<Slot> slots_;  ///< creation order; may hold dead tracks
   std::size_t next_id_ = 0;
   std::size_t frames_ = 0;
 };

@@ -1,6 +1,5 @@
 #include "sesame/perception/tracker.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace sesame::perception {
@@ -13,25 +12,32 @@ PersonTracker::PersonTracker(TrackerConfig config) : config_(config) {
 }
 
 void PersonTracker::update(const std::vector<Detection>& detections) {
+  if (detections.empty()) {
+    ++frames_;  // every track misses this frame
+    return;
+  }
+  // Tracks that died in earlier frames leave before association; the
+  // removal is stable, so the survivors keep their order.
+  std::erase_if(slots_, [this](const Slot& s) { return dead(s); });
   ++frames_;
-  std::vector<bool> track_updated(tracks_.size(), false);
 
   for (const auto& det : detections) {
     // Greedy nearest-neighbour association within the gate, preferring
     // tracks not yet updated this frame.
-    std::size_t best = tracks_.size();
+    std::size_t best = slots_.size();
     double best_d = config_.gate_m;
-    for (std::size_t i = 0; i < tracks_.size(); ++i) {
-      if (track_updated[i]) continue;
-      const double d =
-          geo::enu_ground_distance_m(tracks_[i].position, det.estimated_position);
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].hit_frame == frames_) continue;  // updated this frame
+      const double d = geo::enu_ground_distance_m(slots_[i].track.position,
+                                                  det.estimated_position);
       if (d <= best_d) {
         best_d = d;
         best = i;
       }
     }
-    if (best < tracks_.size()) {
-      Track& t = tracks_[best];
+    if (best < slots_.size()) {
+      Slot& s = slots_[best];
+      Track& t = s.track;
       // Running average sharpens the position as hits accumulate.
       const double n = static_cast<double>(t.hits);
       t.position.east_m =
@@ -39,55 +45,58 @@ void PersonTracker::update(const std::vector<Detection>& detections) {
       t.position.north_m =
           (t.position.north_m * n + det.estimated_position.north_m) / (n + 1.0);
       ++t.hits;
-      t.misses = 0;
       t.last_confidence = det.confidence;
       if (t.hits >= config_.confirm_hits) t.confirmed = true;
-      track_updated[best] = true;
+      s.hit_frame = frames_;
     } else {
-      Track t;
-      t.id = next_id_++;
-      t.position = det.estimated_position;
-      t.hits = 1;
-      t.last_confidence = det.confidence;
-      t.confirmed = config_.confirm_hits <= 1;
-      tracks_.push_back(t);
-      track_updated.push_back(true);
+      Slot s;
+      s.track.id = next_id_++;
+      s.track.position = det.estimated_position;
+      s.track.hits = 1;
+      s.track.last_confidence = det.confidence;
+      s.track.confirmed = config_.confirm_hits <= 1;
+      s.hit_frame = frames_;
+      slots_.push_back(s);
     }
   }
+}
 
-  // Age unmatched tracks; tentative ones die, confirmed ones persist.
-  for (std::size_t i = 0; i < tracks_.size(); ++i) {
-    if (!track_updated[i]) ++tracks_[i].misses;
+Track PersonTracker::materialise(const Slot& s) const {
+  Track t = s.track;
+  t.misses = frames_ - s.hit_frame;
+  return t;
+}
+
+std::vector<Track> PersonTracker::tracks() const {
+  std::vector<Track> out;
+  for (const auto& s : slots_) {
+    if (!dead(s)) out.push_back(materialise(s));
   }
-  tracks_.erase(std::remove_if(tracks_.begin(), tracks_.end(),
-                               [this](const Track& t) {
-                                 return !t.confirmed &&
-                                        t.misses > config_.max_misses;
-                               }),
-                tracks_.end());
+  return out;
 }
 
 std::vector<Track> PersonTracker::confirmed() const {
   std::vector<Track> out;
-  for (const auto& t : tracks_) {
-    if (t.confirmed) out.push_back(t);
+  for (const auto& s : slots_) {
+    if (s.track.confirmed) out.push_back(materialise(s));
   }
   return out;
 }
 
 std::optional<Track> PersonTracker::nearest_confirmed(
     const geo::EnuPoint& p) const {
-  std::optional<Track> best;
+  const Slot* best = nullptr;
   double best_d = config_.gate_m;
-  for (const auto& t : tracks_) {
-    if (!t.confirmed) continue;
-    const double d = geo::enu_ground_distance_m(t.position, p);
+  for (const auto& s : slots_) {
+    if (!s.track.confirmed) continue;
+    const double d = geo::enu_ground_distance_m(s.track.position, p);
     if (d <= best_d) {
       best_d = d;
-      best = t;
+      best = &s;
     }
   }
-  return best;
+  if (best == nullptr) return std::nullopt;
+  return materialise(*best);
 }
 
 }  // namespace sesame::perception

@@ -12,12 +12,15 @@ DatabaseManager::DatabaseManager(mw::Bus& bus, std::size_t history_limit)
 }
 
 void DatabaseManager::attach_uav(const std::string& name) {
-  if (store_.count(name)) return;  // already attached
-  store_[name];  // create the (empty) history slot
+  const auto [slot, inserted] = store_.try_emplace(name);
+  if (!inserted) return;  // already attached
+  // Map nodes never move, so the handler keeps its history slot instead
+  // of looking the name up for every record.
+  std::deque<sim::Telemetry>* const history_slot = &slot->second;
   subscriptions_.push_back(bus_->subscribe<sim::Telemetry>(
       sim::telemetry_topic(name),
-      [this, name](const mw::MessageHeader&, const sim::Telemetry& t) {
-        auto& history = store_[name];
+      [this, history_slot](const mw::MessageHeader&, const sim::Telemetry& t) {
+        auto& history = *history_slot;
         // The transport may duplicate or reorder messages (see
         // docs/FAULT_INJECTION.md); a state database must not let a late
         // copy of an old record shadow newer state.

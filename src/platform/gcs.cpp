@@ -31,24 +31,26 @@ GroundControlStation::GroundControlStation(mw::Bus& bus,
 void GroundControlStation::watch_uav(const std::string& name) {
   database_->attach_uav(name);
   watched_.push_back(name);
+  // Map nodes never move: the handler keeps its vehicle's state slot
+  // instead of looking the name up for every record.
+  VehicleWatch* const state = &watch_state_[name];
   subscriptions_.push_back(bus_->subscribe<sim::Telemetry>(
       sim::telemetry_topic(name),
-      [this, name](const mw::MessageHeader&, const sim::Telemetry& t) {
+      [this, name, state](const mw::MessageHeader&, const sim::Telemetry& t) {
         // Mode transitions.
-        const auto it = last_mode_.find(name);
-        if (it == last_mode_.end() || it->second != t.mode) {
+        if (state->last_mode != t.mode) {
           GcsEvent e;
           e.time_s = t.time_s;
           e.category = "mode";
           e.uav = name;
-          e.message = (it == last_mode_.end() ? std::string("initial mode ")
-                                              : std::string("mode -> ")) +
+          e.message = (state->last_mode ? std::string("mode -> ")
+                                        : std::string("initial mode ")) +
                       sim::flight_mode_name(t.mode);
           push_event(std::move(e));
-          last_mode_[name] = t.mode;
+          state->last_mode = t.mode;
         }
         // Low-battery warning, once per crossing.
-        bool& warned = battery_warned_[name];
+        bool& warned = state->battery_warned;
         if (t.battery_soc < config_.low_battery_warning_soc && !warned) {
           warned = true;
           GcsEvent e;

@@ -14,28 +14,31 @@ GpsWatchdog::GpsWatchdog(mw::Bus& bus, GpsWatchdogConfig config)
 }
 
 void GpsWatchdog::watch_uav(const std::string& name) {
+  // Map nodes never move: the handler keeps its vehicle's state slot
+  // instead of looking the name up for every record.
+  VehicleWatch* const state = &watch_state_[name];
   subscriptions_.push_back(bus_->subscribe<sim::Telemetry>(
       sim::telemetry_topic(name),
-      [this, name](const mw::MessageHeader&, const sim::Telemetry& t) {
-        on_telemetry(name, t);
+      [this, name, state](const mw::MessageHeader&, const sim::Telemetry& t) {
+        on_telemetry(name, *state, t);
       }));
 }
 
-void GpsWatchdog::on_telemetry(const std::string& name,
+void GpsWatchdog::on_telemetry(const std::string& name, VehicleWatch& state,
                                const sim::Telemetry& t) {
   const bool airborne = t.mode == sim::FlightMode::kTakeoff ||
                         t.mode == sim::FlightMode::kMission ||
                         t.mode == sim::FlightMode::kHold ||
                         t.mode == sim::FlightMode::kReturnToBase;
   if (!airborne || t.gps_fix) {
-    loss_streak_[name] = 0;
-    alerted_[name] = false;  // fix recovered: re-arm
+    state.loss_streak = 0;
+    state.alerted = false;  // fix recovered: re-arm
     return;
   }
-  if (++loss_streak_[name] < config_.consecutive_losses || alerted_[name]) {
+  if (++state.loss_streak < config_.consecutive_losses || state.alerted) {
     return;
   }
-  alerted_[name] = true;
+  state.alerted = true;
   ++alerts_raised_;
   if (obs_ != nullptr) {
     obs_->metrics.counter("sesame.platform.gps_watchdog_alerts_total",
@@ -44,7 +47,7 @@ void GpsWatchdog::on_telemetry(const std::string& name,
     obs_->tracer.event("sesame.platform.gps_fix_lost",
                        {{"uav", name},
                         {"capec", "CAPEC-601"},
-                        {"streak", std::to_string(loss_streak_[name])},
+                        {"streak", std::to_string(state.loss_streak)},
                         {"time_s", obs::attr_value(t.time_s)}});
   }
   security::IdsAlert alert;
@@ -53,7 +56,7 @@ void GpsWatchdog::on_telemetry(const std::string& name,
   alert.topic = sim::telemetry_topic(name);
   alert.source = name;
   alert.time_s = t.time_s;
-  alert.detail = std::to_string(loss_streak_[name]) +
+  alert.detail = std::to_string(state.loss_streak) +
                  " consecutive airborne samples without a GNSS fix";
   bus_->publish(security::ids_alert_topic(), alert, "gps_watchdog", t.time_s);
 }

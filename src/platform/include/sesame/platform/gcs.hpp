@@ -7,6 +7,8 @@
 // task assignment goes through the UAV/Task managers.
 #pragma once
 
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,8 +65,13 @@ class GroundControlStation {
   std::vector<std::string> watched_;
   std::vector<mw::Subscription> subscriptions_;
   std::vector<GcsEvent> events_;
-  std::map<std::string, sim::FlightMode> last_mode_;
-  std::map<std::string, bool> battery_warned_;
+  /// Per-vehicle event state, read and written by that vehicle's
+  /// telemetry handler.
+  struct VehicleWatch {
+    std::optional<sim::FlightMode> last_mode;  ///< empty until first record
+    bool battery_warned = false;
+  };
+  std::map<std::string, VehicleWatch> watch_state_;
 
   void push_event(GcsEvent event);
 };

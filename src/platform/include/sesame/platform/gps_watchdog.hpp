@@ -43,11 +43,17 @@ class GpsWatchdog {
   obs::Observability* obs_ = nullptr;
   GpsWatchdogConfig config_;
   std::vector<mw::Subscription> subscriptions_;
-  std::map<std::string, std::size_t> loss_streak_;
-  std::map<std::string, bool> alerted_;  // once per outage
+  /// Per-vehicle detector state, read and written by that vehicle's
+  /// telemetry handler.
+  struct VehicleWatch {
+    std::size_t loss_streak = 0;
+    bool alerted = false;  // once per outage
+  };
+  std::map<std::string, VehicleWatch> watch_state_;
   std::size_t alerts_raised_ = 0;
 
-  void on_telemetry(const std::string& name, const sim::Telemetry& t);
+  void on_telemetry(const std::string& name, VehicleWatch& state,
+                    const sim::Telemetry& t);
 };
 
 }  // namespace sesame::platform

@@ -91,25 +91,51 @@ FailureSchedule FailureSchedule::chaos(std::uint64_t seed,
 // and every message addressed to its C2 topics (the uplink is the same
 // radio): telemetry, position fixes, pings. Pure time-window logic — no
 // randomness, so the gate never perturbs any other stream.
+//
+// The rule is by name, but a publication is answered by its interned
+// source and topic ids: each id's verdict is computed from the name rule
+// once and memoised until the set of blacked-out vehicles changes.
 class FailureInjector::BlackoutGate : public mw::DeliveryPolicy {
  public:
   mw::FaultDecision decide(const mw::MessageHeader& header) override {
     mw::FaultDecision d;
     if (active_.empty()) return d;
-    for (const auto& name : active_) {
-      if (header.source == name || topic_of(header.topic, name)) {
-        d.drop = true;
-        return d;
-      }
-    }
+    d.drop = memoised(source_verdicts_, header.source_id.index(),
+                      [&](const std::string& uav) {
+                        return header.source == uav;
+                      }) ||
+             memoised(topic_verdicts_, header.topic_id.index(),
+                      [&](const std::string& uav) {
+                        return topic_of(header.topic, uav);
+                      });
     return d;
   }
 
+  /// Replaces the blacked-out vehicles; the memo survives when the set
+  /// is unchanged.
   void set_active(std::vector<std::string> names) {
+    if (names == active_) return;
     active_ = std::move(names);
+    source_verdicts_.clear();
+    topic_verdicts_.clear();
   }
 
  private:
+  enum Verdict : std::uint8_t { kUnknown, kPass, kDrop };
+
+  /// The verdict for one interned id: whether `matches` holds for any
+  /// blacked-out vehicle, computed on the id's first publication.
+  template <typename Match>
+  bool memoised(std::vector<std::uint8_t>& verdicts, std::uint32_t index,
+                const Match& matches) {
+    if (index >= verdicts.size()) verdicts.resize(index + 1, kUnknown);
+    std::uint8_t& v = verdicts[index];
+    if (v == kUnknown) {
+      v = std::any_of(active_.begin(), active_.end(), matches) ? kDrop : kPass;
+    }
+    return v == kDrop;
+  }
+
   static bool topic_of(std::string_view topic, const std::string& uav) {
     // "uav/<name>/..." — any channel of the vehicle rides its radio.
     if (!topic.starts_with("uav/")) return false;
@@ -119,6 +145,8 @@ class FailureInjector::BlackoutGate : public mw::DeliveryPolicy {
   }
 
   std::vector<std::string> active_;
+  std::vector<std::uint8_t> source_verdicts_;  ///< by SourceId index
+  std::vector<std::uint8_t> topic_verdicts_;   ///< by TopicId index
 };
 
 FailureInjector::FailureInjector(World& world, FailureSchedule schedule)
@@ -162,6 +190,7 @@ std::size_t FailureInjector::step(double now_s) {
       }
       const Outage ended = o;
       outages_.erase(outages_.begin() + static_cast<std::ptrdiff_t>(i));
+      if (ended.mode == FailureMode::kCommsBlackout) blackouts_changed_ = true;
       if (ended.mode == FailureMode::kSensorDropout) {
         bool still_blind = false;
         for (const auto& other : outages_) {
@@ -189,7 +218,8 @@ std::size_t FailureInjector::step(double now_s) {
     ++newly_applied;
   }
 
-  if (gate_ != nullptr) {
+  if (gate_ != nullptr && blackouts_changed_) {
+    blackouts_changed_ = false;
     std::vector<std::string> active;
     for (const auto& o : outages_) {
       if (o.mode == FailureMode::kCommsBlackout) active.push_back(o.uav);
@@ -227,6 +257,7 @@ void FailureInjector::apply(const FailureEvent& event, double now_s) {
       o.forever = event.duration_s <= 0.0;
       o.until_s = now_s + event.duration_s;
       outages_.push_back(std::move(o));
+      blackouts_changed_ = true;
       break;
     }
     case FailureMode::kHardCrash:

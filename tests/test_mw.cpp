@@ -876,3 +876,101 @@ TEST(Bus, DeliveryOrderSurvivesUnsubscribe) {
   // New subscriptions append after the survivors, in their original order.
   EXPECT_EQ(order, (std::vector<std::string>{"s1", "s3", "s4", "s5"}));
 }
+
+// The publish path answers the type check from the type recorded when a
+// topic's subscribers registered. Whatever order subscribers of another
+// type arrive and leave in, a mismatch must still throw before any
+// handler runs.
+TEST(Bus, TypeMismatchAfterEarlierSubscribersLeftThrowsBeforeDelivery) {
+  mw::Bus bus;
+  int ints = 0;
+  int doubles = 0;
+  auto first = bus.subscribe<int>(
+      "t", [&](const mw::MessageHeader&, const int&) { ++ints; });
+  bus.publish("t", 1, "n", 0.0);
+  first.reset();  // outside a fan-out: erased at once, topic now empty
+  auto bad = bus.subscribe<double>(
+      "t", [&](const mw::MessageHeader&, const double&) { ++doubles; });
+  auto late = bus.subscribe<int>(
+      "t", [&](const mw::MessageHeader&, const int&) { ++ints; });
+  EXPECT_THROW(bus.publish("t", 2, "n", 1.0), std::runtime_error);
+  EXPECT_THROW(bus.publish("t", 2.5, "n", 1.0), std::runtime_error);
+  EXPECT_EQ(ints, 1);
+  EXPECT_EQ(doubles, 0);
+
+  late.reset();  // only the double subscriber is left
+  bus.publish("t", 3.5, "n", 2.0);
+  EXPECT_EQ(doubles, 1);
+  EXPECT_THROW(bus.publish("t", 4, "n", 3.0), std::runtime_error);
+  EXPECT_EQ(doubles, 1);
+}
+
+TEST(Bus, TypeMismatchBesideTombstonedSubscriberThrowsBeforeDelivery) {
+  // A handler releases itself (tombstoned: the fan-out is still on the
+  // stack), subscribes a different payload type and publishes
+  // re-entrantly. A live subscriber of the original type stays behind it.
+  const auto throws = [](const auto& publish) {
+    try {
+      publish();
+    } catch (const std::runtime_error&) {
+      return true;
+    }
+    return false;
+  };
+  mw::Bus bus;
+  mw::Subscription self;
+  mw::Subscription intruder;
+  int intruder_calls = 0;
+  std::vector<int> survivor_seen;
+  bool nested_int_threw = false;
+  bool nested_double_threw = false;
+  self = bus.subscribe<int>("t", [&](const mw::MessageHeader&, const int&) {
+    self.reset();
+    intruder = bus.subscribe<double>(
+        "t", [&](const mw::MessageHeader&, const double&) { ++intruder_calls; });
+    nested_int_threw = throws([&] { bus.publish("t", 2, "n", 0.0); });
+    nested_double_threw = throws([&] { bus.publish("t", 2.5, "n", 0.0); });
+  });
+  auto survivor = bus.subscribe<int>(
+      "t", [&](const mw::MessageHeader&, const int& v) {
+        survivor_seen.push_back(v);
+      });
+  bus.publish("t", 1, "n", 0.0);
+  EXPECT_TRUE(nested_int_threw);
+  EXPECT_TRUE(nested_double_threw);
+  EXPECT_EQ(intruder_calls, 0);
+  EXPECT_EQ(survivor_seen, (std::vector<int>{1}));  // only the outer message
+
+  // With only the double subscriber left, its own type is delivered and
+  // the topic's first type (int) is still rejected.
+  survivor.reset();
+  bus.publish("t", 3.5, "n", 1.0);
+  EXPECT_EQ(intruder_calls, 1);
+  EXPECT_TRUE(throws([&] { bus.publish("t", 4, "n", 2.0); }));
+  EXPECT_EQ(intruder_calls, 1);
+}
+
+TEST(Bus, DelayedMessageIsTypeCheckedAgainstDrainTimeSubscribers) {
+  mw::Bus bus;
+  mw::FaultPlan plan;
+  mw::FaultRule rule;
+  rule.delay_probability = 1.0;
+  rule.delay_steps = 1;
+  plan.rules.push_back(rule);
+  mw::FaultInjector injector(plan);
+  auto policy = bus.add_delivery_policy(&injector);
+
+  int ints = 0;
+  int doubles = 0;
+  auto original = bus.subscribe<int>(
+      "t", [&](const mw::MessageHeader&, const int&) { ++ints; });
+  bus.publish("t", 7, "n", 0.0);  // accepted and held for one drain
+  original.reset();
+  auto bad = bus.subscribe<double>(
+      "t", [&](const mw::MessageHeader&, const double&) { ++doubles; });
+  auto good = bus.subscribe<int>(
+      "t", [&](const mw::MessageHeader&, const int&) { ++ints; });
+  EXPECT_THROW(bus.drain_delayed(), std::runtime_error);
+  EXPECT_EQ(ints, 0);
+  EXPECT_EQ(doubles, 0);
+}

@@ -1,6 +1,10 @@
 // Tests for the multi-UAV platform: database manager access control,
 // UAV/task managers, and MissionRunner end-to-end scenarios (nominal,
 // battery fault with/without SESAME).
+#include <map>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sesame/platform/database.hpp"
@@ -528,6 +532,82 @@ TEST(GpsWatchdog, GroundedVehicleNeverAlerts) {
   world.run(20, 1.0);  // idle on the ground with no fix
   EXPECT_EQ(watchdog.alerts_raised(), 0u);
   EXPECT_THROW((pf::GpsWatchdog{world.bus(), {0}}), std::invalid_argument);
+}
+
+TEST(GpsWatchdog, PrefixSharingNamesKeepSeparateState) {
+  // "uav1" and "uav10" share a prefix. The GCS and the watchdog keep one
+  // state slot per vehicle; every mode event, battery warning and GNSS
+  // alert must land on the vehicle whose telemetry caused it. The
+  // expected GCS mode log is rebuilt here from the telemetry stream.
+  sim::World world(kOrigin, 81);
+  const std::vector<std::string> names{"uav1", "uav10"};
+  for (const auto& name : names) {
+    sim::UavConfig uc;
+    uc.name = name;
+    // Only uav1 crosses the 25% warning mid-flight.
+    uc.battery.initial_soc = name == "uav1" ? 0.28 : 0.9;
+    world.add_uav(uc, kOrigin);
+  }
+  std::map<std::string, std::vector<std::string>> want_modes;
+  std::map<std::string, sim::FlightMode> last_mode;
+  std::vector<sesame::mw::Subscription> oracle;
+  for (const auto& name : names) {
+    oracle.push_back(world.bus().subscribe<sim::Telemetry>(
+        sim::telemetry_topic(name),
+        [&, name](const sesame::mw::MessageHeader&, const sim::Telemetry& t) {
+          const auto it = last_mode.find(name);
+          if (it == last_mode.end() || it->second != t.mode) {
+            want_modes[name].push_back(
+                (it == last_mode.end() ? "initial mode " : "mode -> ") +
+                sim::flight_mode_name(t.mode));
+            last_mode[name] = t.mode;
+          }
+        }));
+  }
+  std::vector<std::string> alert_sources;
+  auto alerts = world.bus().subscribe<sesame::security::IdsAlert>(
+      sesame::security::ids_alert_topic(),
+      [&](const sesame::mw::MessageHeader&, const sesame::security::IdsAlert& a) {
+        alert_sources.push_back(a.source);
+      });
+
+  pf::DatabaseManager db(world.bus());
+  pf::GroundControlStation gcs(world.bus(), db);
+  pf::GpsWatchdog watchdog(world.bus());
+  for (const auto& name : names) {
+    gcs.watch_uav(name);
+    watchdog.watch_uav(name);
+    auto& uav = world.uav_by_name(name);
+    uav.add_waypoint({150.0, 0.0, 30.0});
+    uav.command_takeoff();
+  }
+  auto& jammed = world.uav_by_name("uav10");
+  world.run(10, 1.0);
+  jammed.gps().set_signal_lost(true);  // one outage ...
+  world.run(6, 1.0);
+  jammed.gps().set_signal_lost(false);
+  world.run(3, 1.0);
+  jammed.gps().set_signal_lost(true);  // ... and a second one
+  world.run(5, 1.0);
+  jammed.gps().set_signal_lost(false);
+  world.run(96, 1.0);
+
+  EXPECT_EQ(watchdog.alerts_raised(), 2u);
+  EXPECT_EQ(alert_sources, (std::vector<std::string>{"uav10", "uav10"}));
+  for (const auto& name : names) {
+    std::vector<std::string> got;
+    for (const auto& e : gcs.events_of("mode")) {
+      if (e.uav == name) got.push_back(e.message);
+    }
+    ASSERT_GE(got.size(), 2u) << name;
+    EXPECT_EQ(got, want_modes[name]) << name;
+  }
+  const auto battery = gcs.events_of("battery");
+  ASSERT_EQ(battery.size(), 1u);
+  EXPECT_EQ(battery[0].uav, "uav1");
+  ASSERT_TRUE(db.latest("gcs", "uav10").has_value());
+  EXPECT_EQ(db.history("gcs", "uav1").size(), 120u);
+  EXPECT_EQ(db.history("gcs", "uav10").size(), 120u);
 }
 
 #include "sesame/platform/config_io.hpp"

@@ -3,6 +3,8 @@
 // and world/bus wiring.
 #include <cmath>
 #include <map>
+#include <set>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -908,6 +910,77 @@ TEST(FailureInjector, CommsBlackoutSilencesAndRestoresTheVehicle) {
   EXPECT_EQ(telemetry["u2"], 10);          // bystander unaffected
   EXPECT_EQ(telemetry["u1"], 10 - 3);      // silent while blacked out
   EXPECT_FALSE(injector.comms_blacked_out("u1"));
+}
+
+TEST(FailureInjector, BlackoutDropsFollowTheNameRule) {
+  // The gate answers from interned ids; its decisions must equal the
+  // string rule: drop when the source is a blacked-out vehicle or the
+  // topic is "uav/<that vehicle>/...". Probed here with prefix-sharing
+  // names, overlapping blackouts ending at different times (one vehicle
+  // blacked out twice at once) and topics first interned mid-blackout.
+  sim::World world(kOrigin, 7);
+  const std::vector<std::string> names{"uav1", "uav10", "uav2"};
+  for (const auto& n : names) world.add_uav(test_uav(n), kOrigin);
+  sim::FailureSchedule schedule;
+  schedule.events.push_back(
+      {"uav1", sim::FailureMode::kCommsBlackout, 2.0, 8.0, 0.35, 70.0});
+  schedule.events.push_back(
+      {"uav10", sim::FailureMode::kCommsBlackout, 4.0, 3.0, 0.35, 70.0});
+  schedule.events.push_back(
+      {"uav1", sim::FailureMode::kCommsBlackout, 5.0, 2.0, 0.35, 70.0});
+  schedule.events.push_back(
+      {"uav2", sim::FailureMode::kCommsBlackout, 12.0, 1.0, 0.35, 70.0});
+  sim::FailureInjector injector(world, schedule);
+
+  const auto string_rule = [&](std::string_view source,
+                               std::string_view topic) {
+    for (const auto& n : names) {
+      if (!injector.comms_blacked_out(n)) continue;
+      if (source == n) return true;
+      if (topic.starts_with("uav/") && topic.substr(4).starts_with(n + "/")) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const std::vector<std::string> sources{"uav1", "uav10", "uav2", "gcs",
+                                          "uav1/", "uav100"};
+  std::vector<std::string> topics{"uav/uav1/probe", "uav/uav10/probe",
+                                  "uav/uav2/probe", "uav/uav1",
+                                  "uav/uav1/",      "uav/uav100/probe",
+                                  "fleet/probe",    "uav1/probe"};
+  std::set<std::string> active_sets_seen;
+  std::size_t drops = 0;
+  for (int step = 0; step < 16; ++step) {
+    world.step(1.0);
+    injector.step(world.time_s());
+    std::string active;
+    for (const auto& n : names) {
+      if (injector.comms_blacked_out(n)) active += n + " ";
+    }
+    active_sets_seen.insert(active);
+    // A fresh topic per vehicle every step: interned while blackouts run.
+    for (const auto& n : names) {
+      topics.push_back("uav/" + n + "/late" + std::to_string(step));
+    }
+    for (const auto& source : sources) {
+      for (const auto& topic : topics) {
+        const std::uint64_t before = world.bus().faults_dropped();
+        world.bus().publish(topic, step, source, world.time_s());
+        const bool dropped = world.bus().faults_dropped() != before;
+        drops += dropped;
+        ASSERT_EQ(dropped, string_rule(source, topic))
+            << "t=" << world.time_s() << " active [" << active << "] source "
+            << source << " topic " << topic;
+      }
+    }
+  }
+  EXPECT_GT(drops, 0u);
+  // Every phase of the timetable was probed.
+  EXPECT_TRUE(active_sets_seen.count(""));
+  EXPECT_TRUE(active_sets_seen.count("uav1 "));
+  EXPECT_TRUE(active_sets_seen.count("uav1 uav10 "));
+  EXPECT_TRUE(active_sets_seen.count("uav2 "));
 }
 
 TEST(FailureInjector, HardCrashIsTerminal) {
