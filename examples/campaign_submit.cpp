@@ -142,7 +142,7 @@ int run_http(std::uint16_t port, const service::Submission& submission,
     return 3;
   }
   const auto accepted = eddi::ode::parse_json(resp_body);
-  const auto job = static_cast<std::uint64_t>(accepted.at("job").as_number());
+  const auto job = accepted.at("job").as_integer<std::uint64_t>();
   const std::string base = "/api/v1/jobs/" + std::to_string(job);
   std::fprintf(stderr, "job %llu accepted\n",
                static_cast<unsigned long long>(job));
@@ -156,7 +156,7 @@ int run_http(std::uint16_t port, const service::Submission& submission,
         status == 200) {
       const auto doc = eddi::ode::parse_json(events_body);
       print_events(doc.at("events"));
-      cursor = static_cast<std::size_t>(doc.at("next").as_number());
+      cursor = doc.at("next").as_integer<std::size_t>();
     }
     std::string status_body;
     if (!split_response(http_get(port, base), status, status_body) ||
@@ -237,7 +237,7 @@ int run_wire(std::uint16_t port, const service::Submission& submission,
       const auto doc = eddi::ode::parse_json(client.pop_response());
       const std::string& type = doc.at("type").as_string();
       if (type == "accepted") {
-        job = static_cast<std::uint64_t>(doc.at("job").as_number());
+        job = doc.at("job").as_integer<std::uint64_t>();
         accepted = true;
         std::fprintf(stderr, "job %llu accepted\n",
                      static_cast<unsigned long long>(job));
@@ -248,7 +248,7 @@ int run_wire(std::uint16_t port, const service::Submission& submission,
         return 3;
       } else if (type == "events") {
         print_events(doc.at("events"));
-        cursor = static_cast<std::size_t>(doc.at("next").as_number());
+        cursor = doc.at("next").as_integer<std::size_t>();
       } else if (type == "status") {
         const std::string& state = doc.at("state").as_string();
         if (state == "failed" || state == "drained") {

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "sesame/campaign/campaign.hpp"
+#include "sesame/eddi/ode.hpp"
 
 namespace sesame::campaign {
 
@@ -23,9 +24,9 @@ bool deterministic_metric(const std::string& name);
 
 /// The deterministic subset of a metrics snapshot as the JSON array used
 /// in the report's "metrics" section (wall-clock families filtered out).
-/// Exposed so progress streams — the campaign service — serialize interim
+/// Exposed so progress streams — the campaign service — embed interim
 /// snapshots with the exact same encoding as the final report.
-std::string metrics_json(const obs::MetricsSnapshot& snapshot);
+eddi::ode::Value metrics_to_json(const obs::MetricsSnapshot& snapshot);
 
 /// The full campaign report as a JSON document: campaign identity,
 /// summary table, per-run outcomes, and the merged deterministic metrics.

@@ -2,13 +2,12 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
-#include "sesame/eddi/ode.hpp"
+#include "sesame/obs/metrics.hpp"
 
 namespace sesame::campaign {
 
@@ -16,18 +15,11 @@ namespace {
 
 using eddi::ode::Value;
 
-/// CSV double format: shortest %.6g form that round-trips, else %.17g —
-/// same convention as the Prometheus renderer. Undefined statistics (NaN,
-/// e.g. stddev of a single run) become an empty cell, mirroring the JSON
-/// writer's null.
+/// CSV cell: the Prometheus renderer's number form. Undefined statistics
+/// (NaN, e.g. stddev of a single run) become an empty cell, mirroring the
+/// JSON writer's null.
 std::string fmt_double(double v) {
-  if (std::isnan(v)) return "";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  char shorter[32];
-  std::snprintf(shorter, sizeof shorter, "%.6g", v);
-  if (std::atof(shorter) == v) return shorter;
-  return buf;
+  return std::isnan(v) ? std::string() : obs::format_double(v);
 }
 
 Value labels_to_json(const obs::Labels& labels) {
@@ -118,21 +110,13 @@ Value sample_to_json(const obs::MetricSample& s) {
 
 }  // namespace
 
-namespace {
-
-Value metrics_to_value(const obs::MetricsSnapshot& snapshot) {
+Value metrics_to_json(const obs::MetricsSnapshot& snapshot) {
   Value::Array metrics;
   for (const auto& s : snapshot.samples) {
     if (!deterministic_metric(s.name)) continue;  // wall-clock: excluded
     metrics.push_back(sample_to_json(s));
   }
   return Value(std::move(metrics));
-}
-
-}  // namespace
-
-std::string metrics_json(const obs::MetricsSnapshot& snapshot) {
-  return metrics_to_value(snapshot).to_json();
 }
 
 bool deterministic_metric(const std::string& name) {
@@ -167,7 +151,7 @@ void write_campaign_json(const CampaignResult& result, std::ostream& out) {
     for (const auto& o : result.outcomes) runs.push_back(outcome_to_json(o));
     doc["runs"] = Value(std::move(runs));
   }
-  doc["metrics"] = metrics_to_value(result.metrics);
+  doc["metrics"] = metrics_to_json(result.metrics);
   out << Value(std::move(doc)).to_json() << '\n';
 }
 

@@ -1,9 +1,13 @@
 #include "sesame/eddi/ode.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <sstream>
+#include <cstdio>
 #include <stdexcept>
+
+#include "sesame/obs/sinks.hpp"
 
 namespace sesame::eddi::ode {
 
@@ -27,71 +31,70 @@ void Value::push_back(Value v) {
   std::get<Array>(data_).push_back(std::move(v));
 }
 
-namespace {
-
-void escape_to(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
+void Value::type_error(const char* expected) const {
+  static constexpr const char* kNames[] = {"null",   "bool",  "number",
+                                           "string", "array", "object"};
+  throw std::invalid_argument(std::string("ode::Value: expected ") + expected +
+                              ", got " + kNames[data_.index()]);
 }
 
-void write(std::ostream& os, const Value& v) {
+double Value::integral_in(double lo, double hi) const {
+  const double d = as_number();
+  if (!(d >= lo && d < hi) || d != std::trunc(d)) {
+    char buf[160];
+    std::snprintf(buf, sizeof buf,
+                  "ode::Value: expected an integer in [%.17g, %.17g), got %g",
+                  lo, hi, d);
+    throw std::invalid_argument(buf);
+  }
+  return d;
+}
+
+namespace {
+
+void write(std::string& out, const Value& v) {
   if (v.is_null()) {
-    os << "null";
+    out += "null";
   } else if (v.is_bool()) {
-    os << (v.as_bool() ? "true" : "false");
+    out += v.as_bool() ? "true" : "false";
   } else if (v.is_number()) {
     const double d = v.as_number();
     if (!std::isfinite(d)) {
       // RFC 8259 has no NaN/Inf token; clamp to null so every document
       // this writer emits re-parses (parse_json rejects bare "nan").
-      os << "null";
+      out += "null";
     } else if (d == std::floor(d) && std::abs(d) < 1e15) {
-      os << static_cast<long long>(d);
+      out += std::to_string(static_cast<long long>(d));
     } else {
-      std::ostringstream tmp;
-      tmp.precision(17);
-      tmp << d;
-      os << tmp.str();
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.17g", d);
+      out += buf;
     }
   } else if (v.is_string()) {
-    escape_to(os, v.as_string());
+    out += '"';
+    obs::append_json_escaped(out, v.as_string());
+    out += '"';
   } else if (v.is_array()) {
-    os << '[';
+    out += '[';
     bool first = true;
     for (const auto& item : v.as_array()) {
-      if (!first) os << ',';
+      if (!first) out += ',';
       first = false;
-      write(os, item);
+      write(out, item);
     }
-    os << ']';
+    out += ']';
   } else {
-    os << '{';
+    out += '{';
     bool first = true;
     for (const auto& [key, val] : v.as_object()) {
-      if (!first) os << ',';
+      if (!first) out += ',';
       first = false;
-      escape_to(os, key);
-      os << ':';
-      write(os, val);
+      out += '"';
+      obs::append_json_escaped(out, key);
+      out += "\":";
+      write(out, val);
     }
-    os << '}';
+    out += '}';
   }
 }
 
@@ -109,6 +112,7 @@ class Parser {
  private:
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays/objects open at pos_
 
   [[noreturn]] void fail(const std::string& why) const {
     throw std::runtime_error("parse_json: " + why + " at offset " +
@@ -133,6 +137,18 @@ class Parser {
     return c;
   }
 
+  bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
+  /// Skips a run of decimal digits; returns how many.
+  std::size_t digits() {
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      ++pos_;
+    }
+    return pos_ - start;
+  }
+
   bool consume_literal(const char* lit) {
     std::size_t n = 0;
     while (lit[n]) ++n;
@@ -146,8 +162,14 @@ class Parser {
   Value parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (++depth_ > kMaxParseDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxParseDepth));
+      }
+      Value v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return Value(parse_string());
     if (consume_literal("null")) return Value(nullptr);
     if (consume_literal("true")) return Value(true);
@@ -214,10 +236,14 @@ class Parser {
           case 'b': out.push_back('\b'); break;
           case 'f': out.push_back('\f'); break;
           case 'u': {
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            const std::string hex = text_.substr(pos_, 4);
+            // Exactly four hex digits: from_chars takes no sign or space.
+            unsigned code = 0;
+            const char* hex = text_.data() + pos_;
+            const char* end = text_.data() + std::min(pos_ + 4, text_.size());
+            if (std::from_chars(hex, end, code, 16).ptr != hex + 4) {
+              fail("\\u escape needs four hex digits");
+            }
             pos_ += 4;
-            const auto code = static_cast<unsigned>(std::stoul(hex, nullptr, 16));
             // Encode BMP code point as UTF-8.
             if (code < 0x80) {
               out.push_back(static_cast<char>(code));
@@ -240,30 +266,40 @@ class Parser {
     return out;
   }
 
+  /// RFC 8259 number: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
   Value parse_number() {
     const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    if (at('-')) ++pos_;
+    if (at('0')) {
       ++pos_;
+    } else if (digits() == 0) {
+      fail(pos_ == start ? "expected value" : "malformed number");
     }
-    if (pos_ == start) fail("expected value");
-    try {
-      return Value(std::stod(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      fail("bad number");
+    if (at('.')) {
+      ++pos_;
+      if (digits() == 0) fail("malformed number fraction");
     }
+    if (at('e') || at('E')) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      if (digits() == 0) fail("malformed number exponent");
+    }
+    double d = 0.0;
+    if (std::from_chars(text_.data() + start, text_.data() + pos_, d).ec !=
+        std::errc()) {
+      pos_ = start;
+      fail("number out of range");
+    }
+    return Value(d);
   }
 };
 
 }  // namespace
 
 std::string Value::to_json() const {
-  std::ostringstream os;
-  write(os, *this);
-  return os.str();
+  std::string out;
+  write(out, *this);
+  return out;
 }
 
 Value parse_json(const std::string& text) { return Parser(text).parse(); }

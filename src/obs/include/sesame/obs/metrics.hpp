@@ -221,4 +221,9 @@ class MetricsRegistry {
 /// MetricsRegistry::render_prometheus uses internally).
 std::string render_prometheus(const MetricsSnapshot& snapshot);
 
+/// Shortest readable decimal form of `v`: "%.6g" when that reads back as
+/// the same double, else the round-trip "%.17g". Used by the Prometheus
+/// renderer and the campaign CSV tables.
+std::string format_double(double v);
+
 }  // namespace sesame::obs

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sesame/obs/trace.hpp"
@@ -52,7 +53,11 @@ class JsonLinesSink : public TraceSink {
 /// Serializes one event to the JSON-lines form (without trailing newline).
 std::string to_json_line(const TraceEvent& event);
 
-/// JSON string escaping for the sink and any other JSON writers.
+/// Appends `s` JSON-escaped (without the surrounding quotes) to `out`: the
+/// one string escape every JSON writer in the tree uses.
+void append_json_escaped(std::string& out, std::string_view s);
+
+/// append_json_escaped into a fresh string.
 std::string json_escape(const std::string& s);
 
 }  // namespace sesame::obs

@@ -27,16 +27,6 @@ Labels sorted(Labels labels) {
   return labels;
 }
 
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  // Trim to the shortest round-trippable-ish form for readability.
-  char shorter[32];
-  std::snprintf(shorter, sizeof shorter, "%.6g", v);
-  if (std::atof(shorter) == v) return shorter;
-  return buf;
-}
-
 /// Prometheus metric names allow [a-zA-Z0-9_:]; dots (our convention)
 /// and anything else exotic become underscores.
 std::string prometheus_name(const std::string& name) {
@@ -348,6 +338,15 @@ std::string MetricsRegistry::render_prometheus() const {
   return obs::render_prometheus(snapshot());
 }
 
+std::string format_double(double v) {
+  char shorter[32];
+  std::snprintf(shorter, sizeof shorter, "%.6g", v);
+  if (std::atof(shorter) == v) return shorter;
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
 std::string render_prometheus(const MetricsSnapshot& snapshot) {
   std::string out;
   std::string last_family;
@@ -361,7 +360,7 @@ std::string render_prometheus(const MetricsSnapshot& snapshot) {
       case MetricKind::kCounter:
       case MetricKind::kGauge:
         out += pname + prometheus_labels(s.labels) + " " +
-               fmt_double(s.value) + "\n";
+               format_double(s.value) + "\n";
         break;
       case MetricKind::kHistogram: {
         std::size_t cumulative = 0;
@@ -369,13 +368,13 @@ std::string render_prometheus(const MetricsSnapshot& snapshot) {
           cumulative += s.bucket_counts[i];
           out += pname + "_bucket" +
                  prometheus_labels(s.labels, "le",
-                                   fmt_double(s.bucket_bounds[i])) +
+                                   format_double(s.bucket_bounds[i])) +
                  " " + std::to_string(cumulative) + "\n";
         }
         out += pname + "_bucket" + prometheus_labels(s.labels, "le", "+Inf") +
                " " + std::to_string(s.observations) + "\n";
         out += pname + "_sum" + prometheus_labels(s.labels) + " " +
-               fmt_double(s.value) + "\n";
+               format_double(s.value) + "\n";
         out += pname + "_count" + prometheus_labels(s.labels) + " " +
                std::to_string(s.observations) + "\n";
         break;

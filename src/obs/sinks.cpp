@@ -25,9 +25,7 @@ void JsonLinesSink::consume(const TraceEvent& event) {
   ++events_written_;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
+void append_json_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -45,6 +43,12 @@ std::string json_escape(const std::string& s) {
         }
     }
   }
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  append_json_escaped(out, s);
   return out;
 }
 

@@ -29,9 +29,8 @@ const char* status_text(int code) {
 }
 
 HttpResponse error_response(int status, const std::string& message) {
-  Value doc;
-  doc["error"] = message;
-  return HttpResponse{status, "application/json", doc.to_json()};
+  return HttpResponse{status, "application/json",
+                      Value(Value::Object{{"error", message}}).to_json()};
 }
 
 /// Parses "cursor=N" out of a query string; 0 when absent/garbled.
@@ -49,19 +48,6 @@ std::size_t parse_cursor(const std::string& query) {
     pos = amp + 1;
   }
   return 0;
-}
-
-Value status_to_json(const JobStatus& s) {
-  Value doc;
-  doc["job"] = s.id;
-  doc["tenant"] = s.tenant;
-  doc["state"] = job_state_name(s.state);
-  doc["runs_total"] = s.runs_total;
-  doc["runs_completed"] = s.runs_completed;
-  doc["cache_hit"] = s.cache_hit;
-  doc["digest"] = std::to_string(s.digest);
-  if (!s.error.empty()) doc["error"] = s.error;
-  return doc;
 }
 
 /// Splits "/api/v1/jobs/<id>[/suffix]"; returns false on a non-job path.
@@ -179,10 +165,11 @@ HttpResponse handle_request(CampaignService& service, const HttpRequest& req) {
         const int status = out.reject_reason == "draining" ? 503 : 429;
         return error_response(status, out.reject_reason);
       }
-      Value doc;
-      doc["job"] = out.job_id;
-      doc["state"] = job_state_name(service.status(out.job_id).state);
-      doc["digest"] = std::to_string(service.status(out.job_id).digest);
+      const JobStatus status = service.status(out.job_id);
+      const Value doc =
+          Value::Object{{"job", out.job_id},
+                        {"state", job_state_name(status.state)},
+                        {"digest", std::to_string(status.digest)}};
       return HttpResponse{202, "application/json", doc.to_json()};
     }
 
@@ -201,15 +188,7 @@ HttpResponse handle_request(CampaignService& service, const HttpRequest& req) {
                             status_to_json(status).to_json()};
       }
       if (suffix == "events") {
-        const std::size_t cursor = parse_cursor(req.query);
-        const auto lines = service.events(id, cursor);
-        Value doc;
-        Value::Array events;
-        for (const auto& line : lines) {
-          events.push_back(eddi::ode::parse_json(line));
-        }
-        doc["events"] = Value(std::move(events));
-        doc["next"] = cursor + lines.size();
+        const Value doc = events_to_json(service, id, parse_cursor(req.query));
         return HttpResponse{200, "application/json", doc.to_json()};
       }
       if (suffix == "report") {

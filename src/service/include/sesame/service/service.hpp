@@ -155,7 +155,9 @@ class CampaignService {
 
   void executor_loop();
   Job* next_ready_job_locked();
-  void emit_locked(Job& job, std::string line);
+  /// Appends {"event": event, "job": id, ...fields} to the job's log.
+  void emit_locked(Job& job, const char* event,
+                   eddi::ode::Value::Object fields = {});
   void finish_cached_locked(Job& job, const std::string& report);
   void run_job(std::unique_lock<std::mutex>& lock, Job& job);
   void cache_insert_locked(std::uint64_t digest, const std::string& report);
@@ -181,5 +183,14 @@ class CampaignService {
   obs::MetricsRegistry metrics_;
   std::vector<std::thread> executors_;
 };
+
+/// The job-status document both adapters reply with (the wire adds
+/// "type"). 64-bit digests travel as decimal strings.
+eddi::ode::Value status_to_json(const JobStatus& s);
+
+/// The event-poll document both adapters reply with: {"events": [...],
+/// "next": cursor + n} (the wire adds "type" and "job").
+eddi::ode::Value events_to_json(const CampaignService& service,
+                                std::uint64_t job_id, std::size_t cursor);
 
 }  // namespace sesame::service

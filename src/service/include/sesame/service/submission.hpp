@@ -18,6 +18,7 @@
 
 #include "sesame/campaign/campaign.hpp"
 #include "sesame/campaign/scenario_factory.hpp"
+#include "sesame/eddi/ode.hpp"
 
 namespace sesame::service {
 
@@ -39,15 +40,19 @@ struct Submission {
   bool collect_metrics = true;
 };
 
-/// Parses a submission document. Throws std::runtime_error on malformed
+/// Reads a submission document. Throws std::runtime_error on malformed
 /// JSON or unknown keys (a typo must not silently become a default) and
-/// std::invalid_argument on structurally bad values (runs == 0, unknown
-/// preset — resolution is attempted so rejection happens at submit time,
-/// not minutes later on an executor).
+/// std::invalid_argument, naming the field, on wrongly typed or
+/// structurally bad values (runs == 0, negative or fractional counts,
+/// unknown preset — resolution is attempted so rejection happens at submit
+/// time, not minutes later on an executor).
+Submission submission_from_value(const eddi::ode::Value& doc);
+/// parse_json + submission_from_value.
 Submission submission_from_json(const std::string& text);
 
-/// Canonical serialization (sorted keys, defaults included) used by the
-/// drain spool and the tests.
+/// Canonical form (sorted keys, defaults included) used by the drain
+/// spool, the adapters and the tests; submission_to_json is its text.
+eddi::ode::Value submission_to_value(const Submission& s);
 std::string submission_to_json(const Submission& s);
 
 /// A submission resolved against presets/config into runnable form.

@@ -78,7 +78,6 @@ class WireSession {
 
  private:
   void handle(const std::string& text);
-  void send_json(const std::string& text);
 
   CampaignService& service_;
   mw::Framing framing_;
@@ -113,8 +112,6 @@ class WireClient {
   bool report_received() const noexcept { return report_received_; }
 
  private:
-  void send_json(const std::string& text);
-
   mw::Framing framing_;
   std::deque<std::string> responses_;
   std::string report_;

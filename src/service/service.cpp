@@ -15,8 +15,6 @@ namespace {
 
 using eddi::ode::Value;
 
-std::string event_line(Value doc) { return doc.to_json(); }
-
 }  // namespace
 
 const char* job_state_name(JobState s) noexcept {
@@ -82,15 +80,10 @@ SubmitOutcome CampaignService::submit(const Submission& submission) {
   Job& j = *job;
   jobs_.emplace(j.id, std::move(job));
 
-  {
-    Value ev;
-    ev["event"] = "queued";
-    ev["job"] = j.id;
-    ev["tenant"] = j.submission.tenant;
-    ev["digest"] = std::to_string(j.resolved.digest);
-    ev["runs"] = j.submission.runs;
-    emit_locked(j, event_line(std::move(ev)));
-  }
+  emit_locked(j, "queued",
+              {{"tenant", j.submission.tenant},
+               {"digest", std::to_string(j.resolved.digest)},
+               {"runs", j.submission.runs}});
 
   if (cached != nullptr) {
     finish_cached_locked(j, *cached);
@@ -141,12 +134,7 @@ void CampaignService::run_job(std::unique_lock<std::mutex>& lock, Job& job) {
   --queued_per_tenant_[job.submission.tenant];
   ++running_per_tenant_[job.submission.tenant];
   refresh_queue_gauges_locked();
-  {
-    Value ev;
-    ev["event"] = "started";
-    ev["job"] = job.id;
-    emit_locked(job, event_line(std::move(ev)));
-  }
+  emit_locked(job, "started");
 
   campaign::CampaignConfig config = job.resolved.config;
   config.jobs = limits_.jobs_per_campaign;
@@ -173,25 +161,17 @@ void CampaignService::run_job(std::unique_lock<std::mutex>& lock, Job& job) {
     // Run-index stamps make this completion-order merge land on the same
     // gauge bits as the report's run-order merge.
     if (snap != nullptr) job.live.merge(*snap, outcome.run_index + 1);
-    {
-      Value ev;
-      ev["event"] = "run";
-      ev["job"] = job.id;
-      ev["run"] = outcome.run_index;
-      ev["completed"] = job.runs_completed;
-      ev["total"] = job.submission.runs;
-      ev["mission_complete"] = outcome.mission_complete;
-      emit_locked(job, event_line(std::move(ev)));
-    }
+    emit_locked(job, "run",
+                {{"run", outcome.run_index},
+                 {"completed", job.runs_completed},
+                 {"total", job.submission.runs},
+                 {"mission_complete", outcome.mission_complete}});
     if (limits_.metrics_stride != 0 && snap != nullptr &&
         job.runs_completed % limits_.metrics_stride == 0) {
-      Value ev;
-      ev["event"] = "metrics";
-      ev["job"] = job.id;
-      ev["completed"] = job.runs_completed;
-      ev["metrics"] =
-          eddi::ode::parse_json(campaign::metrics_json(job.live.snapshot()));
-      emit_locked(job, event_line(std::move(ev)));
+      emit_locked(
+          job, "metrics",
+          {{"completed", job.runs_completed},
+           {"metrics", campaign::metrics_to_json(job.live.snapshot())}});
     }
   };
 
@@ -216,50 +196,38 @@ void CampaignService::run_job(std::unique_lock<std::mutex>& lock, Job& job) {
         .counter("sesame.service.jobs_failed_total",
                  {{"tenant", job.submission.tenant}})
         .inc();
-    Value ev;
-    ev["event"] = "failed";
-    ev["job"] = job.id;
-    ev["error"] = error;
-    emit_locked(job, event_line(std::move(ev)));
+    emit_locked(job, "failed", {{"error", error}});
   } else if (result.interrupted) {
     // Drain fired mid-campaign: the partial result is discarded (it is
     // not part of the byte-identity surface) and the submission goes back
     // to the spool via drain().
     job.state = JobState::kDrained;
-    Value ev;
-    ev["event"] = "drained";
-    ev["job"] = job.id;
-    ev["completed_runs"] = result.completed_runs;
-    emit_locked(job, event_line(std::move(ev)));
+    emit_locked(job, "drained", {{"completed_runs", result.completed_runs}});
   } else {
     job.state = JobState::kCompleted;
     job.report = campaign::campaign_json(result);
     if (config.collect_metrics) {
-      Value ev;
-      ev["event"] = "metrics";
-      ev["job"] = job.id;
-      ev["completed"] = job.runs_completed;
-      ev["metrics"] =
-          eddi::ode::parse_json(campaign::metrics_json(result.metrics));
-      emit_locked(job, event_line(std::move(ev)));
+      emit_locked(job, "metrics",
+                  {{"completed", job.runs_completed},
+                   {"metrics", campaign::metrics_to_json(result.metrics)}});
     }
     cache_insert_locked(job.resolved.digest, job.report);
     metrics_
         .counter("sesame.service.jobs_completed_total",
                  {{"tenant", job.submission.tenant}})
         .inc();
-    Value ev;
-    ev["event"] = "completed";
-    ev["job"] = job.id;
-    ev["digest"] = std::to_string(job.resolved.digest);
-    ev["report_bytes"] = job.report.size();
-    emit_locked(job, event_line(std::move(ev)));
+    emit_locked(job, "completed",
+                {{"digest", std::to_string(job.resolved.digest)},
+                 {"report_bytes", job.report.size()}});
   }
   cv_state_.notify_all();
 }
 
-void CampaignService::emit_locked(Job& job, std::string line) {
-  job.events.push_back(std::move(line));
+void CampaignService::emit_locked(Job& job, const char* event,
+                                  Value::Object fields) {
+  fields["event"] = event;
+  fields["job"] = job.id;
+  job.events.push_back(Value(std::move(fields)).to_json());
 }
 
 void CampaignService::finish_cached_locked(Job& job,
@@ -274,18 +242,12 @@ void CampaignService::finish_cached_locked(Job& job,
                {{"tenant", job.submission.tenant}})
       .inc();
   {
-    Value ev;
-    ev["event"] = "cache_hit";
-    ev["job"] = job.id;
-    ev["digest"] = std::to_string(job.resolved.digest);
-    emit_locked(job, event_line(std::move(ev)));
+    emit_locked(job, "cache_hit",
+                {{"digest", std::to_string(job.resolved.digest)}});
   }
-  Value ev;
-  ev["event"] = "completed";
-  ev["job"] = job.id;
-  ev["digest"] = std::to_string(job.resolved.digest);
-  ev["report_bytes"] = job.report.size();
-  emit_locked(job, event_line(std::move(ev)));
+  emit_locked(job, "completed",
+              {{"digest", std::to_string(job.resolved.digest)},
+               {"report_bytes", job.report.size()}});
   cv_state_.notify_all();
 }
 
@@ -322,6 +284,28 @@ void CampaignService::refresh_queue_gauges_locked() {
       .set(static_cast<double>(queued_total_));
   metrics_.gauge("sesame.service.jobs_running")
       .set(static_cast<double>(running));
+}
+
+Value status_to_json(const JobStatus& s) {
+  Value doc;
+  doc["job"] = s.id;
+  doc["tenant"] = s.tenant;
+  doc["state"] = job_state_name(s.state);
+  doc["runs_total"] = s.runs_total;
+  doc["runs_completed"] = s.runs_completed;
+  doc["cache_hit"] = s.cache_hit;
+  doc["digest"] = std::to_string(s.digest);
+  if (!s.error.empty()) doc["error"] = s.error;
+  return doc;
+}
+
+Value events_to_json(const CampaignService& service, std::uint64_t job_id,
+                     std::size_t cursor) {
+  const std::vector<std::string> lines = service.events(job_id, cursor);
+  Value::Array events;
+  for (const auto& line : lines) events.push_back(eddi::ode::parse_json(line));
+  return Value::Object{{"events", Value(std::move(events))},
+                       {"next", cursor + lines.size()}};
 }
 
 JobStatus CampaignService::status(std::uint64_t job_id) const {
@@ -414,11 +398,7 @@ std::vector<Submission> CampaignService::drain() {
       job->state = JobState::kDrained;
       --queued_total_;
       --queued_per_tenant_[job->submission.tenant];
-      Value ev;
-      ev["event"] = "drained";
-      ev["job"] = job->id;
-      ev["completed_runs"] = std::size_t{0};
-      emit_locked(*job, event_line(std::move(ev)));
+      emit_locked(*job, "drained", {{"completed_runs", std::size_t{0}}});
     }
     if (job->state == JobState::kDrained) {
       spool.push_back(job->submission);

@@ -1,5 +1,6 @@
 #include "sesame/service/submission.hpp"
 
+#include <charconv>
 #include <stdexcept>
 #include <utility>
 
@@ -12,6 +13,17 @@ namespace {
 
 using eddi::ode::Value;
 
+/// A seed string: decimal digits only, within 64 bits.
+std::uint64_t decimal_u64(const std::string& text) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || stop != end) {
+    throw std::invalid_argument("expected decimal digits within 64 bits");
+  }
+  return v;
+}
+
 }  // namespace
 
 std::uint64_t fnv1a64(std::string_view bytes) noexcept {
@@ -23,36 +35,38 @@ std::uint64_t fnv1a64(std::string_view bytes) noexcept {
   return h;
 }
 
-Submission submission_from_json(const std::string& text) {
-  const Value doc = eddi::ode::parse_json(text);
+Submission submission_from_value(const Value& doc) {
   if (!doc.is_object()) {
     throw std::runtime_error("submission: top level must be an object");
   }
   Submission s;
   for (const auto& [key, value] : doc.as_object()) {
-    if (key == "tenant") {
-      s.tenant = value.as_string();
-    } else if (key == "preset") {
-      s.preset = value.as_string();
-    } else if (key == "config") {
-      if (!value.is_object()) {
-        throw std::runtime_error("submission: config must be an object");
+    try {
+      if (key == "tenant") {
+        s.tenant = value.as_string();
+      } else if (key == "preset") {
+        s.preset = value.as_string();
+      } else if (key == "config") {
+        if (!value.is_object()) {
+          throw std::invalid_argument("expected object");
+        }
+        s.config_json = value.to_json();
+      } else if (key == "runs") {
+        s.runs = value.as_integer<std::size_t>();
+      } else if (key == "seed") {
+        // Seeds travel as decimal strings (64-bit range; JSON numbers are
+        // doubles), but plain numbers are accepted for hand-written docs.
+        s.seed = value.is_string() ? decimal_u64(value.as_string())
+                                   : value.as_integer<std::uint64_t>();
+      } else if (key == "chaos") {
+        s.chaos = value.as_bool();
+      } else if (key == "collect_metrics") {
+        s.collect_metrics = value.as_bool();
+      } else {
+        throw std::runtime_error("submission: unknown key '" + key + "'");
       }
-      s.config_json = value.to_json();
-    } else if (key == "runs") {
-      s.runs = static_cast<std::size_t>(value.as_number());
-    } else if (key == "seed") {
-      // Seeds travel as decimal strings (64-bit range; JSON numbers are
-      // doubles), but plain numbers are accepted for hand-written docs.
-      s.seed = value.is_string()
-                   ? static_cast<std::uint64_t>(std::stoull(value.as_string()))
-                   : static_cast<std::uint64_t>(value.as_number());
-    } else if (key == "chaos") {
-      s.chaos = value.as_bool();
-    } else if (key == "collect_metrics") {
-      s.collect_metrics = value.as_bool();
-    } else {
-      throw std::runtime_error("submission: unknown key '" + key + "'");
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("submission: " + key + ": " + e.what());
     }
   }
   if (s.tenant.empty()) {
@@ -65,7 +79,11 @@ Submission submission_from_json(const std::string& text) {
   return s;
 }
 
-std::string submission_to_json(const Submission& s) {
+Submission submission_from_json(const std::string& text) {
+  return submission_from_value(eddi::ode::parse_json(text));
+}
+
+Value submission_to_value(const Submission& s) {
   Value doc;
   doc["tenant"] = s.tenant;
   doc["preset"] = s.preset;
@@ -76,7 +94,11 @@ std::string submission_to_json(const Submission& s) {
   doc["seed"] = std::to_string(s.seed);
   doc["chaos"] = s.chaos;
   doc["collect_metrics"] = s.collect_metrics;
-  return doc.to_json();
+  return doc;
+}
+
+std::string submission_to_json(const Submission& s) {
+  return submission_to_value(s).to_json();
 }
 
 ResolvedCampaign resolve(const Submission& s) {

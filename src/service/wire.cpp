@@ -12,37 +12,27 @@ namespace {
 
 using eddi::ode::Value;
 
-std::uint64_t require_job(const Value& doc) {
-  if (!doc.is_object() || doc.as_object().count("job") == 0 ||
-      !doc.at("job").is_number()) {
-    throw std::runtime_error("request needs a numeric \"job\" field");
+/// A request's integer field, named in the error when absent or malformed.
+std::uint64_t integer_field(const Value& doc, const std::string& key) {
+  try {
+    return doc.at(key).as_integer<std::uint64_t>();
+  } catch (const std::exception& e) {
+    throw std::invalid_argument("request field \"" + key + "\": " + e.what());
   }
-  return static_cast<std::uint64_t>(doc.at("job").as_number());
 }
 
-Value status_to_json(const JobStatus& s) {
-  Value doc;
-  doc["type"] = "status";
-  doc["job"] = s.id;
-  doc["tenant"] = s.tenant;
-  doc["state"] = job_state_name(s.state);
-  doc["runs_total"] = s.runs_total;
-  doc["runs_completed"] = s.runs_completed;
-  doc["cache_hit"] = s.cache_hit;
-  doc["digest"] = std::to_string(s.digest);
-  if (!s.error.empty()) doc["error"] = s.error;
-  return doc;
+/// Queues `bytes` as one Message frame.
+void send_frame(mw::Framing& framing, const std::string& bytes) {
+  framing.send_message(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
 }
 
-/// Re-extracts the submission fields from a wire request document ("type"
-/// stripped) so submission_from_json stays the single parser/validator.
+/// The submission fields of a wire "submit" request ("type" dropped), so
+/// submission_from_value stays the single reader/validator.
 Submission submission_from_request(const Value& doc) {
-  Value clean;
-  for (const auto& [key, value] : doc.as_object()) {
-    if (key == "type") continue;
-    clean[key] = value;
-  }
-  return submission_from_json(clean.to_json());
+  Value::Object fields = doc.as_object();
+  fields.erase("type");
+  return submission_from_value(Value(std::move(fields)));
 }
 
 }  // namespace
@@ -61,11 +51,6 @@ void WireSession::feed(std::span<const std::uint8_t> bytes) {
   });
 }
 
-void WireSession::send_json(const std::string& text) {
-  framing_.send_message(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
-}
-
 void WireSession::handle(const std::string& text) {
   Value reply;
   try {
@@ -76,80 +61,61 @@ void WireSession::handle(const std::string& text) {
       const Submission submission = submission_from_request(doc);
       const SubmitOutcome out = service_.submit(submission);
       if (out.accepted) {
-        reply["type"] = "accepted";
-        reply["job"] = out.job_id;
-        reply["digest"] = std::to_string(service_.status(out.job_id).digest);
+        const std::uint64_t digest = service_.status(out.job_id).digest;
+        reply = Value::Object{{"type", "accepted"},
+                              {"job", out.job_id},
+                              {"digest", std::to_string(digest)}};
       } else {
-        reply["type"] = "rejected";
-        reply["reason"] = out.reject_reason;
+        reply = Value::Object{{"type", "rejected"},
+                              {"reason", out.reject_reason}};
       }
     } else if (type == "status") {
-      reply = status_to_json(service_.status(require_job(doc)));
+      reply = status_to_json(service_.status(integer_field(doc, "job")));
+      reply["type"] = "status";
     } else if (type == "poll") {
-      const std::uint64_t id = require_job(doc);
-      std::size_t cursor = 0;
-      if (doc.as_object().count("cursor") != 0 &&
-          doc.at("cursor").is_number()) {
-        cursor = static_cast<std::size_t>(doc.at("cursor").as_number());
-      }
+      const std::uint64_t id = integer_field(doc, "job");
+      const std::size_t cursor = doc.as_object().count("cursor") != 0
+                                     ? integer_field(doc, "cursor")
+                                     : 0;
       const JobStatus status = service_.status(id);
-      const auto lines = service_.events(id, cursor);
+      reply = events_to_json(service_, id, cursor);
       reply["type"] = "events";
       reply["job"] = id;
-      reply["next"] = cursor + lines.size();
-      Value::Array events;
-      for (const auto& line : lines) {
-        events.push_back(eddi::ode::parse_json(line));
-      }
-      reply["events"] = Value(std::move(events));
-      send_json(reply.to_json());
+      send_frame(framing_, reply.to_json());
       // A completed job's poll also delivers the report: announce, then
       // ship the bytes as ONE raw frame (the byte-identity surface).
       if (status.state == JobState::kCompleted) {
         const std::string report = service_.report(id);
-        Value follows;
-        follows["type"] = "report_follows";
-        follows["job"] = id;
-        follows["bytes"] = report.size();
-        send_json(follows.to_json());
-        framing_.send_message(std::span<const std::uint8_t>(
-            reinterpret_cast<const std::uint8_t*>(report.data()),
-            report.size()));
+        const Value follows = Value::Object{
+            {"type", "report_follows"}, {"job", id}, {"bytes", report.size()}};
+        send_frame(framing_, follows.to_json());
+        send_frame(framing_, report);
       }
       return;
     } else {
       throw std::runtime_error("unknown request type: " + type);
     }
   } catch (const std::out_of_range&) {
-    reply = Value();
-    reply["type"] = "error";
-    reply["error"] = "no such job";
+    reply = Value::Object{{"type", "error"}, {"error", "no such job"}};
   } catch (const std::exception& e) {
-    reply = Value();
-    reply["type"] = "error";
-    reply["error"] = std::string(e.what());
+    reply = Value::Object{{"type", "error"}, {"error", e.what()}};
   }
-  send_json(reply.to_json());
+  send_frame(framing_, reply.to_json());
 }
 
 WireClient::WireClient(mw::FramingConfig framing) : framing_(framing) {}
 
-void WireClient::send_json(const std::string& text) {
-  framing_.send_message(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
-}
-
 void WireClient::submit(const Submission& submission) {
-  Value doc = eddi::ode::parse_json(submission_to_json(submission));
+  Value doc = submission_to_value(submission);
   doc["type"] = "submit";
-  send_json(doc.to_json());
+  send_frame(framing_, doc.to_json());
 }
 
 void WireClient::request_status(std::uint64_t job_id) {
   Value doc;
   doc["type"] = "status";
   doc["job"] = job_id;
-  send_json(doc.to_json());
+  send_frame(framing_, doc.to_json());
 }
 
 void WireClient::poll_events(std::uint64_t job_id, std::size_t cursor) {
@@ -157,7 +123,7 @@ void WireClient::poll_events(std::uint64_t job_id, std::size_t cursor) {
   doc["type"] = "poll";
   doc["job"] = job_id;
   doc["cursor"] = cursor;
-  send_json(doc.to_json());
+  send_frame(framing_, doc.to_json());
 }
 
 void WireClient::feed(std::span<const std::uint8_t> bytes) {
@@ -173,14 +139,10 @@ void WireClient::feed(std::span<const std::uint8_t> bytes) {
     }
     // Peek for the report announcement; anything else is a response.
     try {
-      const Value doc = eddi::ode::parse_json(text);
-      if (doc.is_object() && doc.as_object().count("type") != 0 &&
-          doc.at("type").is_string() &&
-          doc.at("type").as_string() == "report_follows") {
-        expect_report_ = true;
-      }
+      expect_report_ = eddi::ode::parse_json(text).at("type").as_string() ==
+                       "report_follows";
     } catch (const std::exception&) {
-      // Not JSON — surface it as a response; the caller decides.
+      // Not a typed JSON document: surface it; the caller decides.
     }
     responses_.push_back(std::move(text));
   });

@@ -1,6 +1,9 @@
 // Tests for the EDDI layer: ODE JSON round-trips, UavEddi integration of
 // all monitors, uncertainty calibration, and ConSert evidence derivation.
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -117,6 +120,75 @@ TEST(Ode, ParseRejectsMalformed) {
   EXPECT_THROW(ode::parse_json("{\"a\" 1}"), std::runtime_error);
   EXPECT_THROW(ode::parse_json("tru"), std::runtime_error);
   EXPECT_THROW(ode::parse_json("1 2"), std::runtime_error);
+}
+
+TEST(Ode, NumbersFollowTheJsonGrammar) {
+  for (const char* ok : {"0", "-0", "12", "-3.25", "1e+20", "1.5E-3", "2e5"}) {
+    EXPECT_NO_THROW(ode::parse_json(ok)) << ok;
+  }
+  // A number token is consumed whole: no prefix parses quietly.
+  for (const char* bad : {"[1-2]", "[1.2.3]", "[1e]", "[1e+]", "[-]", "[1.]",
+                          "[.5]", "[01]", "[+1]", "[0x10]", "[1e400]", "nan",
+                          "[Infinity]"}) {
+    EXPECT_THROW(ode::parse_json(bad), std::runtime_error) << bad;
+  }
+}
+
+TEST(Ode, UnicodeEscapeTakesExactlyFourHexDigits) {
+  EXPECT_EQ(ode::parse_json(R"("\u0041\u00e9")").as_string(), "A\xc3\xa9");
+  for (const char* bad : {R"("\u+041")", R"("\u 41x")", R"("\uzzzz")",
+                          R"("\u41")", R"("\u004")"}) {
+    EXPECT_THROW(ode::parse_json(bad), std::runtime_error) << bad;
+  }
+}
+
+TEST(Ode, NestingIsBounded) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(ode::parse_json(nested(ode::kMaxParseDepth)));
+  EXPECT_THROW(ode::parse_json(nested(ode::kMaxParseDepth + 1)),
+               std::runtime_error);
+  // Deep enough to overflow the stack of an unbounded recursive parser.
+  try {
+    ode::parse_json(std::string(60000, '[') + "{\"a\":1}");
+    ADD_FAILURE() << "deep input accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos);
+  }
+}
+
+TEST(Ode, TypedReadsAreChecked) {
+  const ode::Value s("text");
+  try {
+    (void)s.as_number();
+    ADD_FAILURE() << "string read as number";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "ode::Value: expected number, got string");
+  }
+  EXPECT_THROW((void)ode::Value(1.0).as_bool(), std::invalid_argument);
+  EXPECT_THROW((void)ode::Value().as_object(), std::invalid_argument);
+  EXPECT_THROW((void)ode::Value(true).as_array(), std::invalid_argument);
+  EXPECT_THROW((void)ode::Value(2.0).as_string(), std::invalid_argument);
+}
+
+TEST(Ode, IntegerReadsAcceptOnlyIntegersThatFit) {
+  EXPECT_EQ(ode::Value(42.0).as_integer<std::size_t>(), 42u);
+  EXPECT_EQ(ode::Value(-3.0).as_integer<int>(), -3);
+  EXPECT_EQ(ode::Value(9007199254740992.0).as_integer<std::uint64_t>(),
+            9007199254740992ULL);
+  for (const double bad : {-1.0, 2.5, 1e300, 18446744073709551616.0,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)ode::Value(bad).as_integer<std::uint64_t>(),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_THROW((void)ode::Value(2147483648.0).as_integer<int>(),
+               std::invalid_argument);
+  EXPECT_EQ(ode::Value(-2147483648.0).as_integer<int>(),
+            std::numeric_limits<int>::min());
+  EXPECT_THROW((void)ode::Value("7").as_integer<int>(), std::invalid_argument);
 }
 
 TEST(UavEddi, ValidatesConstruction) {

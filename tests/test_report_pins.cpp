@@ -7,14 +7,22 @@
 // MissionRunner moved from name-keyed to fleet-index bookkeeping; any
 // refactor of the tick loop must reproduce them bit for bit. The
 // non-vacuity checks make sure each pinned path actually ran.
+//
+// The ConfigPins cases pin the scenario-config JSON bytes and the service
+// cache digest derived from them.
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sesame/campaign/campaign.hpp"
 #include "sesame/campaign/report.hpp"
+#include "sesame/mw/fault_plan.hpp"
+#include "sesame/platform/config_io.hpp"
+#include "sesame/sim/failure_schedule.hpp"
 #include "sesame/service/submission.hpp"
 
 namespace campaign = sesame::campaign;
@@ -130,4 +138,78 @@ TEST(ReportPins, ReducedFleetRecovery) {
   EXPECT_GT(run.uavs_lost, 0u);
   EXPECT_GT(run.recovery_replans, 0u);
   EXPECT_GT(run.waypoints_redistributed, 0u);
+}
+
+// Scenario-config bytes and service cache digests. config_to_json's bytes
+// feed every service cache key, so any change to the config writer, the
+// number formatter or a preset shows up here first. Recorded before the
+// config reader and writer moved onto one field list.
+
+TEST(ConfigPins, PresetConfigBytes) {
+  const std::vector<std::pair<std::string, std::uint64_t>> pins = {
+      {"nominal", 0x248cb437a12def8eULL},
+      {"battery_fault", 0xaba72990bdf96fe5ULL},
+      {"spoofing", 0x8e31d11b4f246213ULL},
+      {"spoofing_lossy", 0x3441518ab216eefaULL},
+      {"baseline", 0x36cc518a1fb6316fULL},
+      {"chaos", 0xc134f550aa77721fULL},
+      {"fleet_1024", 0xf8eeeb7798c55660ULL},
+  };
+  ASSERT_EQ(pins.size(), campaign::ScenarioFactory::preset_names().size());
+  for (const auto& [preset, digest] : pins) {
+    const std::string bytes =
+        platform::config_to_json(
+            campaign::ScenarioFactory::preset(preset).base())
+            .to_json();
+    EXPECT_EQ(hex(sesame::service::fnv1a64(bytes)), hex(digest)) << preset;
+  }
+}
+
+TEST(ConfigPins, EveryOptionalSection) {
+  platform::RunnerConfig config = campaign::ScenarioFactory::default_scenario();
+  config.battery_fault = platform::BatteryFaultEvent{"uav2", 250.5, 0.4, 70.0};
+  config.spoofing = platform::SpoofingEvent{"uav1", 60.0, 2.25};
+  config.failure_schedule = sesame::sim::FailureSchedule::chaos(
+      9, {"uav1", "uav2", "uav3"});
+  sesame::mw::FaultPlan plan = sesame::mw::FaultPlan::telemetry_stress();
+  plan.seed = 1337;
+  sesame::mw::FaultRule rule;
+  rule.topic_prefix = "uav/uav1/";
+  rule.source = "attacker";
+  rule.start_time_s = 60.0;
+  rule.stop_time_s = 120.5;
+  rule.drop_probability = 1.0 / 3.0;
+  rule.delay_steps = 3;
+  rule.reorder = true;
+  plan.rules.push_back(rule);
+  config.fault_plan = plan;
+  config.recovery_enabled = true;
+  config.seed = 123456789;
+  const std::string bytes = platform::config_to_json(config).to_json();
+  EXPECT_EQ(hex(sesame::service::fnv1a64(bytes)), hex(0x4baaa66fdf342652ULL));
+  // The reader takes back exactly what the writer wrote.
+  EXPECT_EQ(platform::config_to_json(platform::config_from_json(
+                                         sesame::eddi::ode::parse_json(bytes)))
+                .to_json(),
+            bytes);
+}
+
+TEST(ConfigPins, SubmissionDigestPerPreset) {
+  const std::vector<std::pair<std::string, std::uint64_t>> pins = {
+      {"nominal", 0x82a0cbc258ba2fb5ULL},
+      {"battery_fault", 0x945945e0f86f2adeULL},
+      {"spoofing", 0x85f21de5e4a8c27fULL},
+      {"spoofing_lossy", 0x37fe3b0af5bf2349ULL},
+      {"baseline", 0xe98bfb5a62629d6bULL},
+      {"chaos", 0x6fbd7fde73d1304fULL},
+      {"fleet_1024", 0xcf235e5788487e1aULL},
+  };
+  ASSERT_EQ(pins.size(), campaign::ScenarioFactory::preset_names().size());
+  for (const auto& [preset, digest] : pins) {
+    sesame::service::Submission s;
+    s.preset = preset;
+    s.runs = 4;
+    s.seed = 2026;
+    EXPECT_EQ(hex(sesame::service::resolve(s).digest), hex(digest)) << preset;
+  }
 }

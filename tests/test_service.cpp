@@ -1,7 +1,8 @@
 // Tests for the campaign service: submission parsing and cache digests,
-// the service core (byte-identity vs the campaign layer, result cache,
-// admission control, graceful drain), the HTTP adapter, the framed wire
-// transport, and the shared SIGINT/SIGTERM drain latch.
+// malformed input refused by every reader and adapter, the service core
+// (byte-identity vs the campaign layer, result cache, admission control,
+// graceful drain), the HTTP adapter, the framed wire transport, and the
+// shared SIGINT/SIGTERM drain latch.
 //
 // The headline contract is byte-identity (docs/SERVICE.md): a report
 // fetched from the service — over any transport, at any executor count,
@@ -10,7 +11,9 @@
 #include <csignal>
 #include <cstdint>
 #include <stdexcept>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include "sesame/campaign/report.hpp"
 #include "sesame/eddi/ode.hpp"
 #include "sesame/mw/bus.hpp"
+#include "sesame/mw/framing.hpp"
 #include "sesame/platform/config_io.hpp"
 #include "sesame/service/drain.hpp"
 #include "sesame/service/http.hpp"
@@ -106,6 +110,166 @@ TEST(Submission, RejectsMalformedDocuments) {
   // executor.
   EXPECT_ANY_THROW(
       service::submission_from_json(R"({"preset": "no_such_preset"})"));
+}
+
+/// Scenario-config documents every reader must refuse.
+const std::vector<std::pair<std::string, std::string>>& malformed_configs() {
+  static const std::vector<std::pair<std::string, std::string>> cases = {
+      {"negative n_uavs", R"({"n_uavs": -1})"},
+      {"fractional n_uavs", R"({"n_uavs": 2.5})"},
+      {"huge n_uavs", R"({"n_uavs": 1e300})"},
+      {"string n_uavs", R"({"n_uavs": "3"})"},
+      {"negative seed", R"({"seed": -7})"},
+      {"fractional descend_patience", R"({"descend_patience": 1.5})"},
+      {"negative max_pings", R"({"recovery": {"max_pings": -2}})"},
+      {"numeric section", R"({"recovery": 5})"},
+      {"array section", R"({"area": [0, 1, 0, 1]})"},
+      {"null optional section", R"({"spoofing": null})"},
+      {"numeric uav", R"({"battery_fault": {"uav": 2}})"},
+      {"numeric event uav",
+       R"({"failure_schedule": {"events": [{"uav": 1}]}})"},
+      {"null event", R"({"failure_schedule": {"events": [null]}})"},
+      {"events object", R"({"failure_schedule": {"events": {}}})"},
+      {"unknown mode", R"({"failure_schedule": {"events": [{"mode": "x"}]}})"},
+      {"string rules", R"({"fault_plan": {"rules": "drop"}})"},
+      {"fractional delay_steps",
+       R"({"fault_plan": {"rules": [{"delay_steps": 1.5}]}})"},
+      {"zero delay_steps",
+       R"({"fault_plan": {"rules": [{"delay_steps": 0}]}})"},
+      {"numeric reorder", R"({"fault_plan": {"rules": [{"reorder": 1}]}})"},
+      {"huge fault seed", R"({"fault_plan": {"seed": 1e300}})"},
+      {"unknown key", R"({"n_uavz": 2})"},
+      {"trailing minus", R"({"n_uavs": 1-2})"},
+      {"two points", R"({"dt_s": 1.2.3})"},
+      {"empty exponent", R"({"dt_s": 1e})"},
+      {"deep nesting", R"({"area": )" + std::string(100, '[')},
+  };
+  return cases;
+}
+
+/// Submission documents every reader must refuse (plus every malformed
+/// config, wrapped as the submission's "config").
+std::vector<std::pair<std::string, std::string>> malformed_submissions() {
+  std::vector<std::pair<std::string, std::string>> cases = {
+      {"negative runs", R"({"runs": -1})"},
+      {"fractional runs", R"({"runs": 2.5})"},
+      {"huge runs", R"({"runs": 1e300})"},
+      {"string runs", R"({"runs": "4"})"},
+      {"negative seed", R"({"seed": -5})"},
+      {"negative string seed", R"({"seed": "-5"})"},
+      {"signed string seed", R"({"seed": "+5"})"},
+      {"hex string seed", R"({"seed": "0x10"})"},
+      {"spaced string seed", R"({"seed": " 5"})"},
+      {"empty string seed", R"({"seed": ""})"},
+      {"65-bit string seed", R"({"seed": "18446744073709551616"})"},
+      {"numeric tenant", R"({"tenant": 5})"},
+      {"numeric preset", R"({"preset": 1})"},
+      {"numeric chaos", R"({"chaos": 1})"},
+      {"array config", R"({"config": [1]})"},
+      {"string config", R"({"config": "{}"})"},
+      {"trailing minus", R"({"runs": 1-2})"},
+      {"two points", R"({"runs": 1.2.3})"},
+      {"empty exponent", R"({"runs": 1e})"},
+      {"signed escape", R"({"tenant": "\u+041"})"},
+      {"spaced escape", R"({"tenant": "\u 41x"})"},
+      {"non-hex escape", R"({"tenant": "\uzzzz"})"},
+      {"deep nesting", std::string(60000, '[')},
+      {"deep nesting in config", R"({"config": )" + std::string(60000, '{')},
+  };
+  for (const auto& [what, config] : malformed_configs()) {
+    cases.emplace_back("config " + what, R"({"config": )" + config + "}");
+  }
+  return cases;
+}
+
+/// Runs `read` and fails unless it throws std::invalid_argument or
+/// std::runtime_error (never accepted, never bad_variant_access).
+template <class F>
+void expect_refused(const std::string& what, F&& read) {
+  try {
+    read();
+    ADD_FAILURE() << what << ": accepted";
+  } catch (const std::invalid_argument&) {
+  } catch (const std::runtime_error&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": wrong exception: " << e.what();
+  }
+}
+
+/// Sends one raw text frame to a fresh wire session and returns the
+/// replies it produced.
+std::vector<std::string> wire_replies(service::CampaignService& svc,
+                                      const std::string& text) {
+  sesame::mw::Bus alert_bus;
+  service::WireSession server(svc, alert_bus, "test_link");
+  sesame::mw::Framing client;
+  server.start();
+  client.start();
+  client.send_message(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
+  std::vector<std::string> replies;
+  for (int i = 0; i < 64 && (client.has_outbound() || server.has_outbound());
+       ++i) {
+    if (client.has_outbound()) server.feed(client.take_outbound());
+    if (server.has_outbound()) {
+      client.feed(server.take_outbound(),
+                  [&](std::span<const std::uint8_t> payload, std::uint64_t) {
+                    replies.emplace_back(
+                        reinterpret_cast<const char*>(payload.data()),
+                        payload.size());
+                  });
+    }
+  }
+  return replies;
+}
+
+TEST(MalformedInput, ConfigReaderRefusesEveryCase) {
+  for (const auto& [what, text] : malformed_configs()) {
+    expect_refused(what, [&] {
+      platform::config_from_json(ode::parse_json(text));
+    });
+  }
+}
+
+TEST(MalformedInput, SubmissionReaderRefusesEveryCase) {
+  for (const auto& [what, text] : malformed_submissions()) {
+    expect_refused(what, [&] { service::submission_from_json(text); });
+  }
+}
+
+TEST(MalformedInput, HttpAnswers400) {
+  service::CampaignService svc;
+  for (const auto& [what, text] : malformed_submissions()) {
+    service::HttpRequest req;
+    req.method = "POST";
+    req.path = "/api/v1/campaigns";
+    req.body = text;
+    EXPECT_EQ(service::handle_request(svc, req).status, 400) << what;
+  }
+}
+
+TEST(MalformedInput, WireSessionAnswersError) {
+  service::CampaignService svc;
+  std::vector<std::pair<std::string, std::string>> cases = {
+      {"negative job", R"({"type": "status", "job": -1})"},
+      {"fractional job", R"({"type": "status", "job": 1.5})"},
+      {"string job", R"({"type": "status", "job": "1"})"},
+      {"negative cursor", R"({"type": "poll", "job": 1, "cursor": -3})"},
+      {"numeric type", R"({"type": 5})"},
+      {"array request", "[1]"},
+  };
+  for (const auto& [what, text] : malformed_submissions()) {
+    // Object documents become submit requests; the rest go in raw.
+    cases.emplace_back(what, text.front() == '{'
+                                 ? R"({"type": "submit", )" + text.substr(1)
+                                 : text);
+  }
+  for (const auto& [what, text] : cases) {
+    const auto replies = wire_replies(svc, text);
+    ASSERT_EQ(replies.size(), 1u) << what;
+    EXPECT_EQ(ode::parse_json(replies[0]).at("type").as_string(), "error")
+        << what << ": " << replies[0];
+  }
 }
 
 TEST(Submission, DigestIgnoresFormattingButNotSemantics) {

@@ -10,7 +10,9 @@
 #      same bytes (and hits the result cache);
 #   4. clients that reset their connection before reading a report cost
 #      only their own connection: the daemon keeps answering;
-#   5. SIGTERM drains gracefully: in-flight work is spooled, the daemon
+#   5. malformed submissions (300 KB of nested brackets, a negative
+#      vehicle count) get a 400 and leave the daemon serving;
+#   6. SIGTERM drains gracefully: in-flight work is spooled, the daemon
 #      exits 0, and a restarted daemon replays the spool.
 #
 # Usage: tools/service_smoke.sh <build-dir>   (e.g. ./build)
@@ -102,7 +104,20 @@ curl -fsS "http://127.0.0.1:$HTTP_PORT/api/v1/jobs/$JOB/report" \
   | cmp - "$WORK/big.json" || fail "report bytes changed after the resets"
 echo "ok: 50 reset report fetches left the daemon serving"
 
-# --- 5. graceful drain spools in-flight work --------------------------------
+# --- 5. malformed submissions are refused, not fatal ------------------------
+python3 -c 'print("[" * 300000)' > "$WORK/nested.json"
+for body in "@$WORK/nested.json" '{"config": {"n_uavs": -1}}'; do
+  code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST \
+    "http://127.0.0.1:$HTTP_PORT/api/v1/campaigns" --data-binary "$body")
+  [ "$code" = 400 ] || fail "malformed submission got $code, not 400"
+done
+curl -fsS "http://127.0.0.1:$HTTP_PORT/healthz" >/dev/null \
+  || fail "daemon died on a malformed submission"
+curl -fsS "http://127.0.0.1:$HTTP_PORT/api/v1/jobs/$JOB/report" \
+  | cmp - "$WORK/big.json" || fail "report bytes changed after bad input"
+echo "ok: malformed submissions answered 400, daemon still serving"
+
+# --- 6. graceful drain spools in-flight work --------------------------------
 curl -fsS -X POST "http://127.0.0.1:$HTTP_PORT/api/v1/campaigns" \
   -d '{"preset": "nominal", "runs": 500, "seed": 99}' >/dev/null
 kill -TERM "$DAEMON_PID"
