@@ -1,13 +1,17 @@
 // Exercises the paper's Fig. 1 hierarchical ConSert network: enumerates
 // the evidence space, prints the resulting action lattice and mission
-// decisions, and times the runtime evaluation (the cost that matters for
-// "shifting assurance to runtime" on constrained UAV hardware).
+// decisions, and times the runtime evaluation of the compiled plan (the
+// cost that matters for "shifting assurance to runtime" on constrained
+// UAV hardware).
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
+#include "sesame/conserts/plan.hpp"
 #include "sesame/conserts/uav_network.hpp"
 
 namespace {
@@ -37,15 +41,16 @@ void report() {
 
   ConSertNetwork net;
   add_uav_conserts(net, "uav1");
+  Plan plan(net);
+  const UavBinding uav1(plan, "uav1");
 
   // Sweep the full evidence space; count the resulting actions.
   std::size_t counts[5] = {0, 0, 0, 0, 0};
   const unsigned total = 1u << 8;
   for (unsigned mask = 0; mask < total; ++mask) {
-    EvaluationContext ctx;
-    apply_evidence(ctx, "uav1", evidence_from_mask(mask));
-    const auto eval = net.evaluate(ctx);
-    counts[static_cast<int>(uav_action(eval, "uav1"))]++;
+    uav1.apply(plan, evidence_from_mask(mask));
+    plan.evaluate();
+    counts[static_cast<int>(uav1.action(plan))]++;
   }
   std::printf("\nAction distribution over all %u evidence combinations:\n",
               total);
@@ -89,11 +94,10 @@ void report() {
   }
   std::printf("\n%-36s %s\n", "situation", "UAV ConSert action");
   for (const auto& row : rows) {
-    EvaluationContext ctx;
-    apply_evidence(ctx, "uav1", row.e);
-    const auto eval = net.evaluate(ctx);
+    uav1.apply(plan, row.e);
+    plan.evaluate();
     std::printf("%-36s %s\n", row.description,
-                uav_action_name(uav_action(eval, "uav1")).c_str());
+                uav_action_name(uav1.action(plan)).c_str());
   }
 
   // Mission decider over a degrading 3-UAV fleet.
@@ -112,36 +116,50 @@ void report() {
                    UavAction::kContinue})).c_str());
 }
 
-void BM_SingleUavEvaluation(benchmark::State& state) {
+ConSertNetwork fleet_network(std::size_t n_uavs) {
   ConSertNetwork net;
-  add_uav_conserts(net, "uav1");
-  EvaluationContext ctx;
-  UavEvidence e;
-  e.gps_quality_good = e.no_security_attack = e.reliability_high = true;
-  apply_evidence(ctx, "uav1", e);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net.evaluate(ctx));
-  }
-}
-BENCHMARK(BM_SingleUavEvaluation);
-
-void BM_FleetEvaluation(benchmark::State& state) {
-  const auto n_uavs = static_cast<std::size_t>(state.range(0));
-  ConSertNetwork net;
-  EvaluationContext ctx;
   for (std::size_t i = 0; i < n_uavs; ++i) {
-    const std::string name = "uav" + std::to_string(i);
-    add_uav_conserts(net, name);
-    UavEvidence e;
-    e.gps_quality_good = e.no_security_attack = e.reliability_high = true;
-    apply_evidence(ctx, name, e);
+    add_uav_conserts(net, "uav" + std::to_string(i + 1));
   }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net.evaluate(ctx));
-  }
-  state.SetComplexityN(static_cast<long>(n_uavs));
+  return net;
 }
-BENCHMARK(BM_FleetEvaluation)->Arg(1)->Arg(3)->Arg(10)->Arg(30)->Complexity();
+
+// One evaluation tick of an n-UAV fleet: write every vehicle's evidence by
+// id, evaluate the plan, read every vehicle's action. The evidence cycles
+// through the 256 masks so guarantees keep changing.
+void BM_PlanTick(benchmark::State& state) {
+  const auto n_uavs = static_cast<std::size_t>(state.range(0));
+  const ConSertNetwork net = fleet_network(n_uavs);
+  Plan plan(net);
+  std::vector<UavBinding> uavs;
+  for (std::size_t i = 0; i < n_uavs; ++i) {
+    uavs.emplace_back(plan, "uav" + std::to_string(i + 1));
+  }
+  unsigned mask = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < n_uavs; ++i) {
+      uavs[i].apply(plan, evidence_from_mask((mask + 37 * i) & 255u));
+    }
+    plan.evaluate();
+    int actions = 0;
+    for (const auto& u : uavs) actions += static_cast<int>(u.action(plan));
+    benchmark::DoNotOptimize(actions);
+    ++mask;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PlanTick)->Arg(1)->Arg(3)->Arg(16);
+
+// Compiling the network once per runner (set-up cost, not per tick).
+void BM_PlanCompile(benchmark::State& state) {
+  const ConSertNetwork net =
+      fleet_network(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    Plan plan(net);
+    benchmark::DoNotOptimize(plan);
+  }
+}
+BENCHMARK(BM_PlanCompile)->Arg(1)->Arg(3)->Arg(16);
 
 }  // namespace
 

@@ -1,38 +1,30 @@
 #include "sesame/conserts/assurance_trace.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 
 namespace sesame::conserts {
 
-AssuranceTrace::AssuranceTrace(const ConSertNetwork& network,
-                               bool cache_evaluations)
-    : network_(&network), names_(network.names()) {
-  if (cache_evaluations) cache_.emplace(network);
+AssuranceTrace::AssuranceTrace(Plan plan)
+    : plan_(std::move(plan)), current_(plan_.consert_count(), Plan::kNone) {}
+
+std::string AssuranceTrace::guarantee_name(std::size_t consert,
+                                           int guarantee) const {
+  if (guarantee == Plan::kNone) return {};
+  return plan_.guarantee_name(consert, static_cast<std::size_t>(guarantee));
 }
 
-std::size_t AssuranceTrace::cache_hits() const noexcept {
-  return cache_ ? cache_->hits() : 0;
-}
-
-std::size_t AssuranceTrace::cache_misses() const noexcept {
-  return cache_ ? cache_->misses() : 0;
-}
-
-NetworkEvaluation AssuranceTrace::evaluate(EvaluationContext& ctx,
-                                           double time_s) {
-  const NetworkEvaluation eval =
-      cache_ ? cache_->evaluate(ctx) : network_->evaluate(ctx);
+void AssuranceTrace::evaluate(double time_s) {
+  plan_.evaluate();
   ++evaluations_;
-  for (const auto& name : names_) {
-    const auto it = eval.best.find(name);
-    const std::string now = it == eval.best.end() ? std::string{} : it->second;
-    auto& prev = current_[name];
-    if (prev != now) {
-      transitions_.push_back({time_s, name, prev, now});
-      prev = now;
+  for (std::size_t c = 0; c < current_.size(); ++c) {
+    const int now = plan_.best(c);
+    if (current_[c] != now) {
+      transitions_.push_back({time_s, plan_.consert_name(c),
+                              guarantee_name(c, current_[c]),
+                              guarantee_name(c, now)});
+      current_[c] = now;
     }
   }
-  return eval;
 }
 
 std::vector<GuaranteeTransition> AssuranceTrace::transitions_of(
@@ -45,12 +37,14 @@ std::vector<GuaranteeTransition> AssuranceTrace::transitions_of(
 }
 
 std::string AssuranceTrace::current(const std::string& consert) const {
-  const auto it = current_.find(consert);
-  return it == current_.end() ? std::string{} : it->second;
+  for (std::size_t c = 0; c < current_.size(); ++c) {
+    if (plan_.consert_name(c) == consert) return guarantee_name(c, current_[c]);
+  }
+  return {};
 }
 
 void AssuranceTrace::clear() {
-  current_.clear();
+  std::fill(current_.begin(), current_.end(), Plan::kNone);
   transitions_.clear();
   evaluations_ = 0;
 }

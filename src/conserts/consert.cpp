@@ -5,165 +5,59 @@
 
 namespace sesame::conserts {
 
-void EvaluationContext::set_evidence(const std::string& name, bool value) {
-  evidence_[name] = value;
+void Condition::collect_evidence(std::set<std::string>& out) const {
+  if (kind_ == Kind::kEvidence) out.insert(name_);
+  for (const auto& c : children_) c->collect_evidence(out);
 }
 
-bool EvaluationContext::evidence(const std::string& name) const {
-  const auto it = evidence_.find(name);
-  return it != evidence_.end() && it->second;
+void Condition::collect_demands(
+    std::set<std::pair<std::string, std::string>>& out) const {
+  if (kind_ == Kind::kDemand) out.insert({name_, guarantee_});
+  for (const auto& c : children_) c->collect_demands(out);
 }
-
-bool EvaluationContext::has_evidence(const std::string& name) const {
-  return evidence_.count(name) > 0;
-}
-
-void EvaluationContext::grant(const std::string& consert,
-                              const std::string& guarantee) {
-  grants_.insert({consert, guarantee});
-}
-
-bool EvaluationContext::granted(const std::string& consert,
-                                const std::string& guarantee) const {
-  return grants_.count({consert, guarantee}) > 0;
-}
-
-void EvaluationContext::clear_grants() { grants_.clear(); }
-
-namespace {
-
-class EvidenceCondition final : public Condition {
- public:
-  explicit EvidenceCondition(std::string name) : name_(std::move(name)) {}
-  bool evaluate(const EvaluationContext& ctx) const override {
-    return ctx.evidence(name_);
-  }
-  void collect_evidence(std::set<std::string>& out) const override {
-    out.insert(name_);
-  }
-  void collect_demands(
-      std::set<std::pair<std::string, std::string>>&) const override {}
-
- private:
-  std::string name_;
-};
-
-class DemandCondition final : public Condition {
- public:
-  DemandCondition(std::string consert, std::string guarantee)
-      : consert_(std::move(consert)), guarantee_(std::move(guarantee)) {}
-  bool evaluate(const EvaluationContext& ctx) const override {
-    return ctx.granted(consert_, guarantee_);
-  }
-  void collect_evidence(std::set<std::string>&) const override {}
-  void collect_demands(
-      std::set<std::pair<std::string, std::string>>& out) const override {
-    out.insert({consert_, guarantee_});
-  }
-
- private:
-  std::string consert_;
-  std::string guarantee_;
-};
-
-class ConstantCondition final : public Condition {
- public:
-  explicit ConstantCondition(bool value) : value_(value) {}
-  bool evaluate(const EvaluationContext&) const override { return value_; }
-  void collect_evidence(std::set<std::string>&) const override {}
-  void collect_demands(
-      std::set<std::pair<std::string, std::string>>&) const override {}
-
- private:
-  bool value_;
-};
-
-class GateCondition : public Condition {
- public:
-  explicit GateCondition(std::vector<ConditionPtr> children)
-      : children_(std::move(children)) {
-    if (children_.empty()) {
-      throw std::invalid_argument("ConSert gate condition without children");
-    }
-    for (const auto& c : children_) {
-      if (!c) throw std::invalid_argument("ConSert gate: null child");
-    }
-  }
-  void collect_evidence(std::set<std::string>& out) const override {
-    for (const auto& c : children_) c->collect_evidence(out);
-  }
-  void collect_demands(
-      std::set<std::pair<std::string, std::string>>& out) const override {
-    for (const auto& c : children_) c->collect_demands(out);
-  }
-
- protected:
-  std::vector<ConditionPtr> children_;
-};
-
-class AllOfCondition final : public GateCondition {
- public:
-  using GateCondition::GateCondition;
-  bool evaluate(const EvaluationContext& ctx) const override {
-    return std::all_of(children_.begin(), children_.end(),
-                       [&](const auto& c) { return c->evaluate(ctx); });
-  }
-};
-
-class AnyOfCondition final : public GateCondition {
- public:
-  using GateCondition::GateCondition;
-  bool evaluate(const EvaluationContext& ctx) const override {
-    return std::any_of(children_.begin(), children_.end(),
-                       [&](const auto& c) { return c->evaluate(ctx); });
-  }
-};
-
-class NotCondition final : public Condition {
- public:
-  explicit NotCondition(ConditionPtr child) : child_(std::move(child)) {
-    if (!child_) throw std::invalid_argument("ConSert not: null child");
-  }
-  bool evaluate(const EvaluationContext& ctx) const override {
-    return !child_->evaluate(ctx);
-  }
-  void collect_evidence(std::set<std::string>& out) const override {
-    child_->collect_evidence(out);
-  }
-  void collect_demands(
-      std::set<std::pair<std::string, std::string>>& out) const override {
-    child_->collect_demands(out);
-  }
-
- private:
-  ConditionPtr child_;
-};
-
-}  // namespace
 
 ConditionPtr Condition::evidence(std::string name) {
-  return std::make_shared<EvidenceCondition>(std::move(name));
+  std::shared_ptr<Condition> c(new Condition(Kind::kEvidence));
+  c->name_ = std::move(name);
+  return c;
 }
 
 ConditionPtr Condition::demand(std::string consert, std::string guarantee) {
-  return std::make_shared<DemandCondition>(std::move(consert),
-                                           std::move(guarantee));
+  std::shared_ptr<Condition> c(new Condition(Kind::kDemand));
+  c->name_ = std::move(consert);
+  c->guarantee_ = std::move(guarantee);
+  return c;
 }
 
 ConditionPtr Condition::constant(bool value) {
-  return std::make_shared<ConstantCondition>(value);
+  std::shared_ptr<Condition> c(new Condition(Kind::kConstant));
+  c->value_ = value;
+  return c;
+}
+
+ConditionPtr Condition::gate(Kind kind, std::vector<ConditionPtr> children) {
+  if (children.empty()) {
+    throw std::invalid_argument("ConSert gate condition without children");
+  }
+  for (const auto& c : children) {
+    if (!c) throw std::invalid_argument("ConSert gate: null child");
+  }
+  std::shared_ptr<Condition> c(new Condition(kind));
+  c->children_ = std::move(children);
+  return c;
 }
 
 ConditionPtr Condition::all_of(std::vector<ConditionPtr> children) {
-  return std::make_shared<AllOfCondition>(std::move(children));
+  return gate(Kind::kAllOf, std::move(children));
 }
 
 ConditionPtr Condition::any_of(std::vector<ConditionPtr> children) {
-  return std::make_shared<AnyOfCondition>(std::move(children));
+  return gate(Kind::kAnyOf, std::move(children));
 }
 
 ConditionPtr Condition::negate(ConditionPtr child) {
-  return std::make_shared<NotCondition>(std::move(child));
+  if (!child) throw std::invalid_argument("ConSert not: null child");
+  return gate(Kind::kNot, {std::move(child)});
 }
 
 ConSert::ConSert(std::string name) : name_(std::move(name)) {
@@ -185,24 +79,6 @@ bool ConSert::has_guarantee(const std::string& name) const {
                      [&](const Guarantee& g) { return g.name == name; });
 }
 
-std::vector<std::string> ConSert::satisfied(const EvaluationContext& ctx) const {
-  std::vector<std::string> out;
-  for (const auto& g : guarantees_) {
-    if (g.condition->evaluate(ctx)) out.push_back(g.name);
-  }
-  return out;
-}
-
-std::optional<std::string> ConSert::best(const EvaluationContext& ctx) const {
-  const Guarantee* best_g = nullptr;
-  for (const auto& g : guarantees_) {
-    if (!g.condition->evaluate(ctx)) continue;
-    if (!best_g || g.rank < best_g->rank) best_g = &g;
-  }
-  if (!best_g) return std::nullopt;
-  return best_g->name;
-}
-
 std::set<std::string> ConSert::demanded_conserts() const {
   std::set<std::pair<std::string, std::string>> demands;
   for (const auto& g : guarantees_) g.condition->collect_demands(demands);
@@ -214,44 +90,11 @@ std::set<std::string> ConSert::demanded_conserts() const {
   return out;
 }
 
-GuaranteeExplanation explain_guarantee(const ConSert& consert,
-                                       const std::string& guarantee,
-                                       const EvaluationContext& ctx) {
-  const Guarantee* target = nullptr;
-  for (const auto& g : consert.guarantees()) {
-    if (g.name == guarantee) {
-      target = &g;
-      break;
-    }
-  }
-  if (!target) {
-    throw std::invalid_argument("explain_guarantee: unknown guarantee " +
-                                guarantee + " of " + consert.name());
-  }
-  GuaranteeExplanation out;
-  out.consert = consert.name();
-  out.guarantee = guarantee;
-  out.satisfied = target->condition->evaluate(ctx);
-
-  std::set<std::string> evidence;
-  target->condition->collect_evidence(evidence);
-  for (const auto& e : evidence) {
-    if (!ctx.evidence(e)) out.missing_evidence.push_back(e);
-  }
-  std::set<std::pair<std::string, std::string>> demands;
-  target->condition->collect_demands(demands);
-  for (const auto& [c, g] : demands) {
-    if (!ctx.granted(c, g)) out.missing_demands.push_back({c, g});
-  }
-  return out;
-}
-
 void ConSertNetwork::add(ConSert consert) {
   const std::string name = consert.name();
   if (!conserts_.emplace(name, std::move(consert)).second) {
     throw std::invalid_argument("ConSertNetwork::add: duplicate " + name);
   }
-  order_dirty_ = true;
 }
 
 bool ConSertNetwork::contains(const std::string& name) const {
@@ -276,7 +119,7 @@ const ConSert& ConSertNetwork::at(const std::string& name) const {
   return it->second;
 }
 
-std::vector<std::string> ConSertNetwork::topological_order() const {
+std::vector<std::string> ConSertNetwork::evaluation_order() const {
   // Kahn's algorithm over the demand graph (dependencies first).
   std::map<std::string, std::set<std::string>> deps;
   for (const auto& [name, consert] : conserts_) {
@@ -308,31 +151,6 @@ std::vector<std::string> ConSertNetwork::topological_order() const {
     }
   }
   return order;
-}
-
-const std::vector<std::string>& ConSertNetwork::evaluation_order() const {
-  if (order_dirty_) {
-    order_cache_ = topological_order();
-    order_dirty_ = false;
-  }
-  return order_cache_;
-}
-
-NetworkEvaluation ConSertNetwork::evaluate(EvaluationContext& ctx) const {
-  ctx.clear_grants();
-  NetworkEvaluation result;
-  result.order = evaluation_order();
-  for (const auto& name : result.order) {
-    const ConSert& c = conserts_.at(name);
-    for (const auto& g : c.satisfied(ctx)) {
-      ctx.grant(name, g);
-      result.grants.insert({name, g});
-    }
-    if (const auto b = c.best(ctx); b.has_value()) {
-      result.best[name] = *b;
-    }
-  }
-  return result;
 }
 
 }  // namespace sesame::conserts

@@ -2,17 +2,15 @@
 //
 // Shifting assurance to runtime (the ConSerts premise) obliges the system
 // to keep an evidence trail: which guarantees were in force when, and what
-// evidence changes moved them. The recorder wraps network evaluation,
-// stores a transition whenever a ConSert's best guarantee changes, and
-// produces the audit timeline a post-mission safety review replays.
+// evidence changes moved them. The recorder owns the compiled plan, stores
+// a transition whenever a ConSert's best guarantee changes, and produces
+// the audit timeline a post-mission safety review replays.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "sesame/conserts/consert.hpp"
-#include "sesame/conserts/evaluation_cache.hpp"
+#include "sesame/conserts/plan.hpp"
 
 namespace sesame::conserts {
 
@@ -27,18 +25,14 @@ struct GuaranteeTransition {
 
 class AssuranceTrace {
  public:
-  /// The trace snapshots the network's membership (and, with
-  /// `cache_evaluations`, its per-ConSert input footprints): the network
-  /// must be fully built before construction and not mutated afterwards.
-  /// `cache_evaluations` routes evaluation through a CachedNetworkEvaluator
-  /// so unchanged evidence skips the condition-tree walks; results are
-  /// identical either way.
-  explicit AssuranceTrace(const ConSertNetwork& network,
-                          bool cache_evaluations = true);
+  explicit AssuranceTrace(Plan plan);
 
-  /// Evaluates the network at `time_s` and records any best-guarantee
-  /// transitions. Returns the evaluation.
-  NetworkEvaluation evaluate(EvaluationContext& ctx, double time_s);
+  /// The plan evaluate() runs: set its evidence before each call.
+  Plan& plan() noexcept { return plan_; }
+
+  /// Evaluates the plan at `time_s` and records the best-guarantee
+  /// transitions, in ascending ConSert name order.
+  void evaluate(double time_s);
 
   const std::vector<GuaranteeTransition>& transitions() const noexcept {
     return transitions_;
@@ -53,19 +47,15 @@ class AssuranceTrace {
 
   std::size_t evaluations() const noexcept { return evaluations_; }
 
-  /// Evaluation-cache counters (both 0 when caching is disabled).
-  std::size_t cache_hits() const noexcept;
-  std::size_t cache_misses() const noexcept;
-
   void clear();
 
  private:
-  const ConSertNetwork* network_;
-  std::vector<std::string> names_;  ///< network membership, snapshotted once
-  std::optional<CachedNetworkEvaluator> cache_;
-  std::map<std::string, std::string> current_;
+  Plan plan_;
+  std::vector<int> current_;  ///< best guarantee index by ConSert id
   std::vector<GuaranteeTransition> transitions_;
   std::size_t evaluations_ = 0;
+
+  std::string guarantee_name(std::size_t consert, int guarantee) const;
 };
 
 }  // namespace sesame::conserts

@@ -1,4 +1,4 @@
-// Conditional Safety Certificates (ConSerts) runtime engine.
+// Conditional Safety Certificates (ConSerts): the model builder.
 //
 // ConSerts (Reich et al., SAFECOMP 2020) shift part of the safety argument
 // to runtime: each component ships a certificate whose *guarantees* are
@@ -9,16 +9,17 @@
 // to safe actions (Continue Mission / Hold / Return to Base / Emergency
 // Land — paper Fig. 1).
 //
-// This module is the paper's integrating technology: the EDDI layer feeds
-// evidence from SafeDrones / SafeML / DeepKnowledge / SINADRA / Security
-// EDDI into a ConSert network built with these primitives.
+// This header builds the model: condition trees, ConSerts and the network.
+// plan.hpp compiles a network into the indexed program the runtime
+// evaluates; the ODE export reads the model directly.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sesame::conserts {
@@ -26,42 +27,36 @@ namespace sesame::conserts {
 class Condition;
 using ConditionPtr = std::shared_ptr<const Condition>;
 
-/// Context a condition tree is evaluated against: runtime-evidence values
-/// plus the guarantees currently provided by already-evaluated ConSerts.
-class EvaluationContext {
- public:
-  /// Sets a runtime-evidence value (unset evidence evaluates to false).
-  void set_evidence(const std::string& name, bool value);
-  bool evidence(const std::string& name) const;
-  bool has_evidence(const std::string& name) const;
-
-  /// Records that `consert` currently provides `guarantee`.
-  void grant(const std::string& consert, const std::string& guarantee);
-  bool granted(const std::string& consert, const std::string& guarantee) const;
-
-  /// All evidence names that were set.
-  const std::map<std::string, bool>& all_evidence() const noexcept {
-    return evidence_;
-  }
-
-  void clear_grants();
-
- private:
-  std::map<std::string, bool> evidence_;
-  std::set<std::pair<std::string, std::string>> grants_;
-};
-
-/// Boolean condition tree over runtime evidence and demands.
+/// Boolean condition tree over runtime evidence and demands. Unset
+/// evidence and ungranted demands read false.
 class Condition {
  public:
-  virtual ~Condition() = default;
-  virtual bool evaluate(const EvaluationContext& ctx) const = 0;
+  enum class Kind : std::uint8_t {
+    kEvidence,  ///< a runtime-evidence flag, named by name()
+    kDemand,    ///< guarantee() of the ConSert name() is granted
+    kConstant,  ///< value()
+    kAllOf,     ///< every child holds
+    kAnyOf,     ///< some child holds
+    kNot,       ///< the single child does not hold
+  };
+
+  Kind kind() const noexcept { return kind_; }
+  /// Evidence name (kEvidence) or demanded ConSert (kDemand).
+  const std::string& name() const noexcept { return name_; }
+  /// Demanded guarantee (kDemand).
+  const std::string& guarantee() const noexcept { return guarantee_; }
+  /// Constant value (kConstant).
+  bool value() const noexcept { return value_; }
+  /// Operands of kAllOf / kAnyOf / kNot.
+  const std::vector<ConditionPtr>& children() const noexcept {
+    return children_;
+  }
 
   /// Names of runtime evidence referenced beneath this node.
-  virtual void collect_evidence(std::set<std::string>& out) const = 0;
+  void collect_evidence(std::set<std::string>& out) const;
   /// (consert, guarantee) demands referenced beneath this node.
-  virtual void collect_demands(
-      std::set<std::pair<std::string, std::string>>& out) const = 0;
+  void collect_demands(
+      std::set<std::pair<std::string, std::string>>& out) const;
 
   /// Leaf: a runtime-evidence flag.
   static ConditionPtr evidence(std::string name);
@@ -69,14 +64,25 @@ class Condition {
   static ConditionPtr demand(std::string consert, std::string guarantee);
   /// Constant (used for unconditional/default guarantees).
   static ConditionPtr constant(bool value);
-  /// Conjunction / disjunction / negation.
+  /// Conjunction / disjunction (at least one child) / negation.
   static ConditionPtr all_of(std::vector<ConditionPtr> children);
   static ConditionPtr any_of(std::vector<ConditionPtr> children);
   static ConditionPtr negate(ConditionPtr child);
+
+ private:
+  explicit Condition(Kind kind) : kind_(kind) {}
+  static ConditionPtr gate(Kind kind, std::vector<ConditionPtr> children);
+
+  Kind kind_;
+  bool value_ = false;
+  std::string name_;
+  std::string guarantee_;
+  std::vector<ConditionPtr> children_;
 };
 
 /// A conditional guarantee. Lower `rank` = stronger/preferred guarantee;
-/// the ConSert provides the satisfied guarantee with the smallest rank.
+/// the ConSert provides the satisfied guarantee with the smallest rank,
+/// and on a tied rank the one declared first.
 struct Guarantee {
   std::string name;
   int rank = 0;
@@ -99,14 +105,6 @@ class ConSert {
   }
   bool has_guarantee(const std::string& name) const;
 
-  /// Evaluates all guarantees against the context; returns the satisfied
-  /// guarantee names (the network grants all of them — a stronger
-  /// guarantee subsumes weaker ones only if modelled so).
-  std::vector<std::string> satisfied(const EvaluationContext& ctx) const;
-
-  /// The best (lowest-rank) satisfied guarantee, if any.
-  std::optional<std::string> best(const EvaluationContext& ctx) const;
-
   /// All demands referenced by any guarantee: the ConSerts this one
   /// depends on — used for topological evaluation order.
   std::set<std::string> demanded_conserts() const;
@@ -116,20 +114,11 @@ class ConSert {
   std::vector<Guarantee> guarantees_;
 };
 
-/// Result of evaluating a network.
-struct NetworkEvaluation {
-  /// Every granted (consert, guarantee) pair.
-  std::set<std::pair<std::string, std::string>> grants;
-  /// Best guarantee per ConSert (absent = only the implicit default).
-  std::map<std::string, std::string> best;
-  /// Evaluation order used (for diagnostics).
-  std::vector<std::string> order;
-};
-
 /// Why a guarantee is currently not provided: the referenced runtime
-/// evidence that evaluates false and the demands that are not granted.
-/// For monotone (negation-free) conditions — all the Fig. 1 models — the
-/// guarantee is satisfiable exactly when both lists are empty.
+/// evidence that evaluates false and the demands that are not granted,
+/// each sorted by name. For monotone (negation-free) conditions — all the
+/// Fig. 1 models — the guarantee is satisfiable exactly when both lists
+/// are empty.
 struct GuaranteeExplanation {
   std::string consert;
   std::string guarantee;
@@ -137,13 +126,6 @@ struct GuaranteeExplanation {
   std::vector<std::string> missing_evidence;
   std::vector<std::pair<std::string, std::string>> missing_demands;
 };
-
-/// Explains one guarantee of one ConSert against a context (typically the
-/// context after a network evaluation, so grants are populated). Throws
-/// std::invalid_argument when the guarantee does not exist.
-GuaranteeExplanation explain_guarantee(const ConSert& consert,
-                                       const std::string& guarantee,
-                                       const EvaluationContext& ctx);
 
 /// A hierarchical network of ConSerts evaluated bottom-up.
 class ConSertNetwork {
@@ -158,24 +140,12 @@ class ConSertNetwork {
   /// Names of all ConSerts in the network (sorted).
   std::vector<std::string> names() const;
 
-  /// Evaluates the whole network against the evidence in `ctx` (grants in
-  /// `ctx` are cleared first). Throws std::runtime_error on demand cycles
-  /// or demands on unknown ConSerts.
-  NetworkEvaluation evaluate(EvaluationContext& ctx) const;
-
-  /// Topological (dependencies-first) evaluation order. Computed on first
-  /// use and cached until the next add(); evaluate() uses this, so the
-  /// Kahn's-algorithm pass runs once per network shape instead of once per
-  /// evaluation. Throws like evaluate() on cycles or unknown demands.
-  const std::vector<std::string>& evaluation_order() const;
+  /// Topological (dependencies-first) evaluation order. Throws
+  /// std::runtime_error on demand cycles or demands on unknown ConSerts.
+  std::vector<std::string> evaluation_order() const;
 
  private:
   std::map<std::string, ConSert> conserts_;
-  // Cached evaluation_order(); mutable because caching is not observable.
-  mutable std::vector<std::string> order_cache_;
-  mutable bool order_dirty_ = true;
-
-  std::vector<std::string> topological_order() const;
 };
 
 }  // namespace sesame::conserts

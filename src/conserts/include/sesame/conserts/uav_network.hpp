@@ -19,10 +19,13 @@
 //     task redistribution / mission cannot be completed.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "sesame/conserts/consert.hpp"
+#include "sesame/conserts/plan.hpp"
 
 namespace sesame::conserts {
 
@@ -44,13 +47,13 @@ struct UavEvidence {
   bool reliability_low = false;
 };
 
-/// Evidence key for `field` of the UAV named `uav`; keys are
-/// "<uav>/<field>", e.g. "uav1/gps_quality_good".
-std::string evidence_key(const std::string& uav, const std::string& field);
-
-/// Writes all evidence flags of one UAV into the context.
-void apply_evidence(EvaluationContext& ctx, const std::string& uav,
-                    const UavEvidence& evidence);
+/// The evidence fields of one UAV, in a fixed order. The network names
+/// each flag "<uav>/<field>", e.g. "uav1/gps_quality_good".
+struct UavEvidenceField {
+  const char* name;
+  bool UavEvidence::*flag;
+};
+extern const std::array<UavEvidenceField, 9> kUavEvidenceFields;
 
 /// ConSert names for one UAV (all prefixed "<uav>/").
 struct UavConsertNames {
@@ -95,8 +98,29 @@ enum class UavAction {
 
 std::string uav_action_name(UavAction a);
 
-/// Maps a network evaluation onto the action for one UAV.
-UavAction uav_action(const NetworkEvaluation& eval, const std::string& uav);
+/// One UAV's place in a compiled plan, resolved once: the ids of its
+/// evidence flags, its UAV ConSert, and the action each guarantee of that
+/// ConSert stands for.
+class UavBinding {
+ public:
+  /// Throws std::out_of_range when the plan lacks the UAV's ConSerts.
+  UavBinding(const Plan& plan, const std::string& uav);
+
+  /// Writes the UAV's evidence flags into the plan.
+  void apply(Plan& plan, const UavEvidence& evidence) const;
+
+  /// The action for the UAV after plan.evaluate().
+  UavAction action(const Plan& plan) const {
+    const int best = plan.best(consert_);
+    return best == Plan::kNone ? UavAction::kEmergencyLand
+                               : actions_[static_cast<std::size_t>(best)];
+  }
+
+ private:
+  std::array<std::size_t, kUavEvidenceFields.size()> evidence_{};
+  std::size_t consert_ = 0;
+  std::vector<UavAction> actions_;  ///< by guarantee declaration index
+};
 
 /// Mission-level decision (Fig. 1 top).
 enum class MissionDecision {

@@ -7,26 +7,25 @@ namespace sesame::conserts {
 
 namespace g = guarantees;
 
-std::string evidence_key(const std::string& uav, const std::string& field) {
+const std::array<UavEvidenceField, 9> kUavEvidenceFields = {{
+    {"gps_quality_good", &UavEvidence::gps_quality_good},
+    {"no_security_attack", &UavEvidence::no_security_attack},
+    {"vision_sensor_healthy", &UavEvidence::vision_sensor_healthy},
+    {"safeml_confidence_high", &UavEvidence::safeml_confidence_high},
+    {"comm_link_good", &UavEvidence::comm_link_good},
+    {"nearby_uav_available", &UavEvidence::nearby_uav_available},
+    {"reliability_high", &UavEvidence::reliability_high},
+    {"reliability_medium", &UavEvidence::reliability_medium},
+    {"reliability_low", &UavEvidence::reliability_low},
+}};
+
+namespace {
+
+std::string evidence_name(const std::string& uav, const char* field) {
   return uav + "/" + field;
 }
 
-void apply_evidence(EvaluationContext& ctx, const std::string& uav,
-                    const UavEvidence& e) {
-  ctx.set_evidence(evidence_key(uav, "gps_quality_good"), e.gps_quality_good);
-  ctx.set_evidence(evidence_key(uav, "no_security_attack"), e.no_security_attack);
-  ctx.set_evidence(evidence_key(uav, "vision_sensor_healthy"),
-                   e.vision_sensor_healthy);
-  ctx.set_evidence(evidence_key(uav, "safeml_confidence_high"),
-                   e.safeml_confidence_high);
-  ctx.set_evidence(evidence_key(uav, "comm_link_good"), e.comm_link_good);
-  ctx.set_evidence(evidence_key(uav, "nearby_uav_available"),
-                   e.nearby_uav_available);
-  ctx.set_evidence(evidence_key(uav, "reliability_high"), e.reliability_high);
-  ctx.set_evidence(evidence_key(uav, "reliability_medium"),
-                   e.reliability_medium);
-  ctx.set_evidence(evidence_key(uav, "reliability_low"), e.reliability_low);
-}
+}  // namespace
 
 UavConsertNames uav_consert_names(const std::string& uav) {
   UavConsertNames n;
@@ -42,7 +41,7 @@ UavConsertNames uav_consert_names(const std::string& uav) {
 void add_uav_conserts(ConSertNetwork& network, const std::string& uav) {
   const UavConsertNames names = uav_consert_names(uav);
   const auto ev = [&](const char* field) {
-    return Condition::evidence(evidence_key(uav, field));
+    return Condition::evidence(evidence_name(uav, field));
   };
 
   // GPS-based localization: quality metrics nominal AND no active attack
@@ -135,15 +134,32 @@ std::string uav_action_name(UavAction a) {
   return "unknown";
 }
 
-UavAction uav_action(const NetworkEvaluation& eval, const std::string& uav) {
-  const auto it = eval.best.find(uav_consert_names(uav).uav);
-  if (it == eval.best.end()) return UavAction::kEmergencyLand;
-  const std::string& best = it->second;
-  if (best == g::kContinueExtended) return UavAction::kContinueExtended;
-  if (best == g::kContinue) return UavAction::kContinue;
-  if (best == g::kHold) return UavAction::kHold;
-  if (best == g::kReturnToBase) return UavAction::kReturnToBase;
-  throw std::logic_error("uav_action: unexpected guarantee " + best);
+UavBinding::UavBinding(const Plan& plan, const std::string& uav)
+    : consert_(plan.consert_id(uav_consert_names(uav).uav)) {
+  for (std::size_t f = 0; f < kUavEvidenceFields.size(); ++f) {
+    evidence_[f] =
+        plan.evidence_id(evidence_name(uav, kUavEvidenceFields[f].name));
+  }
+  for (std::size_t i = 0; i < plan.guarantee_count(consert_); ++i) {
+    const std::string& name = plan.guarantee_name(consert_, i);
+    if (name == g::kContinueExtended) {
+      actions_.push_back(UavAction::kContinueExtended);
+    } else if (name == g::kContinue) {
+      actions_.push_back(UavAction::kContinue);
+    } else if (name == g::kHold) {
+      actions_.push_back(UavAction::kHold);
+    } else if (name == g::kReturnToBase) {
+      actions_.push_back(UavAction::kReturnToBase);
+    } else {
+      throw std::logic_error("UavBinding: unexpected guarantee " + name);
+    }
+  }
+}
+
+void UavBinding::apply(Plan& plan, const UavEvidence& evidence) const {
+  for (std::size_t f = 0; f < kUavEvidenceFields.size(); ++f) {
+    plan.set_evidence(evidence_[f], evidence.*kUavEvidenceFields[f].flag);
+  }
 }
 
 std::string mission_decision_name(MissionDecision d) {

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "sesame/conserts/assurance_trace.hpp"
+#include "sesame/conserts/uav_network.hpp"
 #include "sesame/eddi/uav_eddi.hpp"
 #include "sesame/mw/fault_plan.hpp"
 #include "sesame/obs/observability.hpp"
@@ -67,10 +68,10 @@ struct RunnerConfig {
   double max_time_s = 1500.0;
   /// ConSert evaluation period (paper: runtime evaluation, not per-frame).
   double consert_period_s = 5.0;
-  /// Route ConSert evaluation through the dirty-flag evaluation cache
-  /// (conserts::CachedNetworkEvaluator). Results are identical with the
-  /// cache on or off; the switch exists for A/B verification and as an
-  /// escape hatch.
+  /// Inert: ConSert evaluation runs a compiled conserts::Plan, which has
+  /// no cache to switch. The key stays because the config JSON (and so
+  /// every service cache digest) carries it; it retires with the next
+  /// config schema bump.
   bool consert_eval_cache = true;
   /// Baseline battery-swap turnaround on the ground.
   double battery_swap_time_s = 60.0;
@@ -243,8 +244,9 @@ class MissionRunner {
   std::unique_ptr<security::IntrusionDetectionSystem> ids_;
   std::shared_ptr<security::SecurityEddi> security_;
   std::vector<std::unique_ptr<eddi::UavEddi>> eddis_;
-  conserts::ConSertNetwork consert_network_;
+  /// The compiled ConSert plan and its trace; one binding per vehicle.
   std::unique_ptr<conserts::AssuranceTrace> assurance_trace_;
+  std::vector<conserts::UavBinding> consert_uavs_;
   sim::CommLink comm_link_{sim::CommLinkConfig{}};
 
   obs::Observability* obs_ = nullptr;
@@ -329,7 +331,7 @@ class MissionRunner {
   void record_replan(std::size_t from, std::size_t to);
   void start_spoof_response(RunnerResult& result);
   eddi::EddiInputs gather_inputs(std::size_t i);
-  conserts::EvaluationContext collect_evidence();
+  void collect_evidence();
   void redistribute_dropped_out();
   void descend_if_uncertain();
   double failure_onset_s(std::size_t i) const;

@@ -383,15 +383,20 @@ void MissionRunner::setup_sesame() {
   }
 
   eddis_.reserve(names_.size());
+  conserts::ConSertNetwork network;
   for (const auto& name : names_) {
     auto e = std::make_unique<eddi::UavEddi>(name, config_.eddi, reference);
     e->attach_security(security_);
     e->attach_deepknowledge(dk_model, dk_analyzer, 16);
     eddis_.push_back(std::move(e));
-    conserts::add_uav_conserts(consert_network_, name);
+    conserts::add_uav_conserts(network, name);
   }
-  assurance_trace_ = std::make_unique<conserts::AssuranceTrace>(
-      consert_network_, config_.consert_eval_cache);
+  assurance_trace_ =
+      std::make_unique<conserts::AssuranceTrace>(conserts::Plan(network));
+  consert_uavs_.reserve(names_.size());
+  for (const auto& name : names_) {
+    consert_uavs_.emplace_back(assurance_trace_->plan(), name);
+  }
 }
 
 void MissionRunner::attach_observability(obs::Observability& o) {
@@ -669,7 +674,7 @@ void MissionRunner::sesame_tick() {
   }
   if (!consert_due) return;
 
-  conserts::EvaluationContext ctx = collect_evidence();
+  collect_evidence();
   // The evaluation span also encloses the actions, hand-overs and descend
   // the evaluation triggers.
   obs::Span eval_span;
@@ -679,9 +684,10 @@ void MissionRunner::sesame_tick() {
         {{"t_s", obs::attr_value(world_->time_s())}});
     consert_evals_counter_->inc();
   }
-  const auto eval = assurance_trace_->evaluate(ctx, world_->time_s());
+  assurance_trace_->evaluate(world_->time_s());
+  const conserts::Plan& plan = assurance_trace_->plan();
   for (std::size_t i = 0; i < names_.size(); ++i) {
-    auto action = conserts::uav_action(eval, names_[i]);
+    auto action = consert_uavs_[i].action(plan);
     // Safety EDDI corrective action overrides the lattice: crossing the
     // abort threshold forces an emergency landing (Fig. 5).
     if (eddis_[i]->assessment().reliability.abort_recommended) {
@@ -694,10 +700,10 @@ void MissionRunner::sesame_tick() {
   descend_if_uncertain();
 }
 
-conserts::EvaluationContext MissionRunner::collect_evidence() {
-  // Materialized on evaluation ticks only: consert_evidence() is a pure
-  // read of the EDDI state.
-  conserts::EvaluationContext ctx;
+void MissionRunner::collect_evidence() {
+  // Read on evaluation ticks only: consert_evidence() is a pure read of
+  // the EDDI state.
+  conserts::Plan& plan = assurance_trace_->plan();
   for (std::size_t i = 0; i < names_.size(); ++i) {
     auto evidence = eddis_[i]->consert_evidence();
     // Per-UAV attribution: only vehicles whose own channels were attacked
@@ -709,9 +715,8 @@ conserts::EvaluationContext MissionRunner::collect_evidence() {
     invariants_->check_evidence_fresh(world_->time_s(), names_[i],
                                       evidence.comm_link_good,
                                       telemetry_age_s(i));
-    conserts::apply_evidence(ctx, names_[i], evidence);
+    consert_uavs_[i].apply(plan, evidence);
   }
-  return ctx;
 }
 
 void MissionRunner::redistribute_dropped_out() {

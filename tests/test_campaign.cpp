@@ -200,10 +200,11 @@ TEST(Report, WallClockFamiliesAreExcluded) {
   EXPECT_NE(json.find("sesame.mw.publish_total"), std::string::npos);
 }
 
-// The evaluation-cache contract, end to end: routing ConSert evaluation
-// through CachedNetworkEvaluator must not change a single byte of any
-// campaign artefact, even in the scenario that exercises every monitor
-// (spoofing under the lossy C2 radio).
+// The evaluation-cache contract, end to end: the consert_eval_cache key
+// must not change a single byte of any campaign artefact, even in the
+// scenario that exercises every monitor (spoofing under the lossy C2
+// radio). The key is inert since evaluation runs a compiled plan; it
+// stays in the config until the next schema bump.
 TEST(Campaign, EvaluationCacheDoesNotChangeResults) {
   platform::RunnerConfig scenario =
       campaign::ScenarioFactory::preset("spoofing_lossy").base();

@@ -1,46 +1,82 @@
 // Tests for the ConSerts engine: condition algebra, guarantee selection,
-// network composition/topological evaluation, the paper's Fig. 1 UAV
-// network, and the mission decider.
+// network compilation and evaluation, the paper's Fig. 1 UAV network, the
+// assurance trace and the mission decider. The compiled plan is checked
+// against the reference interpreter in tests/support/consert_oracle.hpp.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "consert_oracle.hpp"
+#include "sesame/conserts/assurance_trace.hpp"
 #include "sesame/conserts/consert.hpp"
+#include "sesame/conserts/plan.hpp"
 #include "sesame/conserts/uav_network.hpp"
+#include "sesame/mathx/rng.hpp"
 
 namespace cs = sesame::conserts;
+namespace oracle = sesame::conserts::oracle;
 namespace g = sesame::conserts::guarantees;
 
+// Counts heap allocations so the plan's no-allocation tick can be checked.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not pair the inlined free() with the
+// caller's operator new and warn about a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 TEST(Condition, EvidenceLeaf) {
-  cs::EvaluationContext ctx;
+  oracle::EvaluationContext ctx;
   auto c = cs::Condition::evidence("x");
-  EXPECT_FALSE(c->evaluate(ctx));  // unset evidence is false
+  EXPECT_EQ(c->kind(), cs::Condition::Kind::kEvidence);
+  EXPECT_EQ(c->name(), "x");
+  EXPECT_FALSE(oracle::evaluate(*c, ctx));  // unset evidence is false
   ctx.set_evidence("x", true);
-  EXPECT_TRUE(c->evaluate(ctx));
+  EXPECT_TRUE(oracle::evaluate(*c, ctx));
   ctx.set_evidence("x", false);
-  EXPECT_FALSE(c->evaluate(ctx));
+  EXPECT_FALSE(oracle::evaluate(*c, ctx));
 }
 
 TEST(Condition, DemandLeaf) {
-  cs::EvaluationContext ctx;
+  oracle::EvaluationContext ctx;
   auto c = cs::Condition::demand("nav", "accurate");
-  EXPECT_FALSE(c->evaluate(ctx));
+  EXPECT_EQ(c->kind(), cs::Condition::Kind::kDemand);
+  EXPECT_EQ(c->name(), "nav");
+  EXPECT_EQ(c->guarantee(), "accurate");
+  EXPECT_FALSE(oracle::evaluate(*c, ctx));
   ctx.grant("nav", "accurate");
-  EXPECT_TRUE(c->evaluate(ctx));
+  EXPECT_TRUE(oracle::evaluate(*c, ctx));
   ctx.clear_grants();
-  EXPECT_FALSE(c->evaluate(ctx));
+  EXPECT_FALSE(oracle::evaluate(*c, ctx));
 }
 
 TEST(Condition, GatesAndConstants) {
-  cs::EvaluationContext ctx;
+  oracle::EvaluationContext ctx;
   ctx.set_evidence("a", true);
   ctx.set_evidence("b", false);
   auto a = cs::Condition::evidence("a");
   auto b = cs::Condition::evidence("b");
-  EXPECT_FALSE(cs::Condition::all_of({a, b})->evaluate(ctx));
-  EXPECT_TRUE(cs::Condition::any_of({a, b})->evaluate(ctx));
-  EXPECT_TRUE(cs::Condition::negate(b)->evaluate(ctx));
-  EXPECT_TRUE(cs::Condition::constant(true)->evaluate(ctx));
-  EXPECT_FALSE(cs::Condition::constant(false)->evaluate(ctx));
+  EXPECT_FALSE(oracle::evaluate(*cs::Condition::all_of({a, b}), ctx));
+  EXPECT_TRUE(oracle::evaluate(*cs::Condition::any_of({a, b}), ctx));
+  EXPECT_TRUE(oracle::evaluate(*cs::Condition::negate(b), ctx));
+  EXPECT_TRUE(oracle::evaluate(*cs::Condition::constant(true), ctx));
+  EXPECT_FALSE(oracle::evaluate(*cs::Condition::constant(false), ctx));
+  EXPECT_EQ(cs::Condition::negate(b)->children().size(), 1u);
+  EXPECT_EQ(cs::Condition::any_of({a, b})->kind(), cs::Condition::Kind::kAnyOf);
   EXPECT_THROW(cs::Condition::all_of({}), std::invalid_argument);
+  EXPECT_THROW(cs::Condition::any_of({a, nullptr}), std::invalid_argument);
   EXPECT_THROW(cs::Condition::negate(nullptr), std::invalid_argument);
 }
 
@@ -58,23 +94,48 @@ TEST(Condition, CollectsReferences) {
   EXPECT_EQ(demands.begin()->first, "cs1");
 }
 
+namespace {
+
+cs::ConSertNetwork single(cs::ConSert c) {
+  cs::ConSertNetwork net;
+  net.add(std::move(c));
+  return net;
+}
+
+}  // namespace
+
 TEST(ConSert, GuaranteeSelectionByRank) {
   cs::ConSert c("nav");
   c.add_guarantee("strong", 0, cs::Condition::evidence("good"));
   c.add_guarantee("weak", 5, cs::Condition::constant(true));
-  cs::EvaluationContext ctx;
-  EXPECT_EQ(c.best(ctx), "weak");
-  ctx.set_evidence("good", true);
-  EXPECT_EQ(c.best(ctx), "strong");
-  EXPECT_EQ(c.satisfied(ctx).size(), 2u);
+  cs::Plan plan(single(std::move(c)));
+  plan.evaluate();
+  EXPECT_EQ(plan.guarantee_name(0, plan.best(0)), "weak");
+  plan.set_evidence(plan.evidence_id("good"), true);
+  plan.evaluate();
+  EXPECT_EQ(plan.guarantee_name(0, plan.best(0)), "strong");
+  EXPECT_TRUE(plan.granted(0, 0));
+  EXPECT_TRUE(plan.granted(0, 1));
+}
+
+TEST(ConSert, TiedRankPrefersTheGuaranteeDeclaredFirst) {
+  cs::ConSert c("nav");
+  c.add_guarantee("later_rank", 3, cs::Condition::constant(true));
+  c.add_guarantee("first", 2, cs::Condition::constant(true));
+  c.add_guarantee("second", 2, cs::Condition::constant(true));
+  cs::Plan plan(single(std::move(c)));
+  plan.evaluate();
+  EXPECT_EQ(plan.best(0), 1);
+  EXPECT_EQ(plan.guarantee_name(0, 1), "first");
 }
 
 TEST(ConSert, NoGuaranteeSatisfied) {
   cs::ConSert c("x");
   c.add_guarantee("g", 0, cs::Condition::evidence("never"));
-  cs::EvaluationContext ctx;
-  EXPECT_FALSE(c.best(ctx).has_value());
-  EXPECT_TRUE(c.satisfied(ctx).empty());
+  cs::Plan plan(single(std::move(c)));
+  plan.evaluate();
+  EXPECT_EQ(plan.best(0), cs::Plan::kNone);
+  EXPECT_FALSE(plan.granted(0, 0));
 }
 
 TEST(ConSert, Validation) {
@@ -90,42 +151,42 @@ TEST(ConSert, Validation) {
 
 TEST(ConSertNetwork, EvaluatesDependenciesFirst) {
   cs::ConSertNetwork net;
+  cs::ConSert top("a_top");  // sorts before its dependency
+  top.add_guarantee("safe", 0, cs::Condition::demand("leaf", "ok"));
+  net.add(std::move(top));
   cs::ConSert leafc("leaf");
   leafc.add_guarantee("ok", 0, cs::Condition::evidence("sensor_ok"));
   net.add(std::move(leafc));
-  cs::ConSert top("top");
-  top.add_guarantee("safe", 0, cs::Condition::demand("leaf", "ok"));
-  net.add(std::move(top));
 
-  cs::EvaluationContext ctx;
-  ctx.set_evidence("sensor_ok", true);
-  const auto eval = net.evaluate(ctx);
-  EXPECT_TRUE(eval.grants.count({"leaf", "ok"}));
-  EXPECT_TRUE(eval.grants.count({"top", "safe"}));
-  EXPECT_EQ(eval.best.at("top"), "safe");
-  // Dependency order respected.
-  ASSERT_EQ(eval.order.size(), 2u);
-  EXPECT_EQ(eval.order[0], "leaf");
+  cs::Plan plan(net);
+  plan.set_evidence(plan.evidence_id("sensor_ok"), true);
+  plan.evaluate();
+  const std::size_t leaf = plan.consert_id("leaf");
+  const std::size_t safe = plan.consert_id("a_top");
+  EXPECT_EQ(safe, 0u);  // ids follow names, not evaluation order
+  EXPECT_TRUE(plan.granted(leaf, 0));
+  EXPECT_TRUE(plan.granted(safe, 0));
+  EXPECT_EQ(plan.best(safe), 0);
+  EXPECT_EQ(net.evaluation_order(),
+            (std::vector<std::string>{"leaf", "a_top"}));
 }
 
-TEST(ConSertNetwork, UnknownDemandThrows) {
+TEST(ConSertNetwork, UnknownDemandThrowsAtCompile) {
   cs::ConSertNetwork net;
   cs::ConSert top("top");
   top.add_guarantee("g", 0, cs::Condition::demand("ghost", "x"));
   net.add(std::move(top));
-  cs::EvaluationContext ctx;
-  EXPECT_THROW(net.evaluate(ctx), std::runtime_error);
+  EXPECT_THROW(cs::Plan{net}, std::runtime_error);
 }
 
-TEST(ConSertNetwork, CycleDetection) {
+TEST(ConSertNetwork, CycleDetectionAtCompile) {
   cs::ConSertNetwork net;
   cs::ConSert a("a"), b("b");
   a.add_guarantee("ga", 0, cs::Condition::demand("b", "gb"));
   b.add_guarantee("gb", 0, cs::Condition::demand("a", "ga"));
   net.add(std::move(a));
   net.add(std::move(b));
-  cs::EvaluationContext ctx;
-  EXPECT_THROW(net.evaluate(ctx), std::runtime_error);
+  EXPECT_THROW(cs::Plan{net}, std::runtime_error);
 }
 
 TEST(ConSertNetwork, DuplicateNameRejected) {
@@ -136,17 +197,61 @@ TEST(ConSertNetwork, DuplicateNameRejected) {
   EXPECT_THROW(net.at("y"), std::out_of_range);
 }
 
-namespace {
+TEST(ConSertNetwork, EvaluationOrderFollowsAdd) {
+  cs::ConSertNetwork net;
+  cs::ConSert leafc("leaf");
+  leafc.add_guarantee("ok", 0, cs::Condition::evidence("sensor_ok"));
+  net.add(std::move(leafc));
+  ASSERT_EQ(net.evaluation_order().size(), 1u);
 
-/// Evaluates the Fig. 1 network for one UAV under the given evidence.
-cs::UavAction evaluate_uav(const cs::UavEvidence& e) {
+  cs::ConSert top("top");
+  top.add_guarantee("safe", 0, cs::Condition::demand("leaf", "ok"));
+  net.add(std::move(top));
+  EXPECT_EQ(net.evaluation_order(),
+            (std::vector<std::string>{"leaf", "top"}));
+}
+
+TEST(Plan, UnknownNamesThrow) {
   cs::ConSertNetwork net;
   cs::add_uav_conserts(net, "u1");
-  cs::EvaluationContext ctx;
-  cs::apply_evidence(ctx, "u1", e);
-  const auto eval = net.evaluate(ctx);
-  return cs::uav_action(eval, "u1");
+  const cs::Plan plan(net);
+  EXPECT_EQ(plan.consert_count(), 6u);
+  EXPECT_EQ(plan.evidence_count(), cs::kUavEvidenceFields.size());
+  EXPECT_THROW(plan.evidence_id("u2/comm_link_good"), std::out_of_range);
+  EXPECT_THROW(plan.consert_id("u1/ghost"), std::out_of_range);
+  EXPECT_THROW(plan.guarantee_name(0, 7), std::out_of_range);
+  EXPECT_THROW(cs::UavBinding(plan, "u2"), std::out_of_range);
 }
+
+TEST(Plan, EvidenceFlipPropagatesThroughDemands) {
+  // leaf <- mid <- top demand chain: flipping the leaf's evidence must
+  // re-derive the whole chain within one evaluation.
+  cs::ConSertNetwork net;
+  cs::ConSert leafc("leaf");
+  leafc.add_guarantee("ok", 0, cs::Condition::evidence("sensor_ok"));
+  net.add(std::move(leafc));
+  cs::ConSert mid("mid");
+  mid.add_guarantee("ready", 0, cs::Condition::demand("leaf", "ok"));
+  net.add(std::move(mid));
+  cs::ConSert top("top");
+  top.add_guarantee("safe", 0, cs::Condition::demand("mid", "ready"));
+  net.add(std::move(top));
+
+  cs::Plan plan(net);
+  const std::size_t sensor = plan.evidence_id("sensor_ok");
+  plan.set_evidence(sensor, true);
+  plan.evaluate();
+  EXPECT_TRUE(plan.granted(plan.consert_id("top"), 0));
+
+  plan.set_evidence(sensor, false);
+  plan.evaluate();
+  for (const char* name : {"leaf", "mid", "top"}) {
+    EXPECT_FALSE(plan.granted(plan.consert_id(name), 0)) << name;
+    EXPECT_EQ(plan.best(plan.consert_id(name)), cs::Plan::kNone) << name;
+  }
+}
+
+namespace {
 
 cs::UavEvidence nominal_evidence() {
   cs::UavEvidence e;
@@ -157,6 +262,26 @@ cs::UavEvidence nominal_evidence() {
   e.comm_link_good = true;
   e.nearby_uav_available = true;
   e.reliability_high = true;
+  return e;
+}
+
+/// Evaluates the Fig. 1 network for one UAV under the given evidence.
+cs::UavAction evaluate_uav(const cs::UavEvidence& e) {
+  cs::ConSertNetwork net;
+  cs::add_uav_conserts(net, "u1");
+  cs::Plan plan(net);
+  const cs::UavBinding u1(plan, "u1");
+  u1.apply(plan, e);
+  plan.evaluate();
+  return u1.action(plan);
+}
+
+/// Evidence from the low bits of `mask`, one bit per field.
+cs::UavEvidence evidence_of_mask(std::uint64_t mask) {
+  cs::UavEvidence e;
+  for (std::size_t f = 0; f < cs::kUavEvidenceFields.size(); ++f) {
+    e.*cs::kUavEvidenceFields[f].flag = (mask >> f) & 1u;
+  }
   return e;
 }
 
@@ -213,17 +338,38 @@ TEST(UavNetwork, ThreeUavNetworkEvaluates) {
     cs::add_uav_conserts(net, name);
   }
   EXPECT_EQ(net.size(), 18u);
-  cs::EvaluationContext ctx;
-  cs::apply_evidence(ctx, "u1", nominal_evidence());
+  cs::Plan plan(net);
+  const cs::UavBinding u1(plan, "u1"), u2(plan, "u2"), u3(plan, "u3");
+  u1.apply(plan, nominal_evidence());
   auto degraded = nominal_evidence();
   degraded.reliability_high = false;
   degraded.reliability_low = true;
-  cs::apply_evidence(ctx, "u2", degraded);
-  cs::apply_evidence(ctx, "u3", cs::UavEvidence{});
-  const auto eval = net.evaluate(ctx);
-  EXPECT_EQ(cs::uav_action(eval, "u1"), cs::UavAction::kContinueExtended);
-  EXPECT_EQ(cs::uav_action(eval, "u2"), cs::UavAction::kHold);
-  EXPECT_EQ(cs::uav_action(eval, "u3"), cs::UavAction::kEmergencyLand);
+  u2.apply(plan, degraded);
+  u3.apply(plan, cs::UavEvidence{});
+  plan.evaluate();
+  EXPECT_EQ(u1.action(plan), cs::UavAction::kContinueExtended);
+  EXPECT_EQ(u2.action(plan), cs::UavAction::kHold);
+  EXPECT_EQ(u3.action(plan), cs::UavAction::kEmergencyLand);
+}
+
+TEST(UavNetwork, TickAllocatesNothing) {
+  cs::ConSertNetwork net;
+  for (const auto* name : {"u1", "u2", "u3"}) cs::add_uav_conserts(net, name);
+  cs::Plan plan(net);
+  const std::vector<cs::UavBinding> uavs{{plan, "u1"}, {plan, "u2"},
+                                         {plan, "u3"}};
+  plan.evaluate();
+  const std::size_t before = g_allocations.load();
+  std::size_t continuing = 0;
+  for (std::uint64_t mask = 0; mask < 512; ++mask) {
+    for (const auto& u : uavs) u.apply(plan, evidence_of_mask(mask));
+    plan.evaluate();
+    for (const auto& u : uavs) {
+      continuing += u.action(plan) == cs::UavAction::kContinue;
+    }
+  }
+  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_GT(continuing, 0u);
 }
 
 TEST(MissionDecider, AllContinuingCompletesAsPlanned) {
@@ -266,23 +412,22 @@ TEST(ActionNames, Distinct) {
 TEST(ExplainGuarantee, ListsMissingEvidenceAndDemands) {
   cs::ConSertNetwork net;
   cs::add_uav_conserts(net, "u1");
+  cs::Plan plan(net);
   auto e = nominal_evidence();
   e.gps_quality_good = false;       // breaks the GPS localization guarantee
   e.no_security_attack = false;
-  cs::EvaluationContext ctx;
-  cs::apply_evidence(ctx, "u1", e);
-  net.evaluate(ctx);  // populate grants
+  cs::UavBinding(plan, "u1").apply(plan, e);
+  plan.evaluate();  // populate grants
 
   const auto names = cs::uav_consert_names("u1");
-  const auto gps_expl = cs::explain_guarantee(
-      net.at(names.gps_localization), g::kGpsAccurate, ctx);
+  const auto gps_expl = plan.explain(names.gps_localization, g::kGpsAccurate);
   EXPECT_FALSE(gps_expl.satisfied);
   ASSERT_EQ(gps_expl.missing_evidence.size(), 2u);
+  EXPECT_EQ(gps_expl.missing_evidence[0], "u1/gps_quality_good");
   EXPECT_TRUE(gps_expl.missing_demands.empty());
 
   // The navigation high-performance guarantee fails through its demand.
-  const auto nav_expl = cs::explain_guarantee(
-      net.at(names.navigation), g::kNavHighPerformance, ctx);
+  const auto nav_expl = plan.explain(names.navigation, g::kNavHighPerformance);
   EXPECT_FALSE(nav_expl.satisfied);
   ASSERT_EQ(nav_expl.missing_demands.size(), 1u);
   EXPECT_EQ(nav_expl.missing_demands[0].first, names.gps_localization);
@@ -291,12 +436,11 @@ TEST(ExplainGuarantee, ListsMissingEvidenceAndDemands) {
 TEST(ExplainGuarantee, SatisfiedGuaranteeHasNothingMissing) {
   cs::ConSertNetwork net;
   cs::add_uav_conserts(net, "u1");
-  cs::EvaluationContext ctx;
-  cs::apply_evidence(ctx, "u1", nominal_evidence());
-  net.evaluate(ctx);
+  cs::Plan plan(net);
+  cs::UavBinding(plan, "u1").apply(plan, nominal_evidence());
+  plan.evaluate();
   const auto names = cs::uav_consert_names("u1");
-  const auto expl = cs::explain_guarantee(net.at(names.uav),
-                                          g::kContinueExtended, ctx);
+  const auto expl = plan.explain(names.uav, g::kContinueExtended);
   EXPECT_TRUE(expl.satisfied);
   EXPECT_TRUE(expl.missing_evidence.empty());
   EXPECT_TRUE(expl.missing_demands.empty());
@@ -305,21 +449,24 @@ TEST(ExplainGuarantee, SatisfiedGuaranteeHasNothingMissing) {
 TEST(ExplainGuarantee, UnknownGuaranteeThrows) {
   cs::ConSert c("x");
   c.add_guarantee("g", 0, cs::Condition::constant(true));
-  cs::EvaluationContext ctx;
-  EXPECT_THROW(cs::explain_guarantee(c, "nope", ctx), std::invalid_argument);
+  const cs::ConSertNetwork net = single(c);
+  const cs::Plan plan(net);
+  EXPECT_THROW(plan.explain("x", "nope"), std::invalid_argument);
+  EXPECT_THROW(plan.explain("y", "g"), std::invalid_argument);
+  oracle::EvaluationContext ctx;
+  EXPECT_THROW(oracle::explain_guarantee(c, "nope", ctx),
+               std::invalid_argument);
 }
-
-#include "sesame/conserts/assurance_trace.hpp"
 
 TEST(AssuranceTrace, RecordsGuaranteeTransitions) {
   cs::ConSertNetwork net;
   cs::add_uav_conserts(net, "u1");
-  cs::AssuranceTrace trace(net);
+  cs::AssuranceTrace trace{cs::Plan(net)};
+  const cs::UavBinding u1(trace.plan(), "u1");
 
   auto evaluate_with = [&](const cs::UavEvidence& e, double t) {
-    cs::EvaluationContext ctx;
-    cs::apply_evidence(ctx, "u1", e);
-    trace.evaluate(ctx, t);
+    u1.apply(trace.plan(), e);
+    trace.evaluate(t);
   };
 
   evaluate_with(nominal_evidence(), 0.0);
@@ -338,19 +485,19 @@ TEST(AssuranceTrace, RecordsGuaranteeTransitions) {
   EXPECT_DOUBLE_EQ(uav_transitions[1].time_s, 10.0);
   EXPECT_EQ(uav_transitions[1].to, g::kContinue);
   EXPECT_EQ(trace.current(names.uav), g::kContinue);
+  EXPECT_EQ(trace.current("u9/uav"), "");
   EXPECT_EQ(trace.evaluations(), 3u);
 }
 
 TEST(AssuranceTrace, LossOfAllGuaranteesRecordedAsEmpty) {
   cs::ConSertNetwork net;
   cs::add_uav_conserts(net, "u1");
-  cs::AssuranceTrace trace(net);
-  cs::EvaluationContext ctx;
-  cs::apply_evidence(ctx, "u1", nominal_evidence());
-  trace.evaluate(ctx, 0.0);
-  cs::EvaluationContext empty_ctx;
-  cs::apply_evidence(empty_ctx, "u1", cs::UavEvidence{});
-  trace.evaluate(empty_ctx, 1.0);
+  cs::AssuranceTrace trace{cs::Plan(net)};
+  const cs::UavBinding u1(trace.plan(), "u1");
+  u1.apply(trace.plan(), nominal_evidence());
+  trace.evaluate(0.0);
+  u1.apply(trace.plan(), cs::UavEvidence{});
+  trace.evaluate(1.0);
   const auto names = cs::uav_consert_names("u1");
   EXPECT_EQ(trace.current(names.uav), "");
   const auto ts = trace.transitions_of(names.uav);
@@ -360,183 +507,228 @@ TEST(AssuranceTrace, LossOfAllGuaranteesRecordedAsEmpty) {
   trace.clear();
   EXPECT_TRUE(trace.transitions().empty());
   EXPECT_EQ(trace.evaluations(), 0u);
+  EXPECT_EQ(trace.current(names.uav), "");
 }
 
-#include "sesame/conserts/evaluation_cache.hpp"
+// ---------------------------------------------------------------------------
+// Differential tests: the compiled plan against the reference interpreter.
+// ---------------------------------------------------------------------------
 
 namespace {
 
-/// Helper: evaluation results must agree field-by-field.
-void expect_same_evaluation(const cs::NetworkEvaluation& a,
-                            const cs::NetworkEvaluation& b) {
-  EXPECT_EQ(a.grants, b.grants);
-  EXPECT_EQ(a.best, b.best);
-  EXPECT_EQ(a.order, b.order);
+/// Plan and oracle agree on every granted bit, every best guarantee and
+/// every explanation; the oracle context must hold the same evidence as
+/// the plan and have been evaluated.
+void expect_plan_matches_oracle(const cs::ConSertNetwork& net,
+                                const cs::Plan& plan,
+                                const oracle::EvaluationContext& ctx,
+                                const oracle::NetworkEvaluation& eval,
+                                bool explain) {
+  ASSERT_EQ(plan.consert_count(), net.size());
+  for (std::size_t c = 0; c < plan.consert_count(); ++c) {
+    const std::string& name = plan.consert_name(c);
+    const cs::ConSert& consert = net.at(name);
+    ASSERT_EQ(plan.guarantee_count(c), consert.guarantees().size());
+    for (std::size_t i = 0; i < plan.guarantee_count(c); ++i) {
+      const std::string& guarantee = consert.guarantees()[i].name;
+      ASSERT_EQ(plan.guarantee_name(c, i), guarantee);
+      ASSERT_EQ(plan.granted(c, i), eval.grants.count({name, guarantee}) > 0)
+          << name << " / " << guarantee;
+      if (!explain) continue;
+      const auto want = oracle::explain_guarantee(consert, guarantee, ctx);
+      const auto got = plan.explain(name, guarantee);
+      ASSERT_EQ(got.consert, want.consert);
+      ASSERT_EQ(got.guarantee, want.guarantee);
+      ASSERT_EQ(got.satisfied, want.satisfied) << name << " / " << guarantee;
+      ASSERT_EQ(got.missing_evidence, want.missing_evidence);
+      ASSERT_EQ(got.missing_demands, want.missing_demands);
+    }
+    const auto it = eval.best.find(name);
+    if (it == eval.best.end()) {
+      ASSERT_EQ(plan.best(c), cs::Plan::kNone) << name;
+    } else {
+      ASSERT_NE(plan.best(c), cs::Plan::kNone) << name;
+      ASSERT_EQ(plan.guarantee_name(c, plan.best(c)), it->second) << name;
+    }
+  }
+}
+
+void expect_same_transitions(const std::vector<cs::GuaranteeTransition>& a,
+                             const std::vector<cs::GuaranteeTransition>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].time_s, b[i].time_s) << i;
+    EXPECT_EQ(a[i].consert, b[i].consert) << i;
+    EXPECT_EQ(a[i].from, b[i].from) << i;
+    EXPECT_EQ(a[i].to, b[i].to) << i;
+  }
+}
+
+/// Sets every evidence id of the plan from `mask` (bit i -> id i) in both
+/// the plan and the oracle context.
+void set_all_evidence(cs::Plan& plan, oracle::EvaluationContext& ctx,
+                      std::uint64_t mask) {
+  for (std::size_t id = 0; id < plan.evidence_count(); ++id) {
+    const bool v = (mask >> id) & 1u;
+    plan.set_evidence(id, v);
+    ctx.set_evidence(plan.evidence_name(id), v);
+  }
+}
+
+/// A fleet network driven by seeded random evidence, evaluated `steps`
+/// times through an AssuranceTrace and the oracle's trace.
+void check_seeded_fleet(std::size_t n_uavs, std::uint64_t seed,
+                        std::size_t steps) {
+  cs::ConSertNetwork net;
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < n_uavs; ++i) {
+    names.push_back("uav" + std::to_string(i + 1));
+    cs::add_uav_conserts(net, names.back());
+  }
+  cs::AssuranceTrace trace{cs::Plan(net)};
+  oracle::Trace oracle_trace(net);
+  std::vector<cs::UavBinding> uavs;
+  for (const auto& name : names) uavs.emplace_back(trace.plan(), name);
+
+  sesame::mathx::Rng rng(seed);
+  std::vector<std::uint64_t> masks(n_uavs, 0);
+  std::size_t actions_seen[5] = {0, 0, 0, 0, 0};
+  for (std::size_t step = 0; step < steps; ++step) {
+    // Most steps flip a few flags of a few vehicles; some redraw a vehicle
+    // completely, so the sequence visits steady and jumpy stretches.
+    for (std::size_t i = 0; i < n_uavs; ++i) {
+      if (rng.bernoulli(0.1)) {
+        masks[i] = rng.uniform_index(512);
+      } else if (rng.bernoulli(0.3)) {
+        masks[i] ^= std::uint64_t{1} << rng.uniform_index(9);
+      }
+    }
+    oracle::EvaluationContext ctx;
+    for (std::size_t i = 0; i < n_uavs; ++i) {
+      const cs::UavEvidence e = evidence_of_mask(masks[i]);
+      uavs[i].apply(trace.plan(), e);
+      oracle::apply_evidence(ctx, names[i], e);
+    }
+    const double t = 5.0 * static_cast<double>(step);
+    trace.evaluate(t);
+    const auto eval = oracle_trace.evaluate(ctx, t);
+    expect_plan_matches_oracle(net, trace.plan(), ctx, eval,
+                               /*explain=*/step % 16 == 0);
+    for (std::size_t i = 0; i < n_uavs; ++i) {
+      const cs::UavAction action = uavs[i].action(trace.plan());
+      ASSERT_EQ(action, oracle::uav_action(eval, names[i]));
+      ++actions_seen[static_cast<int>(action)];
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  expect_same_transitions(trace.transitions(), oracle_trace.transitions());
+  EXPECT_GT(trace.transitions().size(), steps);
+  for (const std::size_t seen : actions_seen) EXPECT_GT(seen, 0u);
 }
 
 }  // namespace
 
-TEST(ConSertNetwork, EvaluationOrderIsCachedAndInvalidatedByAdd) {
-  cs::ConSertNetwork net;
-  cs::ConSert leafc("leaf");
-  leafc.add_guarantee("ok", 0, cs::Condition::evidence("sensor_ok"));
-  net.add(std::move(leafc));
-  const auto& order1 = net.evaluation_order();
-  ASSERT_EQ(order1.size(), 1u);
-  // Same object on repeated calls (cache, not a fresh vector).
-  EXPECT_EQ(&net.evaluation_order(), &order1);
-
-  cs::ConSert top("top");
-  top.add_guarantee("safe", 0, cs::Condition::demand("leaf", "ok"));
-  net.add(std::move(top));
-  const auto& order2 = net.evaluation_order();
-  ASSERT_EQ(order2.size(), 2u);
-  EXPECT_EQ(order2[0], "leaf");
-  EXPECT_EQ(order2[1], "top");
-}
-
-TEST(CachedNetworkEvaluator, MatchesUncachedAcrossEvidenceSweep) {
-  // The real Fig. 1 network: every evidence combination toggled one at a
-  // time must produce identical grants/best/order through the cache.
+TEST(PlanOracle, EveryEvidenceMaskOfOneUav) {
   cs::ConSertNetwork net;
   cs::add_uav_conserts(net, "u1");
-  cs::CachedNetworkEvaluator cached(net);
-
-  std::vector<cs::UavEvidence> cases;
-  cases.push_back(nominal_evidence());
-  cases.push_back(cs::UavEvidence{});
-  for (int bit = 0; bit < 6; ++bit) {
-    auto e = nominal_evidence();
-    switch (bit) {
-      case 0: e.gps_quality_good = false; break;
-      case 1: e.no_security_attack = false; break;
-      case 2: e.vision_sensor_healthy = false; break;
-      case 3: e.safeml_confidence_high = false; break;
-      case 4: e.comm_link_good = false; break;
-      case 5:
-        e.reliability_high = false;
-        e.reliability_low = true;
-        break;
-    }
-    cases.push_back(e);
+  cs::Plan plan(net);
+  ASSERT_EQ(plan.evidence_count(), 9u);
+  for (std::uint64_t mask = 0; mask < 512; ++mask) {
+    oracle::EvaluationContext ctx;
+    set_all_evidence(plan, ctx, mask);
+    plan.evaluate();
+    const auto eval = oracle::evaluate(net, ctx);
+    expect_plan_matches_oracle(net, plan, ctx, eval, /*explain=*/true);
+    if (::testing::Test::HasFatalFailure()) return;
   }
-  // Revisit earlier cases so the cache sees both hits and evidence flips.
-  cases.push_back(nominal_evidence());
-  cases.push_back(cases[3]);
+}
 
-  for (const auto& e : cases) {
-    cs::EvaluationContext ctx_cached, ctx_plain;
-    cs::apply_evidence(ctx_cached, "u1", e);
-    cs::apply_evidence(ctx_plain, "u1", e);
-    expect_same_evaluation(cached.evaluate(ctx_cached),
-                           net.evaluate(ctx_plain));
+TEST(PlanOracle, SeededThreeUavSequence) { check_seeded_fleet(3, 21, 400); }
+
+TEST(PlanOracle, SeededSixteenUavSequence) { check_seeded_fleet(16, 7919, 120); }
+
+TEST(PlanOracle, HandBuiltNetworksWithConstantAndNegate) {
+  // Constants, negation, nested gates, repeated operands, a demand on a
+  // guarantee the demanded ConSert does not declare, and tied ranks.
+  using C = cs::Condition;
+  cs::ConSertNetwork net;
+  cs::ConSert base("base");
+  base.add_guarantee("always", 4, C::constant(true));
+  base.add_guarantee("never", 0, C::constant(false));
+  base.add_guarantee("a_not_b", 1,
+                     C::all_of({C::evidence("a"), C::negate(C::evidence("b"))}));
+  base.add_guarantee("tie_first", 2, C::any_of({C::evidence("c"),
+                                                C::evidence("c")}));
+  base.add_guarantee("tie_second", 2, C::evidence("d"));
+  net.add(std::move(base));
+  cs::ConSert gate("gate");
+  gate.add_guarantee(
+      "deep", 0,
+      C::any_of({C::all_of({C::demand("base", "a_not_b"),
+                            C::negate(C::any_of({C::evidence("e"),
+                                                 C::demand("base", "never")}))}),
+                 C::all_of({C::demand("base", "tie_second"), C::evidence("a"),
+                            C::evidence("b"), C::evidence("c")})}));
+  gate.add_guarantee("phantom", 1, C::demand("base", "undeclared"));
+  gate.add_guarantee("not_phantom", 2,
+                     C::negate(C::demand("base", "undeclared")));
+  gate.add_guarantee("fallback", 3, C::negate(C::constant(false)));
+  net.add(std::move(gate));
+  cs::ConSert top("top");
+  top.add_guarantee("ok", 0, C::all_of({C::demand("gate", "deep"),
+                                        C::negate(C::evidence("e"))}));
+  top.add_guarantee("degraded", 1, C::negate(C::demand("gate", "deep")));
+  net.add(std::move(top));
+
+  cs::Plan plan(net);
+  ASSERT_EQ(plan.evidence_count(), 5u);
+  std::set<std::string> bests;
+  for (std::uint64_t mask = 0; mask < 32; ++mask) {
+    oracle::EvaluationContext ctx;
+    set_all_evidence(plan, ctx, mask);
+    plan.evaluate();
+    const auto eval = oracle::evaluate(net, ctx);
+    expect_plan_matches_oracle(net, plan, ctx, eval, /*explain=*/true);
+    if (::testing::Test::HasFatalFailure()) return;
+    for (const auto& [consert, best] : eval.best) bests.insert(consert + "/" + best);
   }
-  EXPECT_GT(cached.hits(), 0u);
-  EXPECT_GT(cached.misses(), 0u);
+  // Not vacuous: both tie candidates, the negated phantom and both top
+  // outcomes were each the best at some mask.
+  for (const char* b : {"base/tie_first", "base/a_not_b", "gate/deep",
+                        "gate/not_phantom", "top/ok", "top/degraded"}) {
+    EXPECT_TRUE(bests.count(b)) << b;
+  }
+  const auto phantom = plan.explain("gate", "phantom");
+  ASSERT_EQ(phantom.missing_demands.size(), 1u);
+  EXPECT_EQ(phantom.missing_demands[0].second, "undeclared");
 }
 
-TEST(CachedNetworkEvaluator, UnchangedFootprintIsAllHits) {
+TEST(AssuranceTrace, MatchesTheOracleTrace) {
+  // A hand-written timeline with steady stretches and reversals.
   cs::ConSertNetwork net;
   cs::add_uav_conserts(net, "u1");
-  cs::CachedNetworkEvaluator cached(net);
-
-  cs::EvaluationContext ctx;
-  cs::apply_evidence(ctx, "u1", nominal_evidence());
-  (void)cached.evaluate(ctx);
-  EXPECT_EQ(cached.hits(), 0u);
-  EXPECT_EQ(cached.misses(), net.size());
-
-  // Same evidence again: every ConSert replays its cached result.
-  const auto again = cached.evaluate(ctx);
-  EXPECT_EQ(cached.hits(), net.size());
-  EXPECT_EQ(cached.misses(), net.size());
-  EXPECT_FALSE(again.best.empty());
-}
-
-TEST(CachedNetworkEvaluator, EvidenceFlipPropagatesThroughDemands) {
-  // leaf <- mid <- top demand chain: flipping the leaf's evidence must
-  // re-derive the whole chain (the demand grants are part of each node's
-  // input footprint).
-  cs::ConSertNetwork net;
-  cs::ConSert leafc("leaf");
-  leafc.add_guarantee("ok", 0, cs::Condition::evidence("sensor_ok"));
-  net.add(std::move(leafc));
-  cs::ConSert mid("mid");
-  mid.add_guarantee("ready", 0, cs::Condition::demand("leaf", "ok"));
-  net.add(std::move(mid));
-  cs::ConSert top("top");
-  top.add_guarantee("safe", 0, cs::Condition::demand("mid", "ready"));
-  net.add(std::move(top));
-
-  cs::CachedNetworkEvaluator cached(net);
-  cs::EvaluationContext ctx;
-  ctx.set_evidence("sensor_ok", true);
-  auto eval = cached.evaluate(ctx);
-  EXPECT_TRUE(eval.grants.count({"top", "safe"}));
-
-  ctx.set_evidence("sensor_ok", false);
-  eval = cached.evaluate(ctx);
-  EXPECT_FALSE(eval.grants.count({"leaf", "ok"}));
-  EXPECT_FALSE(eval.grants.count({"mid", "ready"}));
-  EXPECT_FALSE(eval.grants.count({"top", "safe"}));
-  EXPECT_TRUE(eval.best.empty());
-}
-
-TEST(CachedNetworkEvaluator, InvalidateRebuildsAfterNetworkGrowth) {
-  cs::ConSertNetwork net;
-  cs::ConSert leafc("leaf");
-  leafc.add_guarantee("ok", 0, cs::Condition::evidence("sensor_ok"));
-  net.add(std::move(leafc));
-  cs::CachedNetworkEvaluator cached(net);
-
-  cs::EvaluationContext ctx;
-  ctx.set_evidence("sensor_ok", true);
-  (void)cached.evaluate(ctx);
-
-  cs::ConSert top("top");
-  top.add_guarantee("safe", 0, cs::Condition::demand("leaf", "ok"));
-  net.add(std::move(top));
-  cached.invalidate();
-
-  const auto eval = cached.evaluate(ctx);
-  ASSERT_EQ(eval.order.size(), 2u);
-  EXPECT_TRUE(eval.grants.count({"top", "safe"}));
-}
-
-TEST(AssuranceTrace, CachedAndUncachedTracesAgree) {
-  cs::ConSertNetwork net;
-  cs::add_uav_conserts(net, "u1");
-  cs::AssuranceTrace cached_trace(net, /*cache_evaluations=*/true);
-  cs::AssuranceTrace plain_trace(net, /*cache_evaluations=*/false);
+  cs::AssuranceTrace trace{cs::Plan(net)};
+  oracle::Trace oracle_trace(net);
+  const cs::UavBinding u1(trace.plan(), "u1");
 
   auto degraded = nominal_evidence();
   degraded.reliability_high = false;
   degraded.reliability_low = true;
   const std::vector<cs::UavEvidence> timeline{
       nominal_evidence(), nominal_evidence(), degraded, degraded,
-      nominal_evidence()};
+      nominal_evidence(), cs::UavEvidence{}, nominal_evidence()};
 
   double t = 0.0;
   for (const auto& e : timeline) {
-    cs::EvaluationContext ctx_a, ctx_b;
-    cs::apply_evidence(ctx_a, "u1", e);
-    cs::apply_evidence(ctx_b, "u1", e);
-    expect_same_evaluation(cached_trace.evaluate(ctx_a, t),
-                           plain_trace.evaluate(ctx_b, t));
+    oracle::EvaluationContext ctx;
+    oracle::apply_evidence(ctx, "u1", e);
+    u1.apply(trace.plan(), e);
+    trace.evaluate(t);
+    const auto eval = oracle_trace.evaluate(ctx, t);
+    expect_plan_matches_oracle(net, trace.plan(), ctx, eval,
+                               /*explain=*/false);
     t += 5.0;
   }
-
-  ASSERT_EQ(cached_trace.transitions().size(), plain_trace.transitions().size());
-  for (std::size_t i = 0; i < cached_trace.transitions().size(); ++i) {
-    const auto& a = cached_trace.transitions()[i];
-    const auto& b = plain_trace.transitions()[i];
-    EXPECT_EQ(a.time_s, b.time_s);
-    EXPECT_EQ(a.consert, b.consert);
-    EXPECT_EQ(a.from, b.from);
-    EXPECT_EQ(a.to, b.to);
-  }
-  // The repeated-evidence steps hit the cache; the uncached trace reports 0.
-  EXPECT_GT(cached_trace.cache_hits(), 0u);
-  EXPECT_EQ(plain_trace.cache_hits(), 0u);
-  EXPECT_EQ(plain_trace.cache_misses(), 0u);
+  expect_same_transitions(trace.transitions(), oracle_trace.transitions());
+  EXPECT_EQ(trace.evaluations(), timeline.size());
 }

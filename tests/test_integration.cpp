@@ -100,11 +100,13 @@ TEST(EddiConsertPipeline, ReliabilityDegradationWalksActionLattice) {
 
   conserts::ConSertNetwork net;
   conserts::add_uav_conserts(net, "u");
+  conserts::Plan plan(net);
+  const conserts::UavBinding u(plan, "u");
 
   auto evaluate = [&] {
-    conserts::EvaluationContext ctx;
-    conserts::apply_evidence(ctx, "u", uav_eddi.consert_evidence());
-    return conserts::uav_action(net.evaluate(ctx), "u");
+    u.apply(plan, uav_eddi.consert_evidence());
+    plan.evaluate();
+    return u.action(plan);
   };
 
   eddi::EddiInputs in;
@@ -243,13 +245,14 @@ TEST(PerceptionPipeline, AltitudeShiftFlipsVisionGuarantee) {
 
   conserts::ConSertNetwork net;
   conserts::add_uav_conserts(net, "u");
+  conserts::Plan plan(net);
+  const conserts::UavBinding u(plan, "u");
+  const std::size_t vision =
+      plan.consert_id(conserts::uav_consert_names("u").vision_localization);
   auto vision_granted = [&] {
-    conserts::EvaluationContext ctx;
-    conserts::apply_evidence(ctx, "u", e.consert_evidence());
-    const auto eval = net.evaluate(ctx);
-    return eval.grants.count(
-               {conserts::uav_consert_names("u").vision_localization,
-                conserts::guarantees::kVisionAvailable}) > 0;
+    u.apply(plan, e.consert_evidence());
+    plan.evaluate();
+    return plan.granted(vision, 0);
   };
 
   eddi::EddiInputs in;
@@ -350,10 +353,11 @@ TEST(JammingPipeline, WatchdogTreeAndConsertFallback) {
   e.nearby_uav_available = true;
   e.vision_sensor_healthy = true;
   e.reliability_high = true;
-  conserts::EvaluationContext ctx;
-  conserts::apply_evidence(ctx, "victim", e);
-  EXPECT_EQ(conserts::uav_action(net.evaluate(ctx), "victim"),
-            conserts::UavAction::kContinue);
+  conserts::Plan plan(net);
+  const conserts::UavBinding binding(plan, "victim");
+  binding.apply(plan, e);
+  plan.evaluate();
+  EXPECT_EQ(binding.action(plan), conserts::UavAction::kContinue);
 
   // And the mitigation text points at collaborative localization.
   ASSERT_FALSE(jam_eddi.tree().mitigations().empty());

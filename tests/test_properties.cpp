@@ -402,6 +402,9 @@ TEST_P(ConsertEvidenceProperty, AddingEvidenceNeverRemovesGrants) {
   // monotone: no negations in the Fig. 1 network).
   conserts::ConSertNetwork net;
   conserts::add_uav_conserts(net, "u");
+  conserts::Plan base(net);
+  conserts::Plan more(net);
+  const conserts::UavBinding u(base, "u");
 
   const unsigned mask = GetParam();
   auto evidence_of = [](unsigned m) {
@@ -416,18 +419,21 @@ TEST_P(ConsertEvidenceProperty, AddingEvidenceNeverRemovesGrants) {
     return e;
   };
 
-  conserts::EvaluationContext base_ctx;
-  conserts::apply_evidence(base_ctx, "u", evidence_of(mask));
-  const auto base = net.evaluate(base_ctx);
+  u.apply(base, evidence_of(mask));
+  base.evaluate();
 
   for (unsigned bit = 0; bit < 7; ++bit) {
     const unsigned super = mask | (1u << bit);
-    conserts::EvaluationContext ctx;
-    conserts::apply_evidence(ctx, "u", evidence_of(super));
-    const auto more = net.evaluate(ctx);
-    for (const auto& grant : base.grants) {
-      EXPECT_TRUE(more.grants.count(grant))
-          << "grant lost when adding evidence bit " << bit;
+    u.apply(more, evidence_of(super));
+    more.evaluate();
+    for (std::size_t c = 0; c < base.consert_count(); ++c) {
+      for (std::size_t g = 0; g < base.guarantee_count(c); ++g) {
+        if (!base.granted(c, g)) continue;
+        EXPECT_TRUE(more.granted(c, g))
+            << "grant " << base.consert_name(c) << "/"
+            << base.guarantee_name(c, g) << " lost when adding evidence bit "
+            << bit;
+      }
     }
   }
 }
@@ -435,16 +441,29 @@ TEST_P(ConsertEvidenceProperty, AddingEvidenceNeverRemovesGrants) {
 TEST_P(ConsertEvidenceProperty, EvaluationIsDeterministic) {
   conserts::ConSertNetwork net;
   conserts::add_uav_conserts(net, "u");
+  conserts::Plan plan(net);
   conserts::UavEvidence e;
   e.gps_quality_good = GetParam() & 1u;
   e.no_security_attack = GetParam() & 2u;
   e.reliability_high = GetParam() & 64u;
-  conserts::EvaluationContext ctx;
-  conserts::apply_evidence(ctx, "u", e);
-  const auto a = net.evaluate(ctx);
-  const auto b = net.evaluate(ctx);
-  EXPECT_EQ(a.grants, b.grants);
-  EXPECT_EQ(a.best, b.best);
+  conserts::UavBinding(plan, "u").apply(plan, e);
+  plan.evaluate();
+  std::vector<bool> granted;
+  std::vector<int> best;
+  for (std::size_t c = 0; c < plan.consert_count(); ++c) {
+    best.push_back(plan.best(c));
+    for (std::size_t g = 0; g < plan.guarantee_count(c); ++g) {
+      granted.push_back(plan.granted(c, g));
+    }
+  }
+  plan.evaluate();
+  std::size_t k = 0;
+  for (std::size_t c = 0; c < plan.consert_count(); ++c) {
+    EXPECT_EQ(plan.best(c), best[c]);
+    for (std::size_t g = 0; g < plan.guarantee_count(c); ++g) {
+      EXPECT_EQ(plan.granted(c, g), granted[k++]);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(EvidenceMasks, ConsertEvidenceProperty,

@@ -10,8 +10,14 @@
 //
 // The ConfigPins cases pin the scenario-config JSON bytes and the service
 // cache digest derived from them.
+//
+// The TracePins cases pin what campaign reports leave out: one run's
+// ConSert assurance trace (its ODE document) and its per-vehicle series
+// CSV, so a change to ConSert evaluation cannot hide behind the report
+// aggregates.
 #include <cstdint>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,8 +26,10 @@
 
 #include "sesame/campaign/campaign.hpp"
 #include "sesame/campaign/report.hpp"
+#include "sesame/eddi/consert_ode.hpp"
 #include "sesame/mw/fault_plan.hpp"
 #include "sesame/platform/config_io.hpp"
+#include "sesame/platform/report.hpp"
 #include "sesame/sim/failure_schedule.hpp"
 #include "sesame/service/submission.hpp"
 
@@ -212,4 +220,60 @@ TEST(ConfigPins, SubmissionDigestPerPreset) {
     s.seed = 2026;
     EXPECT_EQ(hex(sesame::service::resolve(s).digest), hex(digest)) << preset;
   }
+}
+
+// One run per SESAME preset: the assurance-trace ODE bytes and the series
+// CSV bytes. Recorded before ConSert evaluation moved to a compiled plan.
+// The default 300 m sweep ends at about t=267 s, so the battery fault is
+// moved to t=80 s to land inside the mission, and the chaos and lossy
+// cases take the run index whose trace differs from the nominal one.
+
+namespace {
+
+struct TracePin {
+  std::uint64_t trace;
+  std::uint64_t series;
+};
+
+void expect_trace_pinned(const campaign::ScenarioFactory& factory,
+                         std::uint64_t run_index, TracePin pin) {
+  const platform::RunnerResult result =
+      factory.make_runner(2026, run_index)->run();
+  EXPECT_FALSE(result.assurance_trace.empty());
+  const std::string trace =
+      sesame::eddi::assurance_trace_to_ode(result.assurance_trace).to_json();
+  std::ostringstream series;
+  platform::write_series_csv(result, series);
+  EXPECT_EQ(hex(sesame::service::fnv1a64(trace)), hex(pin.trace));
+  EXPECT_EQ(hex(sesame::service::fnv1a64(series.str())), hex(pin.series));
+}
+
+}  // namespace
+
+TEST(TracePins, Nominal) {
+  expect_trace_pinned(campaign::ScenarioFactory::preset("nominal"), 0,
+                      {0x3c27fb3d5b18ea66ULL, 0xb5f474e3c2ee9a38ULL});
+}
+
+TEST(TracePins, BatteryFault) {
+  auto factory = campaign::ScenarioFactory::preset("battery_fault");
+  factory.base().battery_fault->time_s = 80.0;
+  expect_trace_pinned(factory, 0,
+                      {0x4ec0eb597e323997ULL, 0x5751c214a333db60ULL});
+}
+
+TEST(TracePins, Spoofing) {
+  expect_trace_pinned(campaign::ScenarioFactory::preset("spoofing"), 0,
+                      {0x0ce4522b3845a520ULL, 0x659202f584020f71ULL});
+}
+
+TEST(TracePins, SpoofingLossy) {
+  expect_trace_pinned(campaign::ScenarioFactory::preset("spoofing_lossy"), 1,
+                      {0x0451698d139b1583ULL, 0xbc8032c0b6d396e7ULL});
+}
+
+TEST(TracePins, Chaos) {
+  // Run 1 loses a vehicle and re-plans its waypoints.
+  expect_trace_pinned(campaign::ScenarioFactory::preset("chaos"), 1,
+                      {0x1e5dde63b7b5571dULL, 0xf2d3dac0dff30994ULL});
 }
