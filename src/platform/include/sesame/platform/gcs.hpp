@@ -4,7 +4,8 @@
 // logs operationally relevant events (mode transitions, low-battery
 // warnings, security events), and renders the textual status view the
 // web/control GUIs display. Pure consumer — it commands nothing itself;
-// task assignment goes through the UAV/Task managers.
+// vehicle commands go through apply_action, and task assignment through
+// the coverage plan and SarMission hand-overs.
 #pragma once
 
 #include <map>

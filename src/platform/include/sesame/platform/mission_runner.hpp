@@ -31,7 +31,6 @@
 #include "sesame/localization/collaborative.hpp"
 #include "sesame/platform/database.hpp"
 #include "sesame/platform/invariants.hpp"
-#include "sesame/platform/managers.hpp"
 #include "sesame/platform/recovery.hpp"
 #include "sesame/sar/mission.hpp"
 #include "sesame/security/ids.hpp"
@@ -188,6 +187,11 @@ struct RunnerResult {
   std::size_t recovery_replans = 0;
 };
 
+/// The paper's UAV Manager role: translates a ConSert action into vehicle
+/// commands. Continue resumes a held vehicle and leaves any other mode
+/// alone; Hold, ReturnToBase and EmergencyLand command that mode.
+void apply_action(sim::Uav& uav, conserts::UavAction action);
+
 class MissionRunner {
  public:
   explicit MissionRunner(RunnerConfig config);
@@ -238,8 +242,6 @@ class MissionRunner {
   std::vector<geo::EnuPoint> home_enu_;
   std::vector<sar::SweepPlan> plans_;
   std::unique_ptr<sar::SarMission> mission_;
-  std::unique_ptr<UavManager> uav_manager_;
-  std::unique_ptr<TaskManager> task_manager_;
   std::unique_ptr<DatabaseManager> database_;
   std::unique_ptr<security::IntrusionDetectionSystem> ids_;
   std::shared_ptr<security::SecurityEddi> security_;

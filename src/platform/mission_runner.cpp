@@ -33,13 +33,34 @@ bool serving(sim::FlightMode mode) {
 
 }  // namespace
 
+void apply_action(sim::Uav& uav, conserts::UavAction action) {
+  switch (action) {
+    case conserts::UavAction::kContinueExtended:
+    case conserts::UavAction::kContinue:
+      if (uav.mode() == sim::FlightMode::kHold) uav.command_resume_mission();
+      break;
+    case conserts::UavAction::kHold:
+      uav.command_hold();
+      break;
+    case conserts::UavAction::kReturnToBase:
+      uav.command_return_to_base();
+      break;
+    case conserts::UavAction::kEmergencyLand:
+      uav.command_emergency_land();
+      break;
+  }
+}
+
 MissionRunner::MissionRunner(RunnerConfig config) : config_(std::move(config)) {
   if (config_.n_uavs == 0) throw std::invalid_argument("MissionRunner: no UAVs");
-  if (config_.dt_s <= 0.0 || config_.max_time_s <= 0.0 ||
-      config_.consert_period_s <= 0.0 ||
-      config_.telemetry_staleness_window_s <= 0.0 ||
-      config_.health_heartbeat_period_s <= 0.0) {
-    throw std::invalid_argument("MissionRunner: non-positive timing");
+  for (const double t :
+       {config_.dt_s, config_.max_time_s, config_.consert_period_s,
+        config_.telemetry_staleness_window_s,
+        config_.health_heartbeat_period_s}) {
+    if (!std::isfinite(t) || t <= 0.0) {
+      throw std::invalid_argument(
+          "MissionRunner: non-positive or non-finite timing");
+    }
   }
   if (!config_.fault_plan) {
     // CI stress hook: a plan file named in the environment applies to every
@@ -79,20 +100,11 @@ void MissionRunner::setup_world() {
          0.0});
   }
 
-  uav_manager_ = std::make_unique<UavManager>(*world_);
-  task_manager_ = std::make_unique<TaskManager>();
   database_ = std::make_unique<DatabaseManager>(world_->bus());
   database_->allow_client("gcs");
-  for (const auto& name : names_) {
-    UavInfo info;
-    info.name = name;
-    info.equipment = {"rgb_camera", "jetson_xavier_nx", "gps", "radio"};
-    uav_manager_->register_uav(info);
-    database_->attach_uav(name);
-  }
+  for (const auto& name : names_) database_->attach_uav(name);
 
-  plans_ = task_manager_->plan("boustrophedon", config_.area, config_.n_uavs,
-                               config_.coverage);
+  plans_ = sar::plan_coverage(config_.area, config_.n_uavs, config_.coverage);
   mission_ = std::make_unique<sar::SarMission>(*world_, names_, plans_);
   mission_->enable_coverage_tracking(config_.area);
 
@@ -173,7 +185,7 @@ void MissionRunner::setup_recovery() {
   };
   hooks.demote = [this](std::size_t i) { set_comm_demoted(i, true); };
   hooks.command_rth = [this](std::size_t i) {
-    uav_manager_->apply_action(names_[i], conserts::UavAction::kReturnToBase);
+    world_->uav(i).command_return_to_base();
   };
   hooks.declare_lost = [this](std::size_t i) { declare_lost(i); };
   RecoveryConfig rc = config_.recovery;
@@ -215,7 +227,7 @@ double MissionRunner::failure_onset_s(std::size_t i) const {
 
 void MissionRunner::declare_lost(std::size_t i) {
   // The wreck's in-flight traffic must not arrive after the write-off.
-  world_->drop_pending_from(names_[i]);
+  world_->drop_pending_from(i);
   if (!mission_->active(i)) return;
 
   // In SESAME runs the ConSert dropped-out path may already have moved the
@@ -694,7 +706,7 @@ void MissionRunner::sesame_tick() {
       action = conserts::UavAction::kEmergencyLand;
     }
     current_action_[i] = action;
-    uav_manager_->apply_action(names_[i], action);
+    apply_action(world_->uav(i), action);
   }
   redistribute_dropped_out();
   descend_if_uncertain();

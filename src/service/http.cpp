@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <exception>
 #include <stdexcept>
@@ -14,6 +15,11 @@ namespace sesame::service {
 namespace {
 
 using eddi::ode::Value;
+
+/// Per-connection buffering bounds: a head that never ends, or a declared
+/// body past this size, fails the connection instead of growing it.
+constexpr std::size_t kMaxHeadBytes = 64 * 1024;
+constexpr std::size_t kMaxBodyBytes = 1024 * 1024;
 
 const char* status_text(int code) {
   switch (code) {
@@ -88,7 +94,7 @@ std::optional<HttpRequest> HttpConnection::feed(const char* data,
   buffer_.append(data, n);
   const std::size_t head_end = buffer_.find("\r\n\r\n");
   if (head_end == std::string::npos) {
-    if (buffer_.size() > 64 * 1024) failed_ = true;  // runaway head
+    if (buffer_.size() > kMaxHeadBytes) failed_ = true;  // runaway head
     return std::nullopt;
   }
 
@@ -133,7 +139,16 @@ std::optional<HttpRequest> HttpConnection::feed(const char* data,
   std::size_t content_length = 0;
   if (const auto it = req.headers.find("content-length");
       it != req.headers.end()) {
-    content_length = static_cast<std::size_t>(std::atoll(it->second.c_str()));
+    // ASCII digits only: from_chars into an unsigned type takes no sign,
+    // no whitespace and no empty value; overflow is an error too.
+    const std::string& v = it->second;
+    const auto [end, ec] =
+        std::from_chars(v.data(), v.data() + v.size(), content_length);
+    if (ec != std::errc{} || end != v.data() + v.size() ||
+        content_length > kMaxBodyBytes) {
+      failed_ = true;
+      return std::nullopt;
+    }
   }
   const std::size_t body_start = head_end + 4;
   if (buffer_.size() - body_start < content_length) return std::nullopt;

@@ -47,8 +47,10 @@ std::string serialize_response(const HttpResponse& response);
 
 /// One connection's incremental request parser. feed() returns a complete
 /// request once the head + Content-Length body have arrived, nullopt while
-/// more bytes are needed. A malformed head sets failed() — close the
-/// connection. One request per connection (Connection: close semantics).
+/// more bytes are needed. A malformed head, a head over 64 KiB, or a
+/// Content-Length that is not plain digits or exceeds 1 MiB sets failed()
+/// — close the connection. One request per connection (Connection: close
+/// semantics).
 class HttpConnection {
  public:
   std::optional<HttpRequest> feed(const char* data, std::size_t n);

@@ -152,8 +152,10 @@ class FailureInjector::BlackoutGate : public mw::DeliveryPolicy {
 FailureInjector::FailureInjector(World& world, FailureSchedule schedule)
     : world_(&world), schedule_(std::move(schedule)) {
   schedule_.sort();
+  event_uav_.reserve(schedule_.events.size());
   for (const auto& e : schedule_.events) {
-    world_->uav_by_name(e.uav);  // throws on a schedule naming unknown UAVs
+    // Throws on a schedule naming unknown UAVs.
+    event_uav_.push_back(world_->uav_by_name(e.uav).fleet_index());
     if (e.time_s < 0.0) {
       throw std::invalid_argument("FailureInjector: negative event time");
     }
@@ -170,7 +172,7 @@ FailureInjector::FailureInjector(World& world, FailureSchedule schedule)
 
 FailureInjector::~FailureInjector() = default;
 
-bool FailureInjector::comms_blacked_out(const std::string& uav) const {
+bool FailureInjector::comms_blacked_out(std::size_t uav) const {
   for (const auto& o : outages_) {
     if (o.mode == FailureMode::kCommsBlackout && o.uav == uav) return true;
   }
@@ -181,28 +183,17 @@ std::size_t FailureInjector::step(double now_s) {
   // Expire finished outages first so a dropout ending exactly when another
   // begins hands over cleanly.
   for (std::size_t i = 0; i < outages_.size();) {
-    const Outage& o = outages_[i];
+    const Outage o = outages_[i];
     if (!o.forever && now_s >= o.until_s) {
-      if (o.mode == FailureMode::kSensorDropout &&
-          !comms_blacked_out(o.uav)) {
-        // restore handled below after erase (may be re-blinded by a
-        // concurrent outage on the same vehicle)
-      }
-      const Outage ended = o;
       outages_.erase(outages_.begin() + static_cast<std::ptrdiff_t>(i));
-      if (ended.mode == FailureMode::kCommsBlackout) blackouts_changed_ = true;
-      if (ended.mode == FailureMode::kSensorDropout) {
-        bool still_blind = false;
-        for (const auto& other : outages_) {
-          if (other.mode == FailureMode::kSensorDropout &&
-              other.uav == ended.uav) {
-            still_blind = true;
-            break;
-          }
-        }
-        if (!still_blind) {
-          world_->uav_by_name(ended.uav).set_vision_sensor_healthy(true);
-        }
+      if (o.mode == FailureMode::kCommsBlackout) blackouts_changed_ = true;
+      // A concurrent dropout on the same vehicle keeps it blind.
+      const auto blinds = [&o](const Outage& other) {
+        return other.mode == FailureMode::kSensorDropout && other.uav == o.uav;
+      };
+      if (o.mode == FailureMode::kSensorDropout &&
+          std::none_of(outages_.begin(), outages_.end(), blinds)) {
+        world_->uav(o.uav).set_vision_sensor_healthy(true);
       }
       continue;
     }
@@ -212,7 +203,7 @@ std::size_t FailureInjector::step(double now_s) {
   std::size_t newly_applied = 0;
   while (next_event_ < schedule_.events.size() &&
          schedule_.events[next_event_].time_s <= now_s) {
-    apply(schedule_.events[next_event_], now_s);
+    apply(schedule_.events[next_event_], event_uav_[next_event_], now_s);
     ++next_event_;
     ++applied_;
     ++newly_applied;
@@ -222,46 +213,39 @@ std::size_t FailureInjector::step(double now_s) {
     blackouts_changed_ = false;
     std::vector<std::string> active;
     for (const auto& o : outages_) {
-      if (o.mode == FailureMode::kCommsBlackout) active.push_back(o.uav);
+      if (o.mode == FailureMode::kCommsBlackout) {
+        active.push_back(world_->uav(o.uav).name());
+      }
     }
     gate_->set_active(std::move(active));
   }
   return newly_applied;
 }
 
-void FailureInjector::apply(const FailureEvent& event, double now_s) {
-  Uav& uav = world_->uav_by_name(event.uav);
+void FailureInjector::apply(const FailureEvent& event, std::size_t i,
+                            double now_s) {
+  Uav& uav = world_->uav(i);
   switch (event.mode) {
     case FailureMode::kMotorDegradation:
       uav.fail_motor();
       break;
-    case FailureMode::kSensorDropout: {
+    case FailureMode::kSensorDropout:
       uav.set_vision_sensor_healthy(false);
-      Outage o;
-      o.uav = event.uav;
-      o.mode = event.mode;
-      o.forever = event.duration_s <= 0.0;
-      o.until_s = now_s + event.duration_s;
-      outages_.push_back(std::move(o));
+      outages_.push_back({i, event.mode, now_s + event.duration_s,
+                          event.duration_s <= 0.0});
       break;
-    }
     case FailureMode::kBatteryCellFault:
       // Only collapse downward: a fault cannot recharge the pack.
       uav.battery().inject_thermal_fault(
           std::min(event.soc_after, uav.battery().soc()), event.temp_c);
       break;
-    case FailureMode::kCommsBlackout: {
-      Outage o;
-      o.uav = event.uav;
-      o.mode = event.mode;
-      o.forever = event.duration_s <= 0.0;
-      o.until_s = now_s + event.duration_s;
-      outages_.push_back(std::move(o));
+    case FailureMode::kCommsBlackout:
+      outages_.push_back({i, event.mode, now_s + event.duration_s,
+                          event.duration_s <= 0.0});
       blackouts_changed_ = true;
       break;
-    }
     case FailureMode::kHardCrash:
-      world_->crash_uav(event.uav);
+      world_->crash_uav(i);
       break;
   }
 }

@@ -117,24 +117,27 @@ class FailureInjector {
   /// Events applied so far.
   std::size_t events_applied() const noexcept { return applied_; }
 
-  /// True while the named vehicle is inside an active comms blackout.
-  bool comms_blacked_out(const std::string& uav) const;
+  /// True while vehicle `uav` (fleet index) is inside an active comms
+  /// blackout.
+  bool comms_blacked_out(std::size_t uav) const;
 
   const FailureSchedule& schedule() const noexcept { return schedule_; }
 
  private:
   class BlackoutGate;  // DeliveryPolicy (defined in failure_schedule.cpp)
 
-  void apply(const FailureEvent& event, double now_s);
+  void apply(const FailureEvent& event, std::size_t i, double now_s);
 
   World* world_;
   FailureSchedule schedule_;
+  /// Fleet index of each (sorted) schedule event's vehicle.
+  std::vector<std::size_t> event_uav_;
   std::size_t next_event_ = 0;
   std::size_t applied_ = 0;
 
   /// Active timed outages, expired by step().
   struct Outage {
-    std::string uav;
+    std::size_t uav = 0;  ///< fleet index
     FailureMode mode = FailureMode::kSensorDropout;
     double until_s = 0.0;  ///< <= start means never expires
     bool forever = false;

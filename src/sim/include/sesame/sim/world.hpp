@@ -137,21 +137,21 @@ class World {
     return heartbeat_period_s_ > 0.0;
   }
 
-  /// Total loss of the named vehicle: forces it into FlightMode::kCrashed,
+  /// Total loss of vehicle `i`: forces it into FlightMode::kCrashed,
   /// tears down its bus wiring (position-fix and ping subscriptions — a
   /// wreck answers nothing) and drains its queued delayed messages (a dead
   /// radio cannot deliver what it never finished sending). The slot stays
   /// in the fleet so surviving code can still inspect the wreck's state and
   /// transfer its waypoints. Idempotent. Throws std::out_of_range on an
-  /// unknown name.
-  void crash_uav(const std::string& name);
+  /// index past the fleet.
+  void crash_uav(std::size_t i);
 
-  /// Drops the pending fault-delayed deliveries published by the named
-  /// vehicle, leaving everyone else's in-flight traffic untouched. Returns
+  /// Drops the pending fault-delayed deliveries published by vehicle `i`,
+  /// leaving everyone else's in-flight traffic untouched. Returns
   /// the number dropped. (crash_uav calls this; exposed for the recovery
   /// layer, which must also drain when *declaring* a vehicle lost — e.g.
   /// after a blackout timeout — without a crash event.)
-  std::size_t drop_pending_from(const std::string& name);
+  std::size_t drop_pending_from(std::size_t i);
 
   /// Discards bus state left over from a completed run — pending
   /// fault-delayed deliveries and the message journal — so a world (and
@@ -199,7 +199,10 @@ class World {
 
   void publish_telemetry(const Slot& slot);
   std::vector<Slot> uavs_;
-  /// name → index into uavs_ (uav_by_name is on the per-tick hot path).
+  /// name → index into uavs_. Setup and the API edge resolve names here;
+  /// on the per-tick path only the spoofing run's collaborative
+  /// localisation still calls uav_by_name (the lossy-link gate memoises
+  /// its topic parse per TopicId).
   std::map<std::string, std::size_t, std::less<>> uav_index_;
   std::vector<Person> persons_;
 

@@ -174,21 +174,17 @@ void World::enable_health_heartbeats(double period_s) {
   next_heartbeat_s_ = time_s_ + period_s;
 }
 
-void World::crash_uav(const std::string& name) {
-  const auto it = uav_index_.find(name);
-  if (it == uav_index_.end()) {
-    throw std::out_of_range("World::crash_uav: " + name);
-  }
-  Slot& slot = uavs_[it->second];
+void World::crash_uav(std::size_t i) {
+  Slot& slot = uavs_.at(i);
   if (slot.uav->mode() == FlightMode::kCrashed) return;
   slot.uav->force_crash();
   slot.fix_subscription.reset();
   slot.ping_subscription.reset();
-  drop_pending_from(name);
+  drop_pending_from(i);
 }
 
-std::size_t World::drop_pending_from(const std::string& name) {
-  return bus_.clear_delayed(bus_.intern_source(name));
+std::size_t World::drop_pending_from(std::size_t i) {
+  return bus_.clear_delayed(uavs_.at(i).source);
 }
 
 Uav& World::uav_by_name(const std::string& name) {

@@ -1,6 +1,7 @@
 // Tests for the multi-UAV platform: database manager access control,
-// UAV/task managers, and MissionRunner end-to-end scenarios (nominal,
-// battery fault with/without SESAME).
+// ConSert action translation, and MissionRunner end-to-end scenarios
+// (nominal, battery fault with/without SESAME).
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -11,7 +12,6 @@
 #include "sesame/platform/gcs.hpp"
 #include "sesame/security/attack_tree.hpp"
 #include "sesame/security/ids.hpp"
-#include "sesame/platform/managers.hpp"
 #include "sesame/platform/mission_runner.hpp"
 
 namespace pf = sesame::platform;
@@ -107,68 +107,26 @@ TEST(DatabaseManager, DiscardsStaleAndDuplicateTelemetry) {
   EXPECT_EQ(db.records_rejected(), 2u);
 }
 
-TEST(UavManager, RegistrationAndInfo) {
+TEST(ApplyAction, TranslatesConsertActions) {
   sim::World world(kOrigin);
   sim::UavConfig uc;
   uc.name = "u1";
   world.add_uav(uc, kOrigin);
-  pf::UavManager mgr(world);
-  pf::UavInfo info;
-  info.name = "u1";
-  info.equipment = {"rgb_camera"};
-  mgr.register_uav(info);
-  EXPECT_EQ(mgr.info("u1").equipment.size(), 1u);
-  EXPECT_EQ(mgr.registered().size(), 1u);
-  EXPECT_NEAR(mgr.battery_level("u1"), 1.0, 1e-6);
-  EXPECT_THROW(mgr.register_uav(info), std::invalid_argument);
-  pf::UavInfo ghost;
-  ghost.name = "ghost";
-  EXPECT_THROW(mgr.register_uav(ghost), std::out_of_range);
-  EXPECT_THROW(mgr.info("ghost"), std::out_of_range);
-}
 
-TEST(UavManager, AppliesConsertActions) {
-  sim::World world(kOrigin);
-  sim::UavConfig uc;
-  uc.name = "u1";
-  world.add_uav(uc, kOrigin);
-  pf::UavManager mgr(world);
-  pf::UavInfo info;
-  info.name = "u1";
-  mgr.register_uav(info);
-
-  auto& uav = world.uav_by_name("u1");
+  auto& uav = world.uav(0);
   uav.add_waypoint({50.0, 0.0, 30.0});
   uav.command_takeoff();
   world.run(20, 1.0);
   ASSERT_EQ(uav.mode(), sim::FlightMode::kMission);
 
-  EXPECT_TRUE(mgr.apply_action("u1", cs::UavAction::kHold));
+  pf::apply_action(uav, cs::UavAction::kHold);
   EXPECT_EQ(uav.mode(), sim::FlightMode::kHold);
-  EXPECT_EQ(mgr.last_action("u1"), cs::UavAction::kHold);
 
-  EXPECT_TRUE(mgr.apply_action("u1", cs::UavAction::kContinue));
+  pf::apply_action(uav, cs::UavAction::kContinue);
   EXPECT_EQ(uav.mode(), sim::FlightMode::kMission);
 
-  EXPECT_TRUE(mgr.apply_action("u1", cs::UavAction::kEmergencyLand));
+  pf::apply_action(uav, cs::UavAction::kEmergencyLand);
   EXPECT_EQ(uav.mode(), sim::FlightMode::kEmergencyLand);
-  EXPECT_FALSE(mgr.last_action("u2").has_value());
-}
-
-TEST(TaskManager, ServicesRegistryAndPlanning) {
-  pf::TaskManager tm;
-  ASSERT_EQ(tm.services().size(), 1u);
-  EXPECT_EQ(tm.services()[0], "boustrophedon");
-  const auto plans =
-      tm.plan("boustrophedon", {0, 100, 0, 100}, 2, sesame::sar::CoverageConfig{});
-  EXPECT_EQ(plans.size(), 2u);
-  EXPECT_THROW(tm.plan("nope", {0, 100, 0, 100}, 2, {}), std::out_of_range);
-  EXPECT_THROW(tm.register_service("bad", nullptr), std::invalid_argument);
-  tm.register_service("custom", [](const sesame::sar::Area& a, std::size_t n,
-                                   const sesame::sar::CoverageConfig& c) {
-    return sesame::sar::plan_coverage(a, n, c);
-  });
-  EXPECT_EQ(tm.services().size(), 2u);
 }
 
 TEST(MissionRunner, ValidatesConfig) {
@@ -178,6 +136,20 @@ TEST(MissionRunner, ValidatesConfig) {
   cfg = small_scenario();
   cfg.dt_s = 0.0;
   EXPECT_THROW(pf::MissionRunner{cfg}, std::invalid_argument);
+  // NaN passes every `<= 0` test; each timing field must also be finite.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double pf::RunnerConfig::*field :
+       {&pf::RunnerConfig::dt_s, &pf::RunnerConfig::max_time_s,
+        &pf::RunnerConfig::consert_period_s,
+        &pf::RunnerConfig::telemetry_staleness_window_s,
+        &pf::RunnerConfig::health_heartbeat_period_s}) {
+    for (const double bad : {nan, inf, -inf}) {
+      cfg = small_scenario();
+      cfg.*field = bad;
+      EXPECT_THROW(pf::MissionRunner{cfg}, std::invalid_argument) << bad;
+    }
+  }
 }
 
 TEST(MissionRunner, NominalMissionCompletesWithSesame) {

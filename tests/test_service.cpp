@@ -451,6 +451,27 @@ TEST(Http, IncrementalParserReassemblesSplitRequests) {
   service::HttpConnection bad;
   bad.feed("garbage\r\n\r\n", 11);
   EXPECT_TRUE(bad.failed());
+
+  // Content-Length is plain ASCII digits up to the 1 MiB body bound; a
+  // sign, trailing junk, an empty value or an oversize length fails the
+  // connection before any body is buffered.
+  for (const std::string length :
+       {"-1", "12abc", "+5", "", "1048577", "1000000000",
+        "99999999999999999999999"}) {
+    const std::string head = "POST /api/v1/campaigns HTTP/1.1\r\n"
+                             "Content-Length: " + length + "\r\n\r\n";
+    service::HttpConnection conn_bad;
+    EXPECT_FALSE(conn_bad.feed(head.data(), head.size()).has_value());
+    EXPECT_TRUE(conn_bad.failed()) << "Content-Length: " << length;
+  }
+  // The bound itself is admitted, leading zeros included.
+  for (const std::string length : {"1048576", "000"}) {
+    const std::string head = "POST /api/v1/campaigns HTTP/1.1\r\n"
+                             "Content-Length: " + length + "\r\n\r\n";
+    service::HttpConnection conn_ok;
+    conn_ok.feed(head.data(), head.size());
+    EXPECT_FALSE(conn_ok.failed()) << "Content-Length: " << length;
+  }
 }
 
 TEST(Http, RoutesTheFullJobLifecycle) {

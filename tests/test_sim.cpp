@@ -909,7 +909,7 @@ TEST(FailureInjector, CommsBlackoutSilencesAndRestoresTheVehicle) {
   }
   EXPECT_EQ(telemetry["u2"], 10);          // bystander unaffected
   EXPECT_EQ(telemetry["u1"], 10 - 3);      // silent while blacked out
-  EXPECT_FALSE(injector.comms_blacked_out("u1"));
+  EXPECT_FALSE(injector.comms_blacked_out(0));
 }
 
 TEST(FailureInjector, BlackoutDropsFollowTheNameRule) {
@@ -934,8 +934,9 @@ TEST(FailureInjector, BlackoutDropsFollowTheNameRule) {
 
   const auto string_rule = [&](std::string_view source,
                                std::string_view topic) {
-    for (const auto& n : names) {
-      if (!injector.comms_blacked_out(n)) continue;
+    for (std::size_t k = 0; k < names.size(); ++k) {
+      if (!injector.comms_blacked_out(k)) continue;
+      const std::string& n = names[k];
       if (source == n) return true;
       if (topic.starts_with("uav/") && topic.substr(4).starts_with(n + "/")) {
         return true;
@@ -955,8 +956,8 @@ TEST(FailureInjector, BlackoutDropsFollowTheNameRule) {
     world.step(1.0);
     injector.step(world.time_s());
     std::string active;
-    for (const auto& n : names) {
-      if (injector.comms_blacked_out(n)) active += n + " ";
+    for (std::size_t k = 0; k < names.size(); ++k) {
+      if (injector.comms_blacked_out(k)) active += names[k] + " ";
     }
     active_sets_seen.insert(active);
     // A fresh topic per vehicle every step: interned while blackouts run.
@@ -1062,10 +1063,10 @@ TEST(World, PingAnswersWithImmediateTelemetry) {
   EXPECT_EQ(telemetry, 1);  // pong, without waiting for the next step
 
   // A crashed vehicle never answers.
-  world.crash_uav("u1");
+  world.crash_uav(0);
   world.bus().publish(sim::ping_topic("u1"), 1.0, "gcs", 1.0);
   EXPECT_EQ(telemetry, 1);
-  EXPECT_THROW(world.crash_uav("ghost"), std::out_of_range);
+  EXPECT_THROW(world.crash_uav(1), std::out_of_range);
 }
 
 TEST(World, CrashDropsPendingDelayedTraffic) {
@@ -1084,7 +1085,7 @@ TEST(World, CrashDropsPendingDelayedTraffic) {
 
   world.step(1.0);  // both vehicles' telemetry now held in the delay queue
   EXPECT_EQ(world.bus().delayed_pending(), 2u);
-  world.crash_uav("u1");
+  world.crash_uav(0);
   // The wreck's in-flight message is gone; the survivor's still matures.
   EXPECT_EQ(world.bus().delayed_pending(), 1u);
 }

@@ -11,7 +11,9 @@
 #   4. clients that reset their connection before reading a report cost
 #      only their own connection: the daemon keeps answering;
 #   5. malformed submissions (300 KB of nested brackets, a negative
-#      vehicle count) get a 400 and leave the daemon serving;
+#      vehicle count) get a 400, and a Content-Length of -1 (followed by
+#      1 MB of body) or of 10^9 bytes gets the connection closed; none of
+#      them stops the daemon serving or changes a stored report;
 #   6. SIGTERM drains gracefully: in-flight work is spooled, the daemon
 #      exits 0, and a restarted daemon replays the spool.
 #
@@ -111,11 +113,31 @@ for body in "@$WORK/nested.json" '{"config": {"n_uavs": -1}}'; do
     "http://127.0.0.1:$HTTP_PORT/api/v1/campaigns" --data-binary "$body")
   [ "$code" = 400 ] || fail "malformed submission got $code, not 400"
 done
+# Raw sockets: curl always sends an honest Content-Length. The daemon must
+# close each connection instead of buffering a body it cannot bound.
+python3 - "$HTTP_PORT" <<'PY'
+import socket, sys
+port = int(sys.argv[1])
+for length, body in (("-1", b"x" * 1000000), ("1000000000", b"")):
+    s = socket.create_connection(("127.0.0.1", port), timeout=10)
+    head = ("POST /api/v1/campaigns HTTP/1.1\r\nHost: localhost\r\n"
+            "Content-Length: %s\r\n\r\n" % length).encode()
+    try:
+        s.sendall(head + body)
+        closed = s.recv(1) == b""
+    except (ConnectionResetError, BrokenPipeError):
+        closed = True
+    except socket.timeout:
+        closed = False
+    s.close()
+    if not closed:
+        sys.exit("FAIL: Content-Length: %s left the connection open" % length)
+PY
 curl -fsS "http://127.0.0.1:$HTTP_PORT/healthz" >/dev/null \
   || fail "daemon died on a malformed submission"
 curl -fsS "http://127.0.0.1:$HTTP_PORT/api/v1/jobs/$JOB/report" \
   | cmp - "$WORK/big.json" || fail "report bytes changed after bad input"
-echo "ok: malformed submissions answered 400, daemon still serving"
+echo "ok: malformed submissions refused, daemon still serving"
 
 # --- 6. graceful drain spools in-flight work --------------------------------
 curl -fsS -X POST "http://127.0.0.1:$HTTP_PORT/api/v1/campaigns" \
