@@ -2,9 +2,10 @@
 //
 // Provides an API for telemetry storage and retrieval. UAVs report their
 // state over the bus; the manager persists the latest record and a bounded
-// history per vehicle. Access mirrors the paper's behaviour: requests must
-// come from sources inside the platform network (a whitelist here), so
-// external clients cannot read fleet state.
+// history per vehicle. MissionRunner keeps the latest record only (history
+// limit 1): that is what the GCS queries. Access mirrors the paper's
+// behaviour: requests must come from sources inside the platform network
+// (a whitelist here), so external clients cannot read fleet state.
 #pragma once
 
 #include <deque>

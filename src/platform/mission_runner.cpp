@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <ranges>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "sesame/geo/geodesy.hpp"
 #include "sesame/mathx/stats.hpp"
@@ -100,7 +101,9 @@ void MissionRunner::setup_world() {
          0.0});
   }
 
-  database_ = std::make_unique<DatabaseManager>(world_->bus());
+  // Latest record per vehicle only: nothing here reads a history, and at
+  // fleet scale it costs a Telemetry copy per vehicle per tick.
+  database_ = std::make_unique<DatabaseManager>(world_->bus(), 1);
   database_->allow_client("gcs");
   for (const auto& name : names_) database_->attach_uav(name);
 
@@ -279,9 +282,13 @@ std::vector<std::vector<double>> MissionRunner::collect_safeml_reference() {
 void MissionRunner::setup_sesame() {
   // IDS + Security EDDI watching the fix channels.
   ids_ = std::make_unique<security::IntrusionDetectionSystem>(world_->bus());
-  for (const auto& name : names_) {
-    ids_->authorize(sim::position_fix_topic(name), "collaborative_localization");
-    ids_->track_position_topic(sim::position_fix_topic(name));
+  // Fix topic -> fleet index, for attributing alerts.
+  std::unordered_map<std::string, std::size_t> fix_topic_uav;
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    std::string topic = sim::position_fix_topic(names_[i]);
+    ids_->authorize(topic, "collaborative_localization");
+    ids_->track_position_topic(topic);
+    fix_topic_uav.emplace(std::move(topic), i);
   }
   security_ = std::make_shared<security::SecurityEddi>(
       world_->bus(), security::make_spoofing_attack_tree());
@@ -290,11 +297,11 @@ void MissionRunner::setup_sesame() {
   compromised_.assign(names_.size(), 0);
   alert_subscription_ = world_->bus().subscribe<security::IdsAlert>(
       security::ids_alert_topic(),
-      [this](const mw::MessageHeader&, const security::IdsAlert& alert) {
-        for (std::size_t i = 0; i < names_.size(); ++i) {
-          if (alert.topic == sim::position_fix_topic(names_[i])) {
-            compromised_[i] = 1;
-          }
+      [this, fix_topic_uav = std::move(fix_topic_uav)](
+          const mw::MessageHeader&, const security::IdsAlert& alert) {
+        if (const auto it = fix_topic_uav.find(alert.topic);
+            it != fix_topic_uav.end()) {
+          compromised_[it->second] = 1;
         }
       });
 

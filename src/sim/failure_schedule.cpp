@@ -1,6 +1,7 @@
 #include "sesame/sim/failure_schedule.hpp"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 
 #include "sesame/mathx/rng.hpp"
@@ -92,61 +93,106 @@ FailureSchedule FailureSchedule::chaos(std::uint64_t seed,
 // radio): telemetry, position fixes, pings. Pure time-window logic — no
 // randomness, so the gate never perturbs any other stream.
 //
-// The rule is by name, but a publication is answered by its interned
-// source and topic ids: each id's verdict is computed from the name rule
-// once and memoised until the set of blacked-out vehicles changes.
+// The rule is by name, but only vehicles with a scheduled blackout can
+// ever match it. A publication is answered by its interned source and
+// topic ids: each id is resolved to the vehicles it names once, on its
+// first publication, and the verdict then reads per-vehicle blackout
+// counts (counts, not flags: two blackouts of one vehicle may overlap).
 class FailureInjector::BlackoutGate : public mw::DeliveryPolicy {
  public:
+  /// `vehicles`: name -> fleet index of every vehicle that may black out.
+  explicit BlackoutGate(
+      std::map<std::string, std::size_t, std::less<>> vehicles)
+      : vehicles_(std::move(vehicles)) {
+    for (const auto& [name, uav] : vehicles_) {
+      counts_.resize(std::max(counts_.size(), uav + 1), 0);
+    }
+  }
+
   mw::FaultDecision decide(const mw::MessageHeader& header) override {
     mw::FaultDecision d;
-    if (active_.empty()) return d;
-    d.drop = memoised(source_verdicts_, header.source_id.index(),
-                      [&](const std::string& uav) {
-                        return header.source == uav;
-                      }) ||
-             memoised(topic_verdicts_, header.topic_id.index(),
-                      [&](const std::string& uav) {
-                        return topic_of(header.topic, uav);
-                      });
+    if (active_ == 0) return d;
+    d.drop = any_blacked_out(resolved(source_lists_, header.source_id.index(),
+                                      [&] { match(header.source); })) ||
+             any_blacked_out(resolved(topic_lists_, header.topic_id.index(),
+                                      [&] { match_topic(header.topic); }));
     return d;
   }
 
-  /// Replaces the blacked-out vehicles; the memo survives when the set
-  /// is unchanged.
-  void set_active(std::vector<std::string> names) {
-    if (names == active_) return;
-    active_ = std::move(names);
-    source_verdicts_.clear();
-    topic_verdicts_.clear();
+  /// A blackout of `uav` (one of the constructor's vehicles) starts/ends.
+  void begin(std::size_t uav) {
+    ++counts_[uav];
+    ++active_;
+  }
+
+  void end(std::size_t uav) {
+    --counts_[uav];
+    --active_;
+  }
+
+  bool blacked_out(std::size_t uav) const {
+    return uav < counts_.size() && counts_[uav] > 0;
   }
 
  private:
-  enum Verdict : std::uint8_t { kUnknown, kPass, kDrop };
+  static constexpr std::uint32_t kUnresolved = ~std::uint32_t{0};
 
-  /// The verdict for one interned id: whether `matches` holds for any
-  /// blacked-out vehicle, computed on the id's first publication.
-  template <typename Match>
-  bool memoised(std::vector<std::uint8_t>& verdicts, std::uint32_t index,
-                const Match& matches) {
-    if (index >= verdicts.size()) verdicts.resize(index + 1, kUnknown);
-    std::uint8_t& v = verdicts[index];
-    if (v == kUnknown) {
-      v = std::any_of(active_.begin(), active_.end(), matches) ? kDrop : kPass;
+  /// The offset in pool_ of an id's match list, resolved on the id's
+  /// first publication.
+  template <typename Resolve>
+  std::uint32_t resolved(std::vector<std::uint32_t>& lists,
+                         std::uint32_t index, const Resolve& resolve) {
+    if (index >= lists.size()) lists.resize(index + 1, kUnresolved);
+    if (lists[index] == kUnresolved) {
+      const auto list = static_cast<std::uint32_t>(pool_.size());
+      pool_.push_back(0);
+      resolve();
+      const auto n = static_cast<std::uint32_t>(pool_.size() - list - 1);
+      if (n == 0) {
+        pool_.pop_back();  // no vehicle: share the empty list at offset 0
+        lists[index] = 0;
+      } else {
+        pool_[list] = n;
+        lists[index] = list;
+      }
     }
-    return v == kDrop;
+    return lists[index];
   }
 
-  static bool topic_of(std::string_view topic, const std::string& uav) {
-    // "uav/<name>/..." — any channel of the vehicle rides its radio.
-    if (!topic.starts_with("uav/")) return false;
+  bool any_blacked_out(std::uint32_t list) const {
+    const std::uint32_t* const uavs = pool_.data() + list + 1;
+    for (std::uint32_t k = 0; k < pool_[list]; ++k) {
+      if (counts_[uavs[k]] > 0) return true;
+    }
+    return false;
+  }
+
+  /// Appends the vehicle named exactly `name`, if it may black out.
+  void match(std::string_view name) {
+    if (const auto it = vehicles_.find(name); it != vehicles_.end()) {
+      pool_.push_back(static_cast<std::uint32_t>(it->second));
+    }
+  }
+
+  /// "uav/<name>/..." — any channel of the vehicle rides its radio. Every
+  /// prefix of the rest that ends before a '/' is a candidate name.
+  void match_topic(std::string_view topic) {
+    if (!topic.starts_with("uav/")) return;
     const std::string_view rest = topic.substr(4);
-    return rest.size() > uav.size() && rest.substr(0, uav.size()) == uav &&
-           rest[uav.size()] == '/';
+    for (auto slash = rest.find('/'); slash != std::string_view::npos;
+         slash = rest.find('/', slash + 1)) {
+      match(rest.substr(0, slash));
+    }
   }
 
-  std::vector<std::string> active_;
-  std::vector<std::uint8_t> source_verdicts_;  ///< by SourceId index
-  std::vector<std::uint8_t> topic_verdicts_;   ///< by TopicId index
+  std::map<std::string, std::size_t, std::less<>> vehicles_;
+  std::vector<std::uint32_t> counts_;  ///< active blackouts by fleet index
+  std::size_t active_ = 0;             ///< sum of counts_
+  /// Match lists, each a count then that many fleet indices; offset 0
+  /// holds the empty list.
+  std::vector<std::uint32_t> pool_{0};
+  std::vector<std::uint32_t> source_lists_;  ///< by SourceId index
+  std::vector<std::uint32_t> topic_lists_;   ///< by TopicId index
 };
 
 FailureInjector::FailureInjector(World& world, FailureSchedule schedule)
@@ -160,12 +206,14 @@ FailureInjector::FailureInjector(World& world, FailureSchedule schedule)
       throw std::invalid_argument("FailureInjector: negative event time");
     }
   }
-  const bool any_blackout = std::any_of(
-      schedule_.events.begin(), schedule_.events.end(), [](const auto& e) {
-        return e.mode == FailureMode::kCommsBlackout;
-      });
-  if (any_blackout) {
-    gate_ = std::make_unique<BlackoutGate>();
+  std::map<std::string, std::size_t, std::less<>> blackout_vehicles;
+  for (std::size_t k = 0; k < schedule_.events.size(); ++k) {
+    if (schedule_.events[k].mode == FailureMode::kCommsBlackout) {
+      blackout_vehicles.emplace(schedule_.events[k].uav, event_uav_[k]);
+    }
+  }
+  if (!blackout_vehicles.empty()) {
+    gate_ = std::make_unique<BlackoutGate>(std::move(blackout_vehicles));
     gate_sub_ = world_->bus().add_delivery_policy(gate_.get());
   }
 }
@@ -173,10 +221,7 @@ FailureInjector::FailureInjector(World& world, FailureSchedule schedule)
 FailureInjector::~FailureInjector() = default;
 
 bool FailureInjector::comms_blacked_out(std::size_t uav) const {
-  for (const auto& o : outages_) {
-    if (o.mode == FailureMode::kCommsBlackout && o.uav == uav) return true;
-  }
-  return false;
+  return gate_ != nullptr && gate_->blacked_out(uav);
 }
 
 std::size_t FailureInjector::step(double now_s) {
@@ -186,7 +231,7 @@ std::size_t FailureInjector::step(double now_s) {
     const Outage o = outages_[i];
     if (!o.forever && now_s >= o.until_s) {
       outages_.erase(outages_.begin() + static_cast<std::ptrdiff_t>(i));
-      if (o.mode == FailureMode::kCommsBlackout) blackouts_changed_ = true;
+      if (o.mode == FailureMode::kCommsBlackout) gate_->end(o.uav);
       // A concurrent dropout on the same vehicle keeps it blind.
       const auto blinds = [&o](const Outage& other) {
         return other.mode == FailureMode::kSensorDropout && other.uav == o.uav;
@@ -207,17 +252,6 @@ std::size_t FailureInjector::step(double now_s) {
     ++next_event_;
     ++applied_;
     ++newly_applied;
-  }
-
-  if (gate_ != nullptr && blackouts_changed_) {
-    blackouts_changed_ = false;
-    std::vector<std::string> active;
-    for (const auto& o : outages_) {
-      if (o.mode == FailureMode::kCommsBlackout) {
-        active.push_back(world_->uav(o.uav).name());
-      }
-    }
-    gate_->set_active(std::move(active));
   }
   return newly_applied;
 }
@@ -242,7 +276,7 @@ void FailureInjector::apply(const FailureEvent& event, std::size_t i,
     case FailureMode::kCommsBlackout:
       outages_.push_back({i, event.mode, now_s + event.duration_s,
                           event.duration_s <= 0.0});
-      blackouts_changed_ = true;
+      gate_->begin(i);
       break;
     case FailureMode::kHardCrash:
       world_->crash_uav(i);

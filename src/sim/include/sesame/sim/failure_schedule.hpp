@@ -143,8 +143,6 @@ class FailureInjector {
     bool forever = false;
   };
   std::vector<Outage> outages_;
-  /// A comms blackout began or ended since the gate was last told.
-  bool blackouts_changed_ = false;
 
   std::unique_ptr<BlackoutGate> gate_;
   mw::Subscription gate_sub_;

@@ -107,6 +107,33 @@ TEST(DatabaseManager, DiscardsStaleAndDuplicateTelemetry) {
   EXPECT_EQ(db.records_rejected(), 2u);
 }
 
+TEST(Database, HistoryLimitOneKeepsOnlyTheLatestRecord) {
+  // The runner's configuration: latest state per vehicle, no history.
+  sim::World world(kOrigin);
+  pf::DatabaseManager db(world.bus(), 1);
+  db.attach_uav("u1");
+  db.allow_client("gcs");
+  const auto publish_at = [&](double t, double soc) {
+    sim::Telemetry tel;
+    tel.uav = "u1";
+    tel.time_s = t;
+    tel.battery_soc = soc;
+    world.bus().publish(sim::telemetry_topic("u1"), tel, "u1", t);
+  };
+  publish_at(1.0, 0.99);
+  publish_at(2.0, 0.98);
+  publish_at(3.0, 0.97);
+  publish_at(2.5, 0.975);  // stale: older than the stored record
+  publish_at(3.0, 0.97);   // duplicate of the stored record
+  const auto latest = db.latest("gcs", "u1");
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_DOUBLE_EQ(latest->time_s, 3.0);
+  EXPECT_DOUBLE_EQ(latest->battery_soc, 0.97);
+  EXPECT_EQ(db.history("gcs", "u1").size(), 1u);
+  EXPECT_EQ(db.records_stored(), 3u);
+  EXPECT_EQ(db.records_rejected(), 2u);
+}
+
 TEST(ApplyAction, TranslatesConsertActions) {
   sim::World world(kOrigin);
   sim::UavConfig uc;

@@ -1,6 +1,7 @@
 // Tests for the world simulator: battery discharge and fault injection,
 // GPS spoofing effects, UAV flight modes and navigation, camera geometry,
 // and world/bus wiring.
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sesame/mathx/rng.hpp"
 #include "sesame/mathx/stats.hpp"
 #include "sesame/sim/camera.hpp"
 #include "sesame/sim/comm_link.hpp"
@@ -982,6 +984,97 @@ TEST(FailureInjector, BlackoutDropsFollowTheNameRule) {
   EXPECT_TRUE(active_sets_seen.count("uav1 "));
   EXPECT_TRUE(active_sets_seen.count("uav1 uav10 "));
   EXPECT_TRUE(active_sets_seen.count("uav2 "));
+}
+
+TEST(FailureInjector, IndexedGateMatchesNameRuleOnSeededSchedules) {
+  // The gate resolves each interned id to the vehicles it names once and
+  // then reads per-vehicle blackout counts. Checked against the string
+  // rule over seeded timetables with prefix-sharing names, a name holding
+  // '/' (its topics name two vehicles), overlapping blackouts of one
+  // vehicle, a blackout ending on the tick another begins, a blackout
+  // that never ends, and a vehicle added after the injector.
+  constexpr int kSteps = 40;
+  std::vector<std::string> names{"uav1", "uav10", "uav100", "uav1/x"};
+  for (int k = 2; k <= 9; ++k) names.push_back("uav" + std::to_string(k));
+  for (int k = 20; k <= 31; ++k) names.push_back("uav" + std::to_string(k));
+  ASSERT_EQ(names.size(), 24u);
+  std::size_t drops = 0;
+  std::size_t passes = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    sesame::mathx::Rng rng(seed);
+    sim::World world(kOrigin, seed);
+    for (const auto& n : names) world.add_uav(test_uav(n), kOrigin);
+    sim::FailureSchedule schedule;
+    const auto blackout = [&](const std::string& uav, int at, int duration) {
+      schedule.events.push_back({uav, sim::FailureMode::kCommsBlackout,
+                                 static_cast<double>(at),
+                                 static_cast<double>(duration), 0.35, 70.0});
+    };
+    for (const auto& n : names) {
+      const auto count = rng.uniform_index(3);
+      for (std::uint64_t e = 0; e < count; ++e) {
+        blackout(n, 1 + static_cast<int>(rng.uniform_index(kSteps - 5)),
+                 1 + static_cast<int>(rng.uniform_index(10)));
+      }
+    }
+    blackout("uav1", 5, 10);    // [5, 15) ...
+    blackout("uav1", 8, 3);     // ... overlapped by [8, 11)
+    blackout("uav1/x", 10, 4);  // [10, 14) ends on the tick ...
+    blackout("uav1/x", 14, 5);  // ... [14, 19) begins
+    blackout("uav9", 30, 0);    // never ends
+    sim::FailureInjector injector(world, schedule);
+    std::vector<std::string> fleet = names;
+    fleet.push_back("uav10/late");  // its topics also name uav10
+    world.add_uav(test_uav(fleet.back()), kOrigin);
+
+    // A vehicle is out at integer time t when a blackout of it started
+    // at or before t and has not run its duration.
+    const auto scheduled_out = [&](const std::string& uav, double t) {
+      return std::any_of(
+          schedule.events.begin(), schedule.events.end(), [&](const auto& e) {
+            return e.uav == uav && e.time_s <= t &&
+                   (e.duration_s <= 0.0 || t < e.time_s + e.duration_s);
+          });
+    };
+    std::vector<std::string> sources = fleet;
+    for (const char* s : {"gcs", "attacker", "uav1/", ""}) sources.push_back(s);
+    std::vector<std::string> topics{"uav/uav1", "uav/uav1/", "uav//probe",
+                                    "fleet/probe", "gcs/uplink"};
+    for (const auto& n : fleet) topics.push_back("uav/" + n + "/probe");
+    for (int step = 1; step <= kSteps; ++step) {
+      world.step(1.0);
+      injector.step(world.time_s());
+      ASSERT_EQ(world.time_s(), static_cast<double>(step));
+      std::vector<std::string> out;
+      for (std::size_t k = 0; k < fleet.size(); ++k) {
+        const bool expected = scheduled_out(fleet[k], world.time_s());
+        ASSERT_EQ(injector.comms_blacked_out(k), expected)
+            << "seed " << seed << " t=" << step << " vehicle " << fleet[k];
+        if (expected) out.push_back(fleet[k]);
+      }
+      // A topic first interned while blackouts run.
+      topics.push_back("uav/" + fleet[step % fleet.size()] + "/late" +
+                       std::to_string(step));
+      for (const auto& source : sources) {
+        for (const auto& topic : topics) {
+          const bool rule = std::any_of(
+              out.begin(), out.end(), [&](const std::string& n) {
+                return source == n || (topic.starts_with("uav/") &&
+                                       topic.substr(4).starts_with(n + "/"));
+              });
+          const std::uint64_t before = world.bus().faults_dropped();
+          world.bus().publish(topic, step, source, world.time_s());
+          const bool dropped = world.bus().faults_dropped() != before;
+          ASSERT_EQ(dropped, rule) << "seed " << seed << " t=" << step
+                                   << " source '" << source << "' topic "
+                                   << topic;
+          ++(dropped ? drops : passes);
+        }
+      }
+    }
+  }
+  EXPECT_GT(drops, 0u);
+  EXPECT_GT(passes, drops);
 }
 
 TEST(FailureInjector, HardCrashIsTerminal) {
