@@ -74,7 +74,9 @@ void report() {
     prev_time = o.time_s;
   }
   std::printf("\nShape check: mission time monotone decreasing in fleet "
-              "size: %s\n\n", monotone ? "PASS" : "FAIL");
+              "size: %s\n\n",
+              sesame::bench::shape_check("mission time falls with fleet size",
+                                         monotone));
 }
 
 void BM_MissionVsFleetSize(benchmark::State& state) {

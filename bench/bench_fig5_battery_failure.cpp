@@ -93,9 +93,11 @@ void report() {
               with.waypoints_redistributed);
   std::printf("\nShape checks: SESAME availability > baseline: %s | "
               "SESAME completes sooner: %s\n\n",
-              avail_with > avail_without ? "PASS" : "FAIL",
-              (t_with > 0 && (t_without < 0 || t_with < t_without)) ? "PASS"
-                                                                    : "FAIL");
+              bench::shape_check("SESAME availability > baseline",
+                                 avail_with > avail_without),
+              bench::shape_check(
+                  "SESAME completes sooner",
+                  t_with > 0 && (t_without < 0 || t_with < t_without)));
 }
 
 void BM_ReliabilityEvaluate(benchmark::State& state) {

@@ -131,12 +131,14 @@ void report() {
   std::printf("\nShape checks: deviation > 50 m at end: %s | detection within "
               "2 s of onset: %s | clean run stays on lane: %s | "
               "mitigation holds lane: %s\n\n",
-              final_dev > 50.0 ? "PASS" : "FAIL",
-              (attacked.detection_time >= 0.0 &&
-               attacked.detection_time - kSpoofStart <= 2.0)
-                  ? "PASS" : "FAIL",
-              std::abs(clean.truth.back().east_m) < 5.0 ? "PASS" : "FAIL",
-              mitigated_dev < 5.0 ? "PASS" : "FAIL");
+              bench::shape_check("deviation > 50 m at end", final_dev > 50.0),
+              bench::shape_check(
+                  "detection within 2 s of onset",
+                  attacked.detection_time >= 0.0 &&
+                      attacked.detection_time - kSpoofStart <= 2.0),
+              bench::shape_check("clean run stays on lane",
+                                 std::abs(clean.truth.back().east_m) < 5.0),
+              bench::shape_check("mitigation holds lane", mitigated_dev < 5.0));
 }
 
 void BM_SpoofedLeg(benchmark::State& state) {

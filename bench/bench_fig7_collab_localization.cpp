@@ -123,10 +123,11 @@ void report() {
               with_cl.fixes);
   std::printf("\nShape checks: CL lands within 8 m: %s | CL beats dead "
               "reckoning: %s\n\n",
-              (with_cl.landed && with_cl.landing_error_m < 8.0) ? "PASS"
-                                                                : "FAIL",
-              with_cl.landing_error_m < without_cl.landing_error_m ? "PASS"
-                                                                   : "FAIL");
+              bench::shape_check("CL lands within 8 m",
+                                 with_cl.landed && with_cl.landing_error_m < 8.0),
+              bench::shape_check(
+                  "CL beats dead reckoning",
+                  with_cl.landing_error_m < without_cl.landing_error_m));
 }
 
 void BM_CollaborativeFix(benchmark::State& state) {

@@ -11,15 +11,34 @@
 //
 // Everything else on the command line passes through to the library
 // untouched, so the usual --benchmark_* flags keep working.
+//
+// The figure benches also print behavioural shape checks (the paper's
+// claims, e.g. "SESAME availability > baseline"). Each goes through
+// shape_check(), and run_main() exits 1 when any of them failed, so
+// `bench_fig5_battery_failure --benchmark_filter=^$` is a claim test.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 namespace sesame::bench {
+
+/// Labels of the shape checks that failed so far in this process.
+inline std::vector<std::string>& failed_shape_checks() {
+  static std::vector<std::string> failed;
+  return failed;
+}
+
+/// Records one behavioural shape check and returns its printed verdict,
+/// "PASS" or "FAIL". Only behaviour belongs here, never wall-clock time.
+inline const char* shape_check(const char* label, bool ok) {
+  if (!ok) failed_shape_checks().emplace_back(label);
+  return ok ? "PASS" : "FAIL";
+}
 
 /// Rewrites `--json <path>` / `--json=<path>` into the library's
 /// out-file flags, leaving every other argument in place. Returns the
@@ -51,6 +70,7 @@ inline std::vector<char*> rewrite_json_flag(int argc, char** argv,
 }
 
 /// Drop-in replacement for BENCHMARK_MAIN()'s body with `--json` support.
+/// Returns 1 when a shape check failed, naming each on stderr.
 inline int run_main(int argc, char** argv) {
   std::vector<std::string> storage;
   std::vector<char*> args = rewrite_json_flag(argc, argv, storage);
@@ -59,7 +79,10 @@ inline int run_main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return 0;
+  for (const std::string& label : failed_shape_checks()) {
+    std::fprintf(stderr, "shape check FAILED: %s\n", label.c_str());
+  }
+  return failed_shape_checks().empty() ? 0 : 1;
 }
 
 }  // namespace sesame::bench

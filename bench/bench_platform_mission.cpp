@@ -53,9 +53,12 @@ void report() {
               conserts::mission_decision_name(without.final_decision).c_str());
   std::printf("\nShape check: both complete and SESAME recall >= baseline: "
               "%s\n",
-              (with.mission_complete_time_s && without.mission_complete_time_s &&
-               with.detection.recall() >= without.detection.recall() - 1e-9)
-                  ? "PASS" : "FAIL");
+              bench::shape_check(
+                  "both complete and SESAME recall >= baseline",
+                  with.mission_complete_time_s &&
+                      without.mission_complete_time_s &&
+                      with.detection.recall() >=
+                          without.detection.recall() - 1e-9));
 
   // Combined-adversity run: spoofing attack mid-mission, full response
   // pipeline (detection -> GPS distrust -> task redistribution -> CL safe
@@ -75,11 +78,12 @@ void report() {
   std::printf("%-40s %s\n", "mission still completed",
               attacked.mission_complete_time_s ? "yes" : "NO");
   std::printf("\nShape check: attack handled and mission completed: %s\n\n",
-              (attacked.attack_detected &&
-               attacked.spoofed_uav_landing_error_m >= 0.0 &&
-               attacked.spoofed_uav_landing_error_m < 15.0 &&
-               attacked.mission_complete_time_s)
-                  ? "PASS" : "FAIL");
+              bench::shape_check(
+                  "attack handled and mission completed",
+                  attacked.attack_detected &&
+                      attacked.spoofed_uav_landing_error_m >= 0.0 &&
+                      attacked.spoofed_uav_landing_error_m < 15.0 &&
+                      attacked.mission_complete_time_s.has_value()));
 }
 
 void BM_MissionWithSesame(benchmark::State& state) {

@@ -121,10 +121,12 @@ void report() {
               100.0 * baseline.detection.recall());
   std::printf("\nShape checks: SESAME recall >= baseline recall: %s | "
               "descend fired: %s | post-descend uncertainty < 90%%: %s\n\n",
-              sesame.detection.recall() >= baseline.detection.recall()
-                  ? "PASS" : "FAIL",
-              sesame.descended ? "PASS" : "FAIL",
-              (n > 0 && low_alt_unc < 0.90) ? "PASS" : "FAIL");
+              bench::shape_check(
+                  "SESAME recall >= baseline recall",
+                  sesame.detection.recall() >= baseline.detection.recall()),
+              bench::shape_check("descend fired", sesame.descended),
+              bench::shape_check("post-descend uncertainty < 90%",
+                                 n > 0 && low_alt_unc < 0.90));
 }
 
 void BM_UncertaintyPipelineTick(benchmark::State& state) {

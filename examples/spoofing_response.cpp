@@ -27,8 +27,6 @@ int main() {
   for (const char* name : {"uav1", "uav2", "uav3"}) {
     sim::UavConfig cfg;
     cfg.name = name;
-    cfg.gps.spoof_drift_m_per_s = 2.0;  // attacker's walk-off rate
-    cfg.gps.spoof_bearing_deg = 90.0;
     world.add_uav(cfg, origin);
   }
   world.uav_by_name("uav1").add_waypoint({0.0, 400.0, 30.0});

@@ -47,17 +47,10 @@ class Factor {
   /// Restricts one variable to a fixed state (evidence application).
   Factor reduce(VarId var, std::size_t state) const;
 
-  /// Normalizes values to sum to 1. No-op on an all-zero factor.
-  void normalize();
-
-  std::size_t cardinality_of(VarId var) const;
-
  private:
   std::vector<VarId> vars_;
   std::vector<std::size_t> cards_;  // parallel to vars_
   std::vector<double> values_;
-
-  std::size_t stride_of(std::size_t pos) const;
 };
 
 /// A Bayesian network under construction and query.
@@ -81,9 +74,6 @@ class Network {
   /// Finds a variable by name; nullopt when absent.
   std::optional<VarId> find(const std::string& name) const;
 
-  /// State index by name for a variable; throws on unknown state.
-  std::size_t state_index(VarId var, const std::string& state) const;
-
   /// Root prior: probabilities over the variable's states (must sum to 1).
   void set_prior(VarId var, std::vector<double> probabilities);
 
@@ -96,30 +86,11 @@ class Network {
   /// Evidence: observed states per variable.
   using Evidence = std::map<VarId, std::size_t>;
 
-  /// Convenience evidence construction from state names.
-  Evidence make_evidence(
-      const std::vector<std::pair<std::string, std::string>>& items) const;
-
   /// Posterior distribution over `target` given the evidence, via variable
   /// elimination (min-degree-ish ordering: ascending id excluding target and
   /// evidence). Throws std::logic_error if any variable lacks a CPT/prior,
   /// std::runtime_error when the evidence has zero probability.
   std::vector<double> query(VarId target, const Evidence& evidence = {}) const;
-
-  /// Posterior probability of a single named state of `target`.
-  double query_state(VarId target, const std::string& state,
-                     const Evidence& evidence = {}) const;
-
-  /// Most probable explanation: the jointly most likely assignment of all
-  /// non-evidence variables given the evidence, found by exhaustive
-  /// enumeration over the hidden-variable space (exact; the SESAME
-  /// networks are small). Returns state indices for every variable
-  /// (evidence variables keep their observed states). Throws like query().
-  std::map<VarId, std::size_t> most_probable_explanation(
-      const Evidence& evidence = {}) const;
-
-  /// Joint probability of a complete assignment (chain rule over CPTs).
-  double joint_probability(const std::map<VarId, std::size_t>& assignment) const;
 
  private:
   std::vector<Variable> variables_;

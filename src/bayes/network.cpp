@@ -47,13 +47,6 @@ Factor::Factor(std::vector<VarId> vars, std::vector<std::size_t> cardinalities,
   }
 }
 
-std::size_t Factor::cardinality_of(VarId var) const {
-  for (std::size_t i = 0; i < vars_.size(); ++i) {
-    if (vars_[i] == var) return cards_[i];
-  }
-  throw std::out_of_range("Factor::cardinality_of: variable not in factor");
-}
-
 Factor Factor::multiply(const Factor& other) const {
   // Union of variables, preserving this factor's order then the new ones.
   std::vector<VarId> uvars = vars_;
@@ -162,18 +155,6 @@ Factor Factor::reduce(VarId var, std::size_t state) const {
   return Factor(std::move(nvars), std::move(ncards), std::move(out));
 }
 
-void Factor::normalize() {
-  const double sum = std::accumulate(values_.begin(), values_.end(), 0.0);
-  if (sum <= 0.0) return;
-  for (double& v : values_) v /= sum;
-}
-
-std::size_t Factor::stride_of(std::size_t pos) const {
-  std::size_t s = 1;
-  for (std::size_t i = pos + 1; i < cards_.size(); ++i) s *= cards_[i];
-  return s;
-}
-
 VarId Network::add_variable(std::string name, std::vector<std::string> states) {
   if (states.size() < 2) {
     throw std::invalid_argument("add_variable: need >= 2 states");
@@ -192,17 +173,6 @@ std::optional<VarId> Network::find(const std::string& name) const {
     if (variables_[i].name == name) return i;
   }
   return std::nullopt;
-}
-
-std::size_t Network::state_index(VarId var, const std::string& state) const {
-  check_var(var, "state_index");
-  const auto& states = variables_[var].states;
-  const auto it = std::find(states.begin(), states.end(), state);
-  if (it == states.end()) {
-    throw std::invalid_argument("state_index: unknown state '" + state +
-                                "' of " + variables_[var].name);
-  }
-  return static_cast<std::size_t>(it - states.begin());
 }
 
 void Network::set_prior(VarId var, std::vector<double> probabilities) {
@@ -239,17 +209,6 @@ void Network::set_cpt(VarId child, std::vector<VarId> parents,
   }
   cpts_[child] = Factor(std::move(fvars), std::move(fcards), std::move(values));
   parents_[child] = std::move(parents);
-}
-
-Network::Evidence Network::make_evidence(
-    const std::vector<std::pair<std::string, std::string>>& items) const {
-  Evidence ev;
-  for (const auto& [var_name, state_name] : items) {
-    const auto var = find(var_name);
-    if (!var) throw std::invalid_argument("make_evidence: unknown variable " + var_name);
-    ev[*var] = state_index(*var, state_name);
-  }
-  return ev;
 }
 
 std::vector<double> Network::query(VarId target, const Evidence& evidence) const {
@@ -326,79 +285,6 @@ std::vector<double> Network::query(VarId target, const Evidence& evidence) const
   std::vector<double> posterior = result.values();
   for (double& p : posterior) p /= total;
   return posterior;
-}
-
-double Network::query_state(VarId target, const std::string& state,
-                            const Evidence& evidence) const {
-  return query(target, evidence).at(state_index(target, state));
-}
-
-double Network::joint_probability(
-    const std::map<VarId, std::size_t>& assignment) const {
-  if (assignment.size() != variables_.size()) {
-    throw std::invalid_argument("joint_probability: incomplete assignment");
-  }
-  double p = 1.0;
-  for (VarId v = 0; v < variables_.size(); ++v) {
-    if (!cpts_[v].has_value()) {
-      throw std::logic_error("joint_probability: variable '" +
-                             variables_[v].name + "' has no CPT/prior");
-    }
-    // Reduce the CPT factor by the assignment of every variable it spans.
-    Factor f = *cpts_[v];
-    for (const VarId fv : std::vector<VarId>(f.vars())) {
-      const auto it = assignment.find(fv);
-      if (it == assignment.end() ||
-          it->second >= variables_[fv].states.size()) {
-        throw std::invalid_argument("joint_probability: bad assignment");
-      }
-      f = f.reduce(fv, it->second);
-    }
-    p *= f.values().at(0);
-  }
-  return p;
-}
-
-std::map<VarId, std::size_t> Network::most_probable_explanation(
-    const Evidence& evidence) const {
-  for (const auto& [var, state] : evidence) {
-    check_var(var, "most_probable_explanation");
-    if (state >= variables_[var].states.size()) {
-      throw std::out_of_range("most_probable_explanation: evidence state");
-    }
-  }
-  // Hidden variables to enumerate.
-  std::vector<VarId> hidden;
-  for (VarId v = 0; v < variables_.size(); ++v) {
-    if (!evidence.count(v)) hidden.push_back(v);
-  }
-
-  std::map<VarId, std::size_t> assignment;
-  for (const auto& [var, state] : evidence) assignment[var] = state;
-  for (const VarId v : hidden) assignment[v] = 0;
-
-  std::map<VarId, std::size_t> best = assignment;
-  double best_p = -1.0;
-  while (true) {
-    const double p = joint_probability(assignment);
-    if (p > best_p) {
-      best_p = p;
-      best = assignment;
-    }
-    // Advance the hidden-variable odometer.
-    std::size_t pos = 0;
-    for (; pos < hidden.size(); ++pos) {
-      const VarId v = hidden[pos];
-      if (++assignment[v] < variables_[v].states.size()) break;
-      assignment[v] = 0;
-    }
-    if (pos == hidden.size()) break;
-  }
-  if (best_p <= 0.0) {
-    throw std::runtime_error(
-        "most_probable_explanation: evidence has zero probability");
-  }
-  return best;
 }
 
 void Network::check_var(VarId var, const char* who) const {

@@ -43,10 +43,4 @@ std::string AssuranceTrace::current(const std::string& consert) const {
   return {};
 }
 
-void AssuranceTrace::clear() {
-  std::fill(current_.begin(), current_.end(), Plan::kNone);
-  transitions_.clear();
-  evaluations_ = 0;
-}
-
 }  // namespace sesame::conserts

@@ -97,10 +97,6 @@ void ConSertNetwork::add(ConSert consert) {
   }
 }
 
-bool ConSertNetwork::contains(const std::string& name) const {
-  return conserts_.count(name) > 0;
-}
-
 std::vector<std::string> ConSertNetwork::names() const {
   std::vector<std::string> out;
   out.reserve(conserts_.size());

@@ -47,8 +47,6 @@ class AssuranceTrace {
 
   std::size_t evaluations() const noexcept { return evaluations_; }
 
-  void clear();
-
  private:
   Plan plan_;
   std::vector<int> current_;  ///< best guarantee index by ConSert id

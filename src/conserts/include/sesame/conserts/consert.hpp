@@ -133,7 +133,6 @@ class ConSertNetwork {
   /// Adds a ConSert; names must be unique.
   void add(ConSert consert);
 
-  bool contains(const std::string& name) const;
   const ConSert& at(const std::string& name) const;
   std::size_t size() const noexcept { return conserts_.size(); }
 

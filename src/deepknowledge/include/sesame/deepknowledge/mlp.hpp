@@ -18,7 +18,7 @@ namespace sesame::deepknowledge {
 
 /// Per-layer activations captured during a forward pass.
 /// activations[l] holds the post-nonlinearity outputs of hidden layer l
-/// (the output layer is not included; use Mlp::forward for outputs).
+/// (the output layer is not included; forward_traced returns the outputs).
 using ActivationTrace = std::vector<std::vector<double>>;
 
 /// Fully-connected network: ReLU hidden layers, sigmoid output layer,
@@ -40,10 +40,8 @@ class Mlp {
   /// Total number of hidden neurons across all hidden layers.
   std::size_t num_hidden_neurons() const;
 
-  /// Forward pass; returns the sigmoid outputs.
-  std::vector<double> forward(const std::vector<double>& input) const;
-
-  /// Forward pass capturing hidden-layer activations.
+  /// Forward pass capturing hidden-layer activations; returns the sigmoid
+  /// outputs.
   std::vector<double> forward_traced(const std::vector<double>& input,
                                      ActivationTrace& trace) const;
 
@@ -52,10 +50,6 @@ class Mlp {
   double train_epoch(const std::vector<std::vector<double>>& inputs,
                      const std::vector<std::vector<double>>& targets,
                      double learning_rate, mathx::Rng& rng);
-
-  /// Classification accuracy with 0.5 thresholds (single-output models).
-  double accuracy(const std::vector<std::vector<double>>& inputs,
-                  const std::vector<std::vector<double>>& targets) const;
 
  private:
   std::vector<std::size_t> layer_sizes_;

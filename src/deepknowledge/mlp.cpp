@@ -43,15 +43,10 @@ std::size_t Mlp::num_hidden_neurons() const {
   return total;
 }
 
-std::vector<double> Mlp::forward(const std::vector<double>& input) const {
-  ActivationTrace ignored;
-  return forward_traced(input, ignored);
-}
-
 std::vector<double> Mlp::forward_traced(const std::vector<double>& input,
                                         ActivationTrace& trace) const {
   if (input.size() != input_size()) {
-    throw std::invalid_argument("Mlp::forward: input size mismatch");
+    throw std::invalid_argument("Mlp::forward_traced: input size mismatch");
   }
   trace.clear();
   std::vector<double> x = input;
@@ -138,23 +133,6 @@ double Mlp::train_epoch(const std::vector<std::vector<double>>& inputs,
     }
   }
   return total_loss / static_cast<double>(inputs.size());
-}
-
-double Mlp::accuracy(const std::vector<std::vector<double>>& inputs,
-                     const std::vector<std::vector<double>>& targets) const {
-  if (inputs.size() != targets.size() || inputs.empty()) {
-    throw std::invalid_argument("Mlp::accuracy: bad dataset");
-  }
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const auto out = forward(inputs[i]);
-    bool all_match = true;
-    for (std::size_t k = 0; k < out.size(); ++k) {
-      if ((out[k] >= 0.5) != (targets[i][k] >= 0.5)) all_match = false;
-    }
-    if (all_match) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(inputs.size());
 }
 
 }  // namespace sesame::deepknowledge

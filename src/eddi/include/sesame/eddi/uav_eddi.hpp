@@ -112,9 +112,6 @@ class UavEddi {
   /// Evidence flags for the ConSert network, derived from the last tick.
   conserts::UavEvidence consert_evidence() const;
 
-  /// ODE-style export of this EDDI's model inventory.
-  ode::Value to_ode() const;
-
  private:
   std::string name_;
   UavEddiConfig config_;

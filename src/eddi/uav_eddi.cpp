@@ -167,62 +167,4 @@ conserts::UavEvidence UavEddi::consert_evidence() const {
   return e;
 }
 
-ode::Value UavEddi::to_ode() const {
-  ode::Value doc;
-  doc["ode_version"] = "0.1";
-  doc["artefact"] = "EDDI";
-  doc["system"] = name_;
-
-  ode::Value models;
-  {
-    ode::Value m;
-    m["type"] = "markov_reliability";
-    m["technology"] = "SafeDrones";
-    m["horizon_s"] = config_.reliability_horizon_s;
-    m["abort_threshold"] = config_.reliability.abort_threshold;
-    m["airframe_rotors"] =
-        safedrones::rotor_count(config_.reliability.propulsion.airframe);
-    models.push_back(m);
-  }
-  {
-    ode::Value m;
-    m["type"] = "statistical_distance_monitor";
-    m["technology"] = "SafeML";
-    m["measure"] = safeml::measure_name(config_.safeml.measure);
-    m["window"] = config_.safeml.window;
-    m["features"] = safeml_.num_features();
-    models.push_back(m);
-  }
-  if (dk_analyzer_) {
-    ode::Value m;
-    m["type"] = "neuron_coverage_monitor";
-    m["technology"] = "DeepKnowledge";
-    m["tk_neurons"] = dk_analyzer_->tk_neurons().size();
-    m["window"] = dk_window_size_;
-    models.push_back(m);
-  }
-  {
-    ode::Value m;
-    m["type"] = "bayesian_risk_model";
-    m["technology"] = "SINADRA";
-    m["variables"] = risk_.network().num_variables();
-    models.push_back(m);
-  }
-  if (security_) {
-    ode::Value m;
-    m["type"] = "attack_tree_monitor";
-    m["technology"] = "SecurityEDDI";
-    m["tree"] = security_->tree().name();
-    models.push_back(m);
-  }
-  doc["models"] = models;
-
-  ode::Value calibration;
-  calibration["uncertainty_floor"] = config_.uncertainty_floor;
-  calibration["uncertainty_span"] = config_.uncertainty_span;
-  calibration["uncertainty_threshold"] = config_.uncertainty_threshold;
-  doc["sar_uncertainty_calibration"] = calibration;
-  return doc;
-}
-
 }  // namespace sesame::eddi

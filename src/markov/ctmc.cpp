@@ -66,14 +66,6 @@ bool Ctmc::is_absorbing(std::size_t i) const {
   return true;
 }
 
-std::vector<std::size_t> Ctmc::absorbing_states() const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < num_states(); ++i) {
-    if (is_absorbing(i)) out.push_back(i);
-  }
-  return out;
-}
-
 std::vector<double> Ctmc::transient(const std::vector<double>& pi0,
                                     double t) const {
   validate_distribution(pi0, num_states(), "Ctmc::transient");
@@ -129,35 +121,6 @@ double Ctmc::probability_in(const std::vector<double>& pi0, double t,
   return std::min(1.0, std::max(0.0, p));
 }
 
-std::vector<double> Ctmc::expected_occupancy(const std::vector<double>& pi0,
-                                             double horizon,
-                                             std::size_t steps) const {
-  validate_distribution(pi0, num_states(), "Ctmc::expected_occupancy");
-  if (horizon < 0.0) {
-    throw std::invalid_argument("Ctmc::expected_occupancy: negative horizon");
-  }
-  if (steps == 0) {
-    throw std::invalid_argument("Ctmc::expected_occupancy: zero steps");
-  }
-  const std::size_t n = num_states();
-  std::vector<double> occupancy(n, 0.0);
-  if (horizon == 0.0) return occupancy;
-
-  // Composite Simpson over 2*steps sub-intervals.
-  const std::size_t points = 2 * steps + 1;
-  const double h = horizon / static_cast<double>(points - 1);
-  for (std::size_t k = 0; k < points; ++k) {
-    const double t = static_cast<double>(k) * h;
-    const double weight = (k == 0 || k + 1 == points) ? 1.0
-                          : (k % 2 == 1)              ? 4.0
-                                                      : 2.0;
-    const auto pi = transient(pi0, t);
-    for (std::size_t i = 0; i < n; ++i) occupancy[i] += weight * pi[i];
-  }
-  for (double& x : occupancy) x *= h / 3.0;
-  return occupancy;
-}
-
 double Ctmc::mean_time_to_absorption(std::size_t start) const {
   const std::size_t n = num_states();
   if (start >= n) throw std::out_of_range("mean_time_to_absorption: start");
@@ -191,22 +154,6 @@ Ctmc Ctmc::scaled_rates(double factor) const {
   return Ctmc(q_ * factor, names_);
 }
 
-Dtmc Ctmc::embedded_dtmc() const {
-  const std::size_t n = num_states();
-  mathx::Matrix p(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double exit = -q_(i, i);
-    if (exit <= 0.0) {
-      p(i, i) = 1.0;  // absorbing
-      continue;
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i != j) p(i, j) = q_(i, j) / exit;
-    }
-  }
-  return Dtmc(std::move(p), names_);
-}
-
 std::size_t CtmcBuilder::add_state(std::string name) {
   names_.push_back(std::move(name));
   return names_.size() - 1;
@@ -235,45 +182,6 @@ Ctmc CtmcBuilder::build() const {
     q(e.from, e.from) -= e.rate;
   }
   return Ctmc(std::move(q), names_);
-}
-
-Dtmc::Dtmc(mathx::Matrix transition, std::vector<std::string> state_names)
-    : p_(std::move(transition)), names_(std::move(state_names)) {
-  if (!p_.is_square()) throw std::invalid_argument("Dtmc: matrix not square");
-  const std::size_t n = p_.rows();
-  if (names_.empty()) names_ = default_names(n, "s");
-  if (names_.size() != n) throw std::invalid_argument("Dtmc: name count mismatch");
-  for (std::size_t i = 0; i < n; ++i) {
-    double row = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (p_(i, j) < 0.0) throw std::invalid_argument("Dtmc: negative entry");
-      row += p_(i, j);
-    }
-    if (std::abs(row - 1.0) > 1e-9) {
-      throw std::invalid_argument("Dtmc: row not stochastic");
-    }
-  }
-}
-
-std::vector<double> Dtmc::step(const std::vector<double>& pi0,
-                               std::size_t k) const {
-  validate_distribution(pi0, num_states(), "Dtmc::step");
-  std::vector<double> v = pi0;
-  for (std::size_t i = 0; i < k; ++i) v = p_.apply_transposed(v);
-  return v;
-}
-
-std::vector<double> Dtmc::stationary(std::size_t max_iter, double tol) const {
-  const std::size_t n = num_states();
-  std::vector<double> v(n, 1.0 / static_cast<double>(n));
-  for (std::size_t it = 0; it < max_iter; ++it) {
-    std::vector<double> next = p_.apply_transposed(v);
-    double delta = 0.0;
-    for (std::size_t i = 0; i < n; ++i) delta += std::abs(next[i] - v[i]);
-    v = std::move(next);
-    if (delta < tol) return v;
-  }
-  throw std::runtime_error("Dtmc::stationary: no convergence");
 }
 
 }  // namespace sesame::markov

@@ -16,8 +16,6 @@
 
 namespace sesame::markov {
 
-class Dtmc;
-
 /// A labelled CTMC defined by its generator matrix Q (q_ij >= 0 for i != j,
 /// rows sum to zero). States are indexed 0..n-1 and carry display names.
 class Ctmc {
@@ -33,7 +31,6 @@ class Ctmc {
 
   /// True when state i has no outgoing transitions.
   bool is_absorbing(std::size_t i) const;
-  std::vector<std::size_t> absorbing_states() const;
 
   /// Transient distribution pi(t) = pi0 * e^{Qt} via uniformization
   /// (Jensen's method) with adaptive truncation; falls back to expm for
@@ -49,11 +46,6 @@ class Ctmc {
   /// throws std::runtime_error (singular system).
   double mean_time_to_absorption(std::size_t start) const;
 
-  /// The embedded jump chain: a DTMC whose transition probabilities are
-  /// the CTMC's conditional next-state probabilities q_ij / -q_ii.
-  /// Absorbing CTMC states become absorbing DTMC states (self-loop 1).
-  Dtmc embedded_dtmc() const;
-
   /// The chain with every rate multiplied by `factor` (> 0): Q' = factor*Q.
   /// This is how temperature-accelerated models derive the adjusted chain
   /// from a base chain built once — entry-wise scaling of an existing
@@ -61,14 +53,6 @@ class Ctmc {
   /// single-exit rows the result is bit-identical to rebuilding with
   /// pre-scaled rates ((-r)*f == -(r*f) in IEEE arithmetic).
   Ctmc scaled_rates(double factor) const;
-
-  /// Expected time spent in each state over [0, horizon] starting from
-  /// pi0: the integral of the transient distribution, computed by
-  /// composite-Simpson quadrature over `steps` panels. Entries sum to the
-  /// horizon. Used for duty-cycle/energy analyses of degraded modes.
-  std::vector<double> expected_occupancy(const std::vector<double>& pi0,
-                                         double horizon,
-                                         std::size_t steps = 64) const;
 
  private:
   mathx::Matrix q_;
@@ -103,28 +87,6 @@ class CtmcBuilder {
   };
   std::vector<std::string> names_;
   std::vector<Edge> edges_;
-};
-
-/// Discrete-time Markov chain with row-stochastic transition matrix P.
-class Dtmc {
- public:
-  explicit Dtmc(mathx::Matrix transition, std::vector<std::string> state_names = {});
-
-  std::size_t num_states() const noexcept { return p_.rows(); }
-  const mathx::Matrix& transition() const noexcept { return p_; }
-  const std::string& state_name(std::size_t i) const { return names_.at(i); }
-
-  /// Distribution after k steps.
-  std::vector<double> step(const std::vector<double>& pi0, std::size_t k) const;
-
-  /// Stationary distribution via power iteration (throws on no convergence
-  /// within `max_iter`). Requires an ergodic chain for a meaningful answer.
-  std::vector<double> stationary(std::size_t max_iter = 100000,
-                                 double tol = 1e-12) const;
-
- private:
-  mathx::Matrix p_;
-  std::vector<std::string> names_;
 };
 
 }  // namespace sesame::markov

@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <initializer_list>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 namespace sesame::mathx {
@@ -33,9 +32,6 @@ class Matrix {
   /// Identity matrix of order n.
   static Matrix identity(std::size_t n);
 
-  /// Square matrix with `diag` on the diagonal.
-  static Matrix diagonal(const std::vector<double>& diag);
-
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
   bool empty() const noexcept { return data_.empty(); }
@@ -47,10 +43,6 @@ class Matrix {
   double operator()(std::size_t r, std::size_t c) const {
     return data_[r * cols_ + c];
   }
-
-  /// Bounds-checked access; throws std::out_of_range.
-  double& at(std::size_t r, std::size_t c);
-  double at(std::size_t r, std::size_t c) const;
 
   const std::vector<double>& data() const noexcept { return data_; }
   std::vector<double>& data() noexcept { return data_; }
@@ -73,19 +65,8 @@ class Matrix {
   /// Left multiplication of a row vector: returns v^T * this.
   std::vector<double> apply_transposed(const std::vector<double>& v) const;
 
-  Matrix transposed() const;
-
   /// Maximum absolute row sum (the induced infinity norm).
   double norm_inf() const;
-
-  /// Maximum absolute entry.
-  double norm_max() const;
-
-  /// True when every |a_ij - b_ij| <= tol.
-  bool approx_equal(const Matrix& o, double tol = 1e-12) const;
-
-  /// Human-readable rendering, one row per line (debugging / logging).
-  std::string to_string(int precision = 6) const;
 
  private:
   std::size_t rows_ = 0;

@@ -34,9 +34,6 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
 
-  /// Exponential deviate with the given rate (lambda > 0).
-  double exponential(double rate);
-
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p);
 

@@ -1,5 +1,5 @@
-// Descriptive statistics and empirical-CDF machinery shared by SafeML
-// (statistical distance monitoring), SINADRA, and the benchmark harnesses.
+// Descriptive statistics shared by the monitors, the campaign summaries
+// and the benchmark harnesses.
 #pragma once
 
 #include <cstddef>
@@ -16,9 +16,6 @@ double variance(const std::vector<double>& xs);
 /// Sample standard deviation.
 double stddev(const std::vector<double>& xs);
 
-/// Median (average of middle pair for even sizes). Input copied & sorted.
-double median(std::vector<double> xs);
-
 /// Linear-interpolation quantile, q in [0,1]. Input copied & sorted.
 double quantile(std::vector<double> xs, double q);
 
@@ -26,71 +23,7 @@ double quantile(std::vector<double> xs, double q);
 double min_value(const std::vector<double>& xs);
 double max_value(const std::vector<double>& xs);
 
-/// Pearson correlation of equally-sized samples (size >= 2).
-double pearson(const std::vector<double>& xs, const std::vector<double>& ys);
-
-/// Running (Welford) accumulator for streaming mean/variance, used by the
-/// runtime monitors that cannot buffer full histories.
-class RunningStats {
- public:
-  void add(double x);
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return mean_; }
-  /// Unbiased variance; 0 until two samples have been seen.
-  double variance() const noexcept;
-  double stddev() const noexcept;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
-
-/// Empirical cumulative distribution function over a sample.
-/// Evaluation is O(log n) per query.
-class Ecdf {
- public:
-  /// Builds from a sample (copied and sorted). Throws on empty input.
-  explicit Ecdf(std::vector<double> sample);
-
-  /// F(x) = P[X <= x] under the empirical distribution.
-  double operator()(double x) const;
-
-  /// Sorted sample values.
-  const std::vector<double>& sorted() const noexcept { return sorted_; }
-  std::size_t size() const noexcept { return sorted_.size(); }
-
-  /// Inverse CDF (empirical quantile) for q in [0, 1].
-  double inverse(double q) const;
-
- private:
-  std::vector<double> sorted_;
-};
-
-/// Standard normal CDF.
-double normal_cdf(double z);
-
 /// Standard normal quantile (Acklam's rational approximation, |err|<1e-9).
 double normal_quantile(double p);
-
-/// Simple 1-D histogram with uniform bins on [lo, hi]; out-of-range samples
-/// clamp to the edge bins. Used by workload generators and report code.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::size_t total() const noexcept { return total_; }
-  double bin_center(std::size_t i) const;
-  /// Fraction of mass in bin i; 0 when empty.
-  double density(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace sesame::mathx

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace sesame::mathx {
 
@@ -22,22 +21,6 @@ Matrix Matrix::identity(std::size_t n) {
   Matrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
   return m;
-}
-
-Matrix Matrix::diagonal(const std::vector<double>& diag) {
-  Matrix m(diag.size(), diag.size());
-  for (std::size_t i = 0; i < diag.size(); ++i) m(i, i) = diag[i];
-  return m;
-}
-
-double& Matrix::at(std::size_t r, std::size_t c) {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-  return (*this)(r, c);
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-  return (*this)(r, c);
 }
 
 Matrix& Matrix::operator+=(const Matrix& o) {
@@ -104,14 +87,6 @@ std::vector<double> Matrix::apply_transposed(const std::vector<double>& v) const
   return out;
 }
 
-Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t j = 0; j < cols_; ++j) out(j, i) = (*this)(i, j);
-  }
-  return out;
-}
-
 double Matrix::norm_inf() const {
   double best = 0.0;
   for (std::size_t i = 0; i < rows_; ++i) {
@@ -120,34 +95,6 @@ double Matrix::norm_inf() const {
     best = std::max(best, row);
   }
   return best;
-}
-
-double Matrix::norm_max() const {
-  double best = 0.0;
-  for (double x : data_) best = std::max(best, std::abs(x));
-  return best;
-}
-
-bool Matrix::approx_equal(const Matrix& o, double tol) const {
-  if (rows_ != o.rows_ || cols_ != o.cols_) return false;
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    if (std::abs(data_[i] - o.data_[i]) > tol) return false;
-  }
-  return true;
-}
-
-std::string Matrix::to_string(int precision) const {
-  std::ostringstream os;
-  os.precision(precision);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    os << '[';
-    for (std::size_t j = 0; j < cols_; ++j) {
-      if (j) os << ", ";
-      os << (*this)(i, j);
-    }
-    os << "]\n";
-  }
-  return os.str();
 }
 
 std::vector<double> solve_linear(Matrix a, std::vector<double> b) {

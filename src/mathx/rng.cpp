@@ -76,13 +76,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-double Rng::exponential(double rate) {
-  if (rate <= 0.0) throw std::invalid_argument("Rng::exponential: rate <= 0");
-  double u = uniform();
-  while (u <= 0.0) u = uniform();
-  return -std::log(u) / rate;
-}
-
 bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

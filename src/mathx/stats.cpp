@@ -31,14 +31,6 @@ double variance(const std::vector<double>& xs) {
 
 double stddev(const std::vector<double>& xs) { return std::sqrt(variance(xs)); }
 
-double median(std::vector<double> xs) {
-  require_nonempty(xs, "median");
-  std::sort(xs.begin(), xs.end());
-  const std::size_t n = xs.size();
-  if (n % 2 == 1) return xs[n / 2];
-  return 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
-
 double quantile(std::vector<double> xs, double q) {
   require_nonempty(xs, "quantile");
   if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q out of range");
@@ -60,61 +52,6 @@ double max_value(const std::vector<double>& xs) {
   require_nonempty(xs, "max_value");
   return *std::max_element(xs.begin(), xs.end());
 }
-
-double pearson(const std::vector<double>& xs, const std::vector<double>& ys) {
-  if (xs.size() != ys.size() || xs.size() < 2) {
-    throw std::invalid_argument("pearson: need equal sizes >= 2");
-  }
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) {
-    throw std::invalid_argument("pearson: zero-variance input");
-  }
-  return sxy / std::sqrt(sxx * syy);
-}
-
-void RunningStats::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const noexcept {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-Ecdf::Ecdf(std::vector<double> sample) : sorted_(std::move(sample)) {
-  if (sorted_.empty()) throw std::invalid_argument("Ecdf: empty sample");
-  std::sort(sorted_.begin(), sorted_.end());
-}
-
-double Ecdf::operator()(double x) const {
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) /
-         static_cast<double>(sorted_.size());
-}
-
-double Ecdf::inverse(double q) const {
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("Ecdf::inverse: q range");
-  if (q <= 0.0) return sorted_.front();
-  const auto idx = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sorted_.size()))) - 1;
-  return sorted_[std::min(idx, sorted_.size() - 1)];
-}
-
-double normal_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
 double normal_quantile(double p) {
   if (p <= 0.0 || p >= 1.0) {
@@ -148,31 +85,6 @@ double normal_quantile(double p) {
   r = q * q;
   return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q /
          (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram: invalid range or bin count");
-  }
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<long>(t * static_cast<double>(counts_.size()));
-  idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_center(std::size_t i) const {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + (static_cast<double>(i) + 0.5) * w;
-}
-
-double Histogram::density(std::size_t i) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.at(i)) / static_cast<double>(total_);
 }
 
 }  // namespace sesame::mathx

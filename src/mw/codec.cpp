@@ -41,15 +41,6 @@ const Codec::Entry* Codec::find_tag(std::uint32_t tag) const {
   return it == by_tag_.end() ? nullptr : &it->second;
 }
 
-std::uint32_t Codec::tag_for(std::type_index type) const {
-  const auto it = by_type_.find(type);
-  if (it == by_type_.end()) {
-    throw std::invalid_argument("mw::Codec: type not registered: " +
-                                std::string(type.name()));
-  }
-  return it->second;
-}
-
 bool Codec::encode_any(const OutboundMessage& m, const std::any& payload_ref,
                        std::type_index type,
                        std::vector<std::uint8_t>& out) const {

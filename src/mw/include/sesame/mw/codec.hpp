@@ -32,9 +32,9 @@
 // Type registry: payload types are registered with a wire tag (stable
 // protocol constants — see docs/PROTOCOL.md §5), an encoder and a decoder.
 // `mw` registers the primitives (f64, string, bool, i64) in the Codec
-// constructor; domain modules add their own (`sim::register_wire_types`,
-// `security::register_wire_types`). Both federation endpoints must agree
-// on tags — that is what the PROTOCOL.md tables pin down.
+// constructor; domain modules add their own (`sim::register_wire_types`).
+// Both federation endpoints must agree on tags — that is what the
+// PROTOCOL.md tables pin down.
 #pragma once
 
 #include <any>
@@ -342,8 +342,6 @@ class Codec {
     const Entry* e = find_tag(tag);
     return e == nullptr ? std::string_view{} : std::string_view(e->name);
   }
-  /// Wire tag for a registered type; throws std::invalid_argument else.
-  std::uint32_t tag_for(std::type_index type) const;
 
  private:
   struct Entry {

@@ -184,13 +184,8 @@ class MetricsRegistry {
   /// Gauge determinism: each gauge keeps the value of the highest-stamped
   /// merge it has seen (ties keep the larger value), so folding a fixed
   /// set of stamped snapshots produces the same result in any merge order.
-  /// The one-argument form stamps the whole snapshot with an internal
-  /// sequence number (monotone per registry), which preserves the legacy
-  /// "last merge wins" behaviour for strictly in-order callers; pass an
-  /// explicit stamp (e.g. the campaign run index + 1) whenever merges may
-  /// happen out of order — concurrent service tenants, completion-order
-  /// streaming.
-  void merge(const MetricsSnapshot& snapshot);
+  /// Callers stamp with a provenance order, e.g. the campaign run index + 1;
+  /// folding in that order makes the last merge win.
   void merge(const MetricsSnapshot& snapshot, std::uint64_t gauge_stamp);
 
   /// Prometheus text exposition (v0.0.4) of the current state: dotted
@@ -214,7 +209,6 @@ class MetricsRegistry {
   Family& family_of(const std::string& name, MetricKind kind);
 
   std::map<std::string, Family> families_;
-  std::uint64_t merge_seq_ = 0;  ///< stamps un-stamped merges (last wins)
 };
 
 /// Renders a snapshot in the Prometheus text format (what

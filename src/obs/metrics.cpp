@@ -299,15 +299,8 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
-void MetricsRegistry::merge(const MetricsSnapshot& snapshot) {
-  merge(snapshot, ++merge_seq_);
-}
-
 void MetricsRegistry::merge(const MetricsSnapshot& snapshot,
                             std::uint64_t gauge_stamp) {
-  // Keep the internal sequence ahead of explicit stamps so interleaving
-  // the two forms cannot hand an un-stamped merge a stale (losing) stamp.
-  merge_seq_ = std::max(merge_seq_, gauge_stamp);
   for (const auto& s : snapshot.samples) {
     switch (s.kind) {
       case MetricKind::kCounter:

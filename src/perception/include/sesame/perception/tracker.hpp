@@ -59,9 +59,6 @@ class PersonTracker {
 
   std::size_t frames_processed() const noexcept { return frames_; }
 
-  /// Closest confirmed track to a point within the gate, if any.
-  std::optional<Track> nearest_confirmed(const geo::EnuPoint& p) const;
-
  private:
   /// A track as stored: `track.misses` is not maintained; it is
   /// `frames_ - hit_frame`, materialised by the queries.

@@ -83,20 +83,4 @@ std::vector<Track> PersonTracker::confirmed() const {
   return out;
 }
 
-std::optional<Track> PersonTracker::nearest_confirmed(
-    const geo::EnuPoint& p) const {
-  const Slot* best = nullptr;
-  double best_d = config_.gate_m;
-  for (const auto& s : slots_) {
-    if (!s.track.confirmed) continue;
-    const double d = geo::enu_ground_distance_m(s.track.position, p);
-    if (d <= best_d) {
-      best_d = d;
-      best = &s;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  return materialise(*best);
-}
-
 }  // namespace sesame::perception

@@ -59,8 +59,6 @@ struct RecoveryConfig {
 
 enum class RecoveryState { kHealthy, kPinging, kDemoted, kRthCommanded, kLost };
 
-std::string recovery_state_name(RecoveryState s);
-
 /// Side effects of the escalation, supplied by the owner; each receives the
 /// vehicle's index. Unset hooks are skipped. Hooks run synchronously inside
 /// step(), in vehicle order.

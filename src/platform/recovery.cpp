@@ -5,17 +5,6 @@
 
 namespace sesame::platform {
 
-std::string recovery_state_name(RecoveryState s) {
-  switch (s) {
-    case RecoveryState::kHealthy: return "healthy";
-    case RecoveryState::kPinging: return "pinging";
-    case RecoveryState::kDemoted: return "demoted";
-    case RecoveryState::kRthCommanded: return "rth_commanded";
-    case RecoveryState::kLost: return "lost";
-  }
-  return "unknown";
-}
-
 RecoveryManager::RecoveryManager(std::vector<std::string> uavs,
                                  RecoveryConfig config, RecoveryHooks hooks)
     : uavs_(std::move(uavs)), config_(config), hooks_(std::move(hooks)) {

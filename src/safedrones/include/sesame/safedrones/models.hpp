@@ -141,9 +141,6 @@ class BatteryRuntimeTracker {
     return distribution_;
   }
 
-  /// Resets to a fresh pack (battery swap).
-  void reset();
-
  private:
   BatteryModel model_;
   std::vector<double> distribution_{1.0, 0.0, 0.0, 0.0};

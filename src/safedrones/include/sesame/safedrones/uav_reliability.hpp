@@ -84,10 +84,6 @@ class ReliabilityMonitor {
   /// this monitor's models: the monitor must outlive the returned tree.
   fta::FaultTree design_time_tree(double mission_duration_s) const;
 
-  /// Probability of this UAV failing by mission time t under nominal
-  /// conditions (the design_time_tree top event).
-  double nominal_failure_probability(double t) const;
-
  private:
   ReliabilityConfig config_;
   PropulsionModel propulsion_;
@@ -95,19 +91,5 @@ class ReliabilityMonitor {
   ProcessorModel processor_;
   CommsModel comms_;
 };
-
-/// Fleet-level mission reliability: the probability that the mission-level
-/// ConSert outcome "mission cannot be fully completed" is avoided, i.e.
-/// that at least `min_capable` of the fleet's UAVs are still operational
-/// at mission time t. Built as a k-of-N fault tree over the per-UAV
-/// nominal failure models (k = N - min_capable + 1 failures sink the
-/// mission). Current per-UAV telemetry enters through per-monitor
-/// `current` estimates when provided (same order as `monitors`).
-///
-/// Throws std::invalid_argument on an empty fleet or min_capable out of
-/// [1, N].
-double fleet_mission_reliability(
-    const std::vector<const ReliabilityMonitor*>& monitors,
-    std::size_t min_capable, double t);
 
 }  // namespace sesame::safedrones

@@ -173,8 +173,6 @@ void BatteryRuntimeTracker::advance(double dt_s, double temperature_c) {
   distribution_ = cached_chain_->transient(distribution_, dt_s);
 }
 
-void BatteryRuntimeTracker::reset() { distribution_ = {1.0, 0.0, 0.0, 0.0}; }
-
 ProcessorModel::ProcessorModel(ProcessorModelConfig config) : config_(config) {
   if (config_.base_rate < 0.0) {
     throw std::invalid_argument("ProcessorModel: negative base rate");

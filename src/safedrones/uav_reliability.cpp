@@ -112,41 +112,4 @@ fta::FaultTree ReliabilityMonitor::design_time_tree(
       fta::make_or("uav_failure", {propulsion, battery, processor, comms}));
 }
 
-double ReliabilityMonitor::nominal_failure_probability(double t) const {
-  return design_time_tree(std::max(t, 1e-9)).top_probability(t);
-}
-
-double fleet_mission_reliability(
-    const std::vector<const ReliabilityMonitor*>& monitors,
-    std::size_t min_capable, double t) {
-  if (monitors.empty()) {
-    throw std::invalid_argument("fleet_mission_reliability: empty fleet");
-  }
-  if (min_capable == 0 || min_capable > monitors.size()) {
-    throw std::invalid_argument(
-        "fleet_mission_reliability: min_capable out of [1, N]");
-  }
-  for (const auto* m : monitors) {
-    if (!m) {
-      throw std::invalid_argument("fleet_mission_reliability: null monitor");
-    }
-  }
-  // The mission fails when more than N - min_capable UAVs fail, i.e. at
-  // least k = N - min_capable + 1 of the per-UAV failure events occur.
-  const std::size_t k = monitors.size() - min_capable + 1;
-  std::vector<fta::NodePtr> uav_failures;
-  uav_failures.reserve(monitors.size());
-  for (std::size_t i = 0; i < monitors.size(); ++i) {
-    const ReliabilityMonitor* monitor = monitors[i];
-    uav_failures.push_back(fta::make_complex(
-        "uav" + std::to_string(i + 1) + "_failure",
-        [monitor](double time) {
-          return monitor->nominal_failure_probability(time);
-        }));
-  }
-  const auto mission_loss =
-      fta::make_k_of_n("mission_loss", k, std::move(uav_failures));
-  return 1.0 - mission_loss->probability(t);
-}
-
 }  // namespace sesame::safedrones

@@ -183,43 +183,10 @@ const std::vector<Measure>& all_measures() {
   return ms;
 }
 
-double ks_distance(const std::vector<double>& a, const std::vector<double>& b) {
-  return distance(Measure::kKolmogorovSmirnov, a, b);
-}
-
-double kuiper_distance(const std::vector<double>& a, const std::vector<double>& b) {
-  return distance(Measure::kKuiper, a, b);
-}
-
-double anderson_darling_distance(const std::vector<double>& a,
-                                 const std::vector<double>& b) {
-  return distance(Measure::kAndersonDarling, a, b);
-}
-
-double cramer_von_mises_distance(const std::vector<double>& a,
-                                 const std::vector<double>& b) {
-  return distance(Measure::kCramerVonMises, a, b);
-}
-
-double wasserstein_distance(const std::vector<double>& a,
-                            const std::vector<double>& b) {
-  return distance(Measure::kWasserstein, a, b);
-}
-
-double dts_distance(const std::vector<double>& a, const std::vector<double>& b) {
-  return distance(Measure::kDts, a, b);
-}
-
 double distance(Measure m, const std::vector<double>& a,
                 const std::vector<double>& b) {
   require_samples(a, b, "distance");
   return PreparedReference(a).distance(m, sorted_copy(b));
-}
-
-double distance_sorted(Measure m, const std::vector<double>& a_sorted,
-                       const std::vector<double>& b_sorted) {
-  require_samples(a_sorted, b_sorted, "distance_sorted");
-  return PreparedReference(a_sorted).distance(m, b_sorted);
 }
 
 double permutation_p_value(Measure m, const std::vector<double>& a,

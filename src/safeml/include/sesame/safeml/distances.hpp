@@ -33,46 +33,15 @@ std::string measure_name(Measure m);
 /// All measures, for sweep code.
 const std::vector<Measure>& all_measures();
 
-/// Kolmogorov-Smirnov statistic: sup |F_a - F_b|. Range [0, 1].
-double ks_distance(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Kuiper statistic: sup (F_a - F_b) + sup (F_b - F_a). Range [0, 2];
-/// sensitive to shifts in the tails as well as the median.
-double kuiper_distance(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Two-sample Anderson-Darling statistic (normalized variant), tail-weighted.
-double anderson_darling_distance(const std::vector<double>& a,
-                                 const std::vector<double>& b);
-
-/// Two-sample Cramer-von Mises statistic.
-double cramer_von_mises_distance(const std::vector<double>& a,
-                                 const std::vector<double>& b);
-
-/// 1-Wasserstein (earth mover's) distance between empirical distributions;
-/// in the units of the underlying feature.
-double wasserstein_distance(const std::vector<double>& a,
-                            const std::vector<double>& b);
-
-/// DTS measure: Wasserstein transport cost with Anderson-Darling-style
-/// variance weighting (the "ECDF-based distance with taste of both"
-/// combined statistic used in the SafeML tooling).
-double dts_distance(const std::vector<double>& a, const std::vector<double>& b);
-
 /// Evaluates any measure by enum.
 double distance(Measure m, const std::vector<double>& a,
                 const std::vector<double>& b);
 
-/// Same as distance(), but requires both samples to already be sorted in
-/// ascending order and skips the per-call copy + sort of the second one.
-/// The result is bit-identical to distance() on the unsorted samples.
-double distance_sorted(Measure m, const std::vector<double>& a_sorted,
-                       const std::vector<double>& b_sorted);
-
 /// A reference sample prepared once for repeated comparison against
 /// runtime windows: its distinct ascending values, the reference ECDF
 /// after each value and the gap to the next value. Runtime monitors keep
-/// one per feature and share it; distance() and distance_sorted() build
-/// one per call, so every measure goes through the same ECDF walk.
+/// one per feature and share it; distance() builds one per call, so
+/// every measure goes through the same ECDF walk.
 class PreparedReference {
  public:
   /// Throws std::invalid_argument on an empty sample or a NaN in it.

@@ -21,8 +21,6 @@ namespace sesame::safeml {
 /// Discrete confidence levels reported to ConSerts.
 enum class ConfidenceLevel { kHigh, kMedium, kLow };
 
-std::string confidence_level_name(ConfidenceLevel c);
-
 /// One monitor verdict.
 struct Assessment {
   double dissimilarity = 0.0;  ///< aggregated distance across features
@@ -90,9 +88,6 @@ class Monitor {
   /// Per-feature distances of the current window (diagnostics: which input
   /// channel drifted). Empty before `ready()`.
   std::vector<double> per_feature_dissimilarity() const;
-
-  /// Clears the runtime window (e.g. after a mode change).
-  void reset();
 
  private:
   MonitorConfig config_;

@@ -6,15 +6,6 @@
 
 namespace sesame::safeml {
 
-std::string confidence_level_name(ConfidenceLevel c) {
-  switch (c) {
-    case ConfidenceLevel::kHigh: return "High";
-    case ConfidenceLevel::kMedium: return "Medium";
-    case ConfidenceLevel::kLow: return "Low";
-  }
-  return "unknown";
-}
-
 namespace {
 
 std::vector<PreparedReference> prepare(
@@ -104,11 +95,6 @@ std::optional<Assessment> Monitor::assess() const {
   a.level = classify(a.confidence);
   a.window_size = buffered();
   return a;
-}
-
-void Monitor::reset() {
-  for (auto& w : window_) w.clear();
-  for (auto& s : sorted_) s.clear();
 }
 
 ConfidenceLevel Monitor::classify(double confidence) const {

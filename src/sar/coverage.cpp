@@ -50,18 +50,4 @@ std::vector<SweepPlan> plan_coverage(const Area& area, std::size_t n_uavs,
   return plans;
 }
 
-double plan_length_m(const SweepPlan& plan) {
-  double total = 0.0;
-  for (std::size_t i = 1; i < plan.waypoints.size(); ++i) {
-    total += geo::enu_distance_m(plan.waypoints[i - 1], plan.waypoints[i]);
-  }
-  return total;
-}
-
-double coverage_fraction(const CoverageConfig& config,
-                         double footprint_width_m) {
-  if (footprint_width_m <= 0.0) return 0.0;
-  return std::min(1.0, footprint_width_m / config.lane_spacing_m);
-}
-
 }  // namespace sesame::sar

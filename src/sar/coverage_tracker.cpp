@@ -31,45 +31,6 @@ double CoverageTracker::fraction_covered() const {
   return covered_area_m2_ / (area_.width() * area_.height());
 }
 
-double CoverageTracker::fraction_covered(const Area& region) const {
-  // Intersection of the query region with the tracked area.
-  const double east_lo = std::max(region.east_min, area_.east_min);
-  const double east_hi = std::min(region.east_max, area_.east_max);
-  const double north_lo = std::max(region.north_min, area_.north_min);
-  const double north_hi = std::min(region.north_max, area_.north_max);
-  if (east_hi <= east_lo || north_hi <= north_lo) return 0.0;
-
-  const auto cell_of = [&](double offset_m) {
-    return static_cast<std::size_t>(std::max(0.0, offset_m / cell_m_));
-  };
-  const std::size_t ie_lo = cell_of(east_lo - area_.east_min);
-  const std::size_t in_lo = cell_of(north_lo - area_.north_min);
-
-  double region_area = 0.0;
-  double covered_area = 0.0;
-  for (std::size_t in = in_lo; in < cells_north_; ++in) {
-    const double cell_n_lo = area_.north_min + static_cast<double>(in) * cell_m_;
-    if (cell_n_lo >= north_hi) break;
-    const double ext_n = std::min(cell_n_lo + cell_extent_north(in), north_hi) -
-                         std::max(cell_n_lo, north_lo);
-    if (ext_n <= 0.0) continue;
-    const std::size_t row = in * cells_east_;
-    for (std::size_t ie = ie_lo; ie < cells_east_; ++ie) {
-      const double cell_e_lo =
-          area_.east_min + static_cast<double>(ie) * cell_m_;
-      if (cell_e_lo >= east_hi) break;
-      const double ext_e =
-          std::min(cell_e_lo + cell_extent_east(ie), east_hi) -
-          std::max(cell_e_lo, east_lo);
-      if (ext_e <= 0.0) continue;
-      const double overlap = ext_e * ext_n;
-      region_area += overlap;
-      if (covered_[row + ie]) covered_area += overlap;
-    }
-  }
-  return region_area > 0.0 ? covered_area / region_area : 0.0;
-}
-
 void CoverageTracker::mark(const sim::Footprint& footprint) {
   if (footprint.area_m2() <= 0.0) return;
   // Cell-index window overlapping the footprint rectangle.
@@ -130,12 +91,6 @@ bool CoverageTracker::covered_at(const geo::EnuPoint& p) const {
       cells_north_ - 1,
       static_cast<std::size_t>((p.north_m - area_.north_min) / cell_m_));
   return covered_[index(ie, in)] != 0;
-}
-
-void CoverageTracker::reset() {
-  std::fill(covered_.begin(), covered_.end(), std::uint8_t{0});
-  covered_count_ = 0;
-  covered_area_m2_ = 0.0;
 }
 
 }  // namespace sesame::sar

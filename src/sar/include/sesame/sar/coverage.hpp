@@ -47,12 +47,4 @@ struct SweepPlan {
 std::vector<SweepPlan> plan_coverage(const Area& area, std::size_t n_uavs,
                                      const CoverageConfig& config);
 
-/// Total path length of a plan (metres).
-double plan_length_m(const SweepPlan& plan);
-
-/// Fraction of the area covered by camera footprints of width
-/// `footprint_width_m` sweeping along the plan lanes (1.0 when lane
-/// spacing <= footprint width).
-double coverage_fraction(const CoverageConfig& config, double footprint_width_m);
-
 }  // namespace sesame::sar

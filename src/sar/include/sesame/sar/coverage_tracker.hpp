@@ -37,15 +37,6 @@ class CoverageTracker {
   /// Covered ground area in square metres (edge cells clipped to the area).
   double covered_area_m2() const noexcept { return covered_area_m2_; }
 
-  /// Fraction of `region` (clipped to the tracker's area) that is covered,
-  /// with boundary cells weighted by their intersection with the region.
-  /// Overlapping sweep regions share the underlying cells, so querying two
-  /// overlapping strips never double-counts the shared ground: each cell's
-  /// area is credited once globally, and per-region queries of a disjoint
-  /// partition sum exactly to the global covered area. Returns 0 when the
-  /// region does not intersect the tracker's area.
-  double fraction_covered(const Area& region) const;
-
   /// Marks every cell whose centre (of its clipped extent, for edge cells)
   /// lies inside the footprint.
   void mark(const sim::Footprint& footprint);
@@ -53,8 +44,6 @@ class CoverageTracker {
   /// Whether the cell containing the point has been covered. Points
   /// outside the area return false.
   bool covered_at(const geo::EnuPoint& p) const;
-
-  void reset();
 
  private:
   Area area_;

@@ -58,15 +58,6 @@ class SarMission {
   /// True when every UAV consumed its plan.
   bool complete() const;
 
-  /// Fraction of the originally assigned waypoints already consumed,
-  /// in [0, 1] (redistributed waypoints count against the fleet total).
-  double progress() const;
-
-  /// Estimated seconds to consume the remaining waypoints, from the
-  /// remaining leg lengths at `fleet_speed_mps` with the work split across
-  /// the active vehicles. 0 when complete; conservative (ignores turns).
-  double eta_s(double fleet_speed_mps) const;
-
   /// Removes `failed_uav` from the mission and appends its unfinished
   /// waypoints to `takeover_uav`'s queue (task redistribution). Returns
   /// the number of reassigned waypoints. Throws std::invalid_argument
@@ -136,7 +127,6 @@ class SarMission {
   perception::PersonTracker person_tracker_;
   DetectionStats stats_;
   std::optional<CoverageTracker> tracker_;
-  std::size_t total_assigned_ = 0;
 
   // Spatial index over the world's (static) person positions: each tick
   // queries the camera footprint instead of scanning every person per

@@ -33,35 +33,6 @@ SarMission::SarMission(sim::World& world,
     for (const auto& wp : plans[i].waypoints) uav.add_waypoint(wp);
   }
   stats_.persons_total = world_->persons().size();
-  total_assigned_ = total_remaining();
-}
-
-double SarMission::progress() const {
-  if (total_assigned_ == 0) return 1.0;
-  const std::size_t remaining = total_remaining();
-  return 1.0 - static_cast<double>(remaining) /
-                   static_cast<double>(total_assigned_);
-}
-
-double SarMission::eta_s(double fleet_speed_mps) const {
-  if (fleet_speed_mps <= 0.0) {
-    throw std::invalid_argument("SarMission::eta_s: non-positive speed");
-  }
-  double longest_m = 0.0;
-  double total_m = 0.0;
-  std::size_t active_airborne = 0;
-  for (const std::size_t i : active_uavs_) {
-    const double d = world_->uav(i).remaining_path_length_m();
-    total_m += d;
-    longest_m = std::max(longest_m, d);
-    ++active_airborne;
-  }
-  if (total_m == 0.0 || active_airborne == 0) return 0.0;
-  // The fleet finishes when its most-loaded member does; with balanced
-  // strips that is close to total / fleet, so take the max of both bounds.
-  return std::max(longest_m,
-                  total_m / static_cast<double>(active_airborne)) /
-         fleet_speed_mps;
 }
 
 void SarMission::enable_coverage_tracking(const Area& area, double cell_m) {

@@ -138,12 +138,6 @@ std::vector<std::string> AttackTree::mitigations() const {
   return out;
 }
 
-void AttackTree::reset() {
-  for_each_leaf(root_, [](const std::shared_ptr<AttackNode>& leaf) {
-    leaf->set_triggered(false);
-  });
-}
-
 AttackTree make_spoofing_attack_tree() {
   AttackStepInfo access;
   access.capec_id = "CAPEC-151";
@@ -206,34 +200,6 @@ AttackTree make_spoofing_attack_tree() {
        AttackNode::leaf(gps), AttackNode::leaf(flood),
        AttackNode::leaf(wire)});
   return AttackTree("ros_message_spoofing", std::move(root));
-}
-
-AttackTree make_jamming_attack_tree() {
-  AttackStepInfo jam;
-  jam.capec_id = "CAPEC-601";
-  jam.title = "Jam GNSS reception";
-  jam.description =
-      "Broadband RF noise denies satellite lock; receivers report loss of "
-      "fix while airborne (physical-layer sensor alert).";
-  jam.severity = Severity::kHigh;
-  jam.likelihood = 0.25;
-  jam.mitigation =
-      "Switch to collaborative/vision localization; hold or return.";
-
-  AttackStepInfo flood;
-  flood.capec_id = "CAPEC-125";
-  flood.title = "Flood the command-and-control channel";
-  flood.description =
-      "High-rate bogus publications starve the C2 link, delaying operator "
-      "commands and telemetry.";
-  flood.severity = Severity::kMedium;
-  flood.likelihood = 0.4;
-  flood.mitigation = "Rate-limit per-source publications; isolate the source.";
-
-  auto root = AttackNode::or_node(
-      "Deny fleet navigation or command capability",
-      {AttackNode::leaf(jam), AttackNode::leaf(flood)});
-  return AttackTree("denial_of_navigation", std::move(root));
 }
 
 }  // namespace sesame::security

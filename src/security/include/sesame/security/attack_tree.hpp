@@ -71,7 +71,7 @@ class AttackNode {
   bool triggered_ = false;
 };
 
-/// A named attack tree with leaf lookup and reset.
+/// A named attack tree with leaf lookup.
 class AttackTree {
  public:
   AttackTree(std::string name, std::shared_ptr<AttackNode> root);
@@ -97,9 +97,6 @@ class AttackTree {
   /// Mitigations of all triggered leaves.
   std::vector<std::string> mitigations() const;
 
-  /// Clears all trigger state.
-  void reset();
-
  private:
   std::string name_;
   std::shared_ptr<AttackNode> root_;
@@ -115,11 +112,5 @@ class AttackTree {
 ///     - evade detection (leaf)
 /// plus a GPS-spoofing branch (CAPEC-627).
 AttackTree make_spoofing_attack_tree();
-
-/// Denial-of-navigation attack tree: GPS jamming (CAPEC-601 obstruction)
-/// or command-link flooding (CAPEC-125) deny the fleet its navigation or
-/// C2 capability. The paper notes each Security EDDI is tailored to one
-/// attack tree; deployments run one EDDI per tree side by side.
-AttackTree make_jamming_attack_tree();
 
 }  // namespace sesame::security

@@ -43,14 +43,11 @@ class SecurityEddi {
   std::size_t alerts_consumed() const noexcept { return alerts_consumed_; }
   std::size_t events_raised() const noexcept { return events_raised_; }
 
-  /// True once the goal was reached at least once (sticky until reset).
+  /// True once the goal was reached at least once (sticky).
   bool attack_detected() const noexcept { return events_raised_ > 0; }
 
   /// Optional direct callback in addition to the bus publication.
   void on_event(std::function<void(const SecurityEvent&)> callback);
-
-  /// Clears the tree's trigger state (after mitigation / investigation).
-  void reset();
 
  private:
   mw::Bus* bus_;

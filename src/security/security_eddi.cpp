@@ -17,12 +17,6 @@ void SecurityEddi::on_event(std::function<void(const SecurityEvent&)> callback) 
   callback_ = std::move(callback);
 }
 
-void SecurityEddi::reset() {
-  tree_.reset();
-  suspicious_sources_.clear();
-  goal_reported_ = false;
-}
-
 void SecurityEddi::handle_alert(const IdsAlert& alert) {
   ++alerts_consumed_;
   if (!tree_.trigger(alert.capec_id)) return;  // alert not in this tree

@@ -53,8 +53,4 @@ const std::atomic<bool>* DrainSignal::flag() const noexcept {
   return &g_drain_requested;
 }
 
-void DrainSignal::reset() noexcept {
-  g_drain_requested.store(false, std::memory_order_relaxed);
-}
-
 }  // namespace sesame::service

@@ -35,10 +35,6 @@ class DrainSignal {
 
   /// The latch itself, in the shape campaign::CampaignConfig::stop wants.
   const std::atomic<bool>* flag() const noexcept;
-
-  /// Re-arms the latch (tests; a daemon that drains, spools and exits
-  /// never needs this).
-  void reset() noexcept;
 };
 
 }  // namespace sesame::service

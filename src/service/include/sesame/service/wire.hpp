@@ -94,7 +94,6 @@ class WireClient {
   bool established() const noexcept { return framing_.established(); }
 
   void submit(const Submission& submission);
-  void request_status(std::uint64_t job_id);
   void poll_events(std::uint64_t job_id, std::size_t cursor);
 
   void feed(std::span<const std::uint8_t> bytes);

@@ -111,13 +111,6 @@ void WireClient::submit(const Submission& submission) {
   send_frame(framing_, doc.to_json());
 }
 
-void WireClient::request_status(std::uint64_t job_id) {
-  Value doc;
-  doc["type"] = "status";
-  doc["job"] = job_id;
-  send_frame(framing_, doc.to_json());
-}
-
 void WireClient::poll_events(std::uint64_t job_id, std::size_t cursor) {
   Value doc;
   doc["type"] = "poll";

@@ -39,14 +39,4 @@ double Camera::ground_sample_distance_m(double altitude_m) const {
   return width_m / static_cast<double>(config_.image_width_px);
 }
 
-std::vector<std::size_t> Camera::visible(
-    const geo::EnuPoint& pos, const std::vector<geo::EnuPoint>& points) const {
-  const Footprint f = footprint(pos);
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (f.contains(points[i])) out.push_back(i);
-  }
-  return out;
-}
-
 }  // namespace sesame::sim

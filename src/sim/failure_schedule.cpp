@@ -41,13 +41,6 @@ void FailureSchedule::sort() {
                    });
 }
 
-double FailureSchedule::first_event_time_s() const {
-  if (events.empty()) return -1.0;
-  double first = events.front().time_s;
-  for (const auto& e : events) first = std::min(first, e.time_s);
-  return first;
-}
-
 FailureSchedule FailureSchedule::chaos(std::uint64_t seed,
                                        const std::vector<std::string>& uavs,
                                        const ChaosProfile& profile) {

@@ -5,21 +5,16 @@
 namespace sesame::sim {
 
 Gps::Gps(GpsConfig config, mathx::Rng& rng) : config_(config), rng_(&rng) {
-  if (config_.noise_sigma_m < 0.0 || config_.spoof_drift_m_per_s < 0.0) {
-    throw std::invalid_argument("Gps: negative noise or drift");
+  if (config_.noise_sigma_m < 0.0) {
+    throw std::invalid_argument("Gps: negative noise");
   }
 }
 
 std::optional<GpsFix> Gps::read(const geo::GeoPoint& true_position, double dt_s) {
   if (dt_s < 0.0) throw std::invalid_argument("Gps::read: negative dt");
-  if (spoofing_) spoof_offset_m_ += config_.spoof_drift_m_per_s * dt_s;
   if (signal_lost_ || disabled_) return std::nullopt;
 
   geo::GeoPoint reported = true_position;
-  if (spoofing_ && spoof_offset_m_ > 0.0) {
-    reported =
-        geo::destination(reported, config_.spoof_bearing_deg, spoof_offset_m_);
-  }
   // Healthy receiver noise, applied in a random direction.
   const double noise = rng_->normal(0.0, config_.noise_sigma_m);
   const double noise_bearing = rng_->uniform(0.0, 360.0);
@@ -32,13 +27,6 @@ std::optional<GpsFix> Gps::read(const geo::GeoPoint& true_position, double dt_s)
   fix.horizontal_accuracy_m = config_.noise_sigma_m;
   fix.satellites = config_.healthy_satellites;
   return fix;
-}
-
-void Gps::start_spoofing() { spoofing_ = true; }
-
-void Gps::stop_spoofing() {
-  spoofing_ = false;
-  spoof_offset_m_ = 0.0;
 }
 
 }  // namespace sesame::sim

@@ -44,10 +44,6 @@ class Camera {
   /// detection quality — higher altitude, coarser pixels, weaker detections.
   double ground_sample_distance_m(double altitude_m) const;
 
-  /// Indices of `points` inside the footprint of a camera at `pos`.
-  std::vector<std::size_t> visible(const geo::EnuPoint& pos,
-                                   const std::vector<geo::EnuPoint>& points) const;
-
  private:
   CameraConfig config_;
   double tan_half_hfov_;

@@ -84,9 +84,6 @@ struct FailureSchedule {
   /// function of the schedule, not of construction order.
   void sort();
 
-  /// Earliest scheduled event time; -1 when the schedule is empty.
-  double first_event_time_s() const;
-
   /// Derives a randomized schedule for `uavs` from `seed` alone — same
   /// inputs, same schedule, independent of threads or call site.
   static FailureSchedule chaos(std::uint64_t seed,

@@ -1,11 +1,11 @@
-// GPS receiver model with spoofing and signal-loss injection.
+// GPS receiver model with signal-loss injection.
 //
 // The paper's security scenario (Figs. 6-7) hinges on falsified position
 // data steering a UAV off its mapping trajectory, and on flying the victim
-// home *without* GPS once the attack is detected. This model produces
-// fixes = truth + white noise under normal conditions, applies an
-// attacker-controlled drift when spoofed, and reports no fix when the
-// signal is lost or the receiver is disabled after attack detection.
+// home *without* GPS once the attack is detected. The falsified fixes are
+// published on the bus by the attacker (MissionRunner's spoofing event);
+// this model produces fixes = truth + white noise, and reports no fix when
+// the signal is lost or the receiver is disabled after attack detection.
 #pragma once
 
 #include <optional>
@@ -27,10 +27,6 @@ struct GpsFix {
 struct GpsConfig {
   double noise_sigma_m = 0.4;       ///< healthy horizontal noise
   int healthy_satellites = 14;
-  /// Spoofing drift rate: how fast the attacker walks the fix away from
-  /// the true position (metres of offset added per second of attack).
-  double spoof_drift_m_per_s = 2.0;
-  double spoof_bearing_deg = 90.0;  ///< direction the fix is walked toward
 };
 
 /// Simulated GPS receiver bound to one UAV.
@@ -42,15 +38,6 @@ class Gps {
   /// attack state by dt seconds. Returns nullopt when the signal is lost
   /// or the receiver has been disabled.
   std::optional<GpsFix> read(const geo::GeoPoint& true_position, double dt_s);
-
-  /// Starts/stops a spoofing attack. While active, the reported fix drifts
-  /// away from the truth at the configured rate.
-  void start_spoofing();
-  void stop_spoofing();
-  bool spoofing_active() const noexcept { return spoofing_; }
-
-  /// Current accumulated spoof offset magnitude (metres).
-  double spoof_offset_m() const noexcept { return spoof_offset_m_; }
 
   /// Simulates total signal loss (e.g. jamming or canyon shadowing).
   void set_signal_lost(bool lost) { signal_lost_ = lost; }
@@ -64,10 +51,8 @@ class Gps {
  private:
   GpsConfig config_;
   mathx::Rng* rng_;
-  bool spoofing_ = false;
   bool signal_lost_ = false;
   bool disabled_ = false;
-  double spoof_offset_m_ = 0.0;
 };
 
 }  // namespace sesame::sim

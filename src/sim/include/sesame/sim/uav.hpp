@@ -111,13 +111,6 @@ class Uav {
   /// redistribution between fleet members); returns the number moved.
   std::size_t transfer_waypoints_to(Uav& other);
 
-  /// Length of the remaining route: estimated position through every
-  /// queued waypoint (metres; 0 when the queue is empty).
-  double remaining_path_length_m() const;
-
-  /// Caps every queued waypoint's altitude at `altitude_m` (the SINADRA
-  /// descend-and-rescan adaptation lowers the remaining sweep).
-  void lower_waypoints_to(double altitude_m);
 
   /// Injects a motor failure. Tolerated failures degrade cruise authority
   /// (reconfiguration sheds the opposite motor); exceeding the airframe's
@@ -152,9 +145,6 @@ class Uav {
   /// Localization) into the estimator.
   void correct_estimate(const geo::GeoPoint& fix);
 
-  /// Advances the vehicle by dt seconds under the given wind. Equivalent
-  /// to plan(dt) followed by integrate(dt, wind).
-  void step(double dt_s, const Wind& wind);
 
   /// Phase 1 of a step: mode logic and guidance. Computes the commanded
   /// velocity from the vehicle's *own previous-step* state and draws no

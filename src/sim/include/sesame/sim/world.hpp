@@ -85,7 +85,6 @@ class World {
   World(const geo::GeoPoint& origin, std::uint64_t seed = 1);
   ~World();
   World(World&&) noexcept;
-  World& operator=(World&&) noexcept;
 
   const geo::LocalFrame& frame() const noexcept { return frame_; }
   mw::Bus& bus() noexcept { return bus_; }
@@ -152,15 +151,6 @@ class World {
   /// layer, which must also drain when *declaring* a vehicle lost — e.g.
   /// after a blackout timeout — without a crash event.)
   std::size_t drop_pending_from(std::size_t i);
-
-  /// Discards bus state left over from a completed run — pending
-  /// fault-delayed deliveries and the message journal — so a world (and
-  /// its bus) reused for a fresh scenario starts clean instead of
-  /// replaying the previous run's in-flight traffic into the next run's
-  /// subscribers. Vehicles, persons and the mission clock are untouched.
-  /// Teardown does the same implicitly. Returns the number of delayed
-  /// deliveries dropped.
-  std::size_t reset_pending_comms();
 
   /// Advances the whole world by dt seconds: first drains bus messages whose
   /// fault-injected delay expires this step, then steps every UAV, publishes

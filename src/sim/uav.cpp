@@ -43,22 +43,6 @@ void Uav::add_waypoint(const geo::EnuPoint& wp) { waypoints_.push_back(wp); }
 
 void Uav::clear_waypoints() { waypoints_.clear(); }
 
-double Uav::remaining_path_length_m() const {
-  if (waypoints_.empty()) return 0.0;
-  double total = geo::enu_distance_m(est_pos(), waypoints_.front());
-  for (std::size_t i = 1; i < waypoints_.size(); ++i) {
-    total += geo::enu_distance_m(waypoints_[i - 1], waypoints_[i]);
-  }
-  return total;
-}
-
-void Uav::lower_waypoints_to(double altitude_m) {
-  if (altitude_m <= 0.0) {
-    throw std::invalid_argument("lower_waypoints_to: non-positive altitude");
-  }
-  for (auto& wp : waypoints_) wp.up_m = std::min(wp.up_m, altitude_m);
-}
-
 std::size_t Uav::transfer_waypoints_to(Uav& other) {
   if (&other == this) {
     throw std::invalid_argument("transfer_waypoints_to: self transfer");
@@ -182,12 +166,6 @@ void Uav::apply_motion(double dt_s, const Wind& wind) {
   true_pos().north_m += dn;
   true_pos().up_m = std::max(0.0, true_pos().up_m + du);
   odometer_m_ += std::sqrt(de * de + dn * dn + du * du);
-}
-
-void Uav::step(double dt_s, const Wind& wind) {
-  if (dt_s <= 0.0) throw std::invalid_argument("Uav::step: non-positive dt");
-  plan(dt_s);
-  integrate(dt_s, wind);
 }
 
 void Uav::plan(double dt_s) {

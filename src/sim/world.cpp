@@ -116,12 +116,6 @@ World::~World() {
   bus_.clear_delayed();
 }
 World::World(World&&) noexcept = default;
-World& World::operator=(World&&) noexcept = default;
-
-std::size_t World::reset_pending_comms() {
-  bus_.clear_journal();
-  return bus_.clear_delayed();
-}
 
 void World::enable_lossy_links(const LossyLinkConfig& config) {
   if (link_gate_ != nullptr) {

@@ -38,22 +38,10 @@ struct SituationEvidence {
 /// Recommended adaptation (paper Section III-A4).
 enum class Adaptation { kProceed, kRescan, kDescendAndRescan };
 
-std::string adaptation_name(Adaptation a);
-
 struct RiskAssessment {
   double p_missed_person = 0.0;  ///< P(missed-person risk = high)
   double criticality = 0.0;      ///< expected criticality in [0, 1]
   Adaptation recommendation = Adaptation::kProceed;
-};
-
-/// Human-readable explanation of an assessment: the jointly most probable
-/// situation (state name per network variable) given the evidence — what
-/// the operator display shows next to a Rescan/Descend demand.
-struct RiskExplanation {
-  /// variable name -> most probable state name.
-  std::map<std::string, std::string> situation;
-  /// The detection-quality state in the explanation (the causal driver).
-  std::string detection_quality;
 };
 
 struct RiskConfig {
@@ -74,10 +62,6 @@ class SarRiskModel {
   /// evidence combination — steady-state ticks with an unchanged situation
   /// skip the Bayesian inference entirely.
   RiskAssessment assess(const SituationEvidence& evidence) const;
-
-  /// Most probable full situation consistent with the evidence (MPE over
-  /// the network) — the explanation shown alongside the recommendation.
-  RiskExplanation explain(const SituationEvidence& evidence) const;
 
   /// Read access to the underlying network (analysis/tests).
   const bayes::Network& network() const noexcept { return net_; }

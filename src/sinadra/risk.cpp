@@ -18,15 +18,6 @@ std::uint16_t pack_evidence_key(const SituationEvidence& e) {
 
 }  // namespace
 
-std::string adaptation_name(Adaptation a) {
-  switch (a) {
-    case Adaptation::kProceed: return "Proceed";
-    case Adaptation::kRescan: return "Rescan";
-    case Adaptation::kDescendAndRescan: return "DescendAndRescan";
-  }
-  return "unknown";
-}
-
 SarRiskModel::SarRiskModel(RiskConfig config) : config_(config) {
   if (!(config_.rescan_threshold < config_.descend_threshold) ||
       config_.rescan_threshold <= 0.0 || config_.descend_threshold >= 1.0) {
@@ -120,16 +111,6 @@ bayes::Network::Evidence SarRiskModel::to_evidence(
   map_conf(e.safeml, ev, safeml_);
   map_conf(e.deepknowledge, ev, deepknowledge_);
   return ev;
-}
-
-RiskExplanation SarRiskModel::explain(const SituationEvidence& evidence) const {
-  const auto mpe = net_.most_probable_explanation(to_evidence(evidence));
-  RiskExplanation out;
-  for (const auto& [var, state] : mpe) {
-    out.situation[net_.variable(var).name] = net_.variable(var).states[state];
-  }
-  out.detection_quality = out.situation.at("detection_quality");
-  return out;
 }
 
 RiskAssessment SarRiskModel::assess(const SituationEvidence& evidence) const {

@@ -90,13 +90,6 @@ TEST(Factor, ReduceFixesState) {
   EXPECT_THROW(f.reduce(7, 0), std::out_of_range);
 }
 
-TEST(Factor, NormalizeSumsToOne) {
-  bn::Factor f({0}, {2}, {2.0, 6.0});
-  f.normalize();
-  EXPECT_NEAR(f.values()[0], 0.25, 1e-12);
-  EXPECT_NEAR(f.values()[1], 0.75, 1e-12);
-}
-
 TEST(Network, ConstructionValidation) {
   bn::Network net;
   EXPECT_THROW(net.add_variable("x", {"only"}), std::invalid_argument);
@@ -106,13 +99,11 @@ TEST(Network, ConstructionValidation) {
   EXPECT_THROW(net.set_cpt(a, {a}, {1.0, 0.0, 0.0, 1.0}), std::invalid_argument);
 }
 
-TEST(Network, FindAndStateIndex) {
+TEST(Network, Find) {
   bn::Network net;
   const auto a = net.add_variable("alpha", {"lo", "hi"});
   EXPECT_EQ(net.find("alpha"), a);
   EXPECT_FALSE(net.find("beta").has_value());
-  EXPECT_EQ(net.state_index(a, "hi"), 1u);
-  EXPECT_THROW(net.state_index(a, "mid"), std::invalid_argument);
 }
 
 TEST(Network, PriorOnlyQuery) {
@@ -180,14 +171,6 @@ TEST(Network, QueryObservedVariableIsPointMass) {
   EXPECT_DOUBLE_EQ(p[1], 1.0);
 }
 
-TEST(Network, MakeEvidenceByName) {
-  Sprinkler s;
-  const auto ev = s.net.make_evidence({{"wet", "T"}, {"rain", "F"}});
-  EXPECT_EQ(ev.at(s.wet), 1u);
-  EXPECT_EQ(ev.at(s.rain), 0u);
-  EXPECT_THROW(s.net.make_evidence({{"nope", "T"}}), std::invalid_argument);
-}
-
 TEST(Network, ZeroProbabilityEvidenceThrows) {
   bn::Network net;
   const auto a = net.add_variable("a", {"F", "T"});
@@ -229,52 +212,4 @@ TEST(NetworkProperty, PosteriorsAreDistributions) {
       EXPECT_NEAR(sum, 1.0, 1e-9);
     }
   }
-}
-
-TEST(Network, JointProbabilityChainRule) {
-  Sprinkler s;
-  std::map<bn::VarId, std::size_t> assignment{
-      {s.cloudy, 1}, {s.sprinkler, 0}, {s.rain, 1}, {s.wet, 1}};
-  // P = P(c=T) P(s=F|c=T) P(r=T|c=T) P(w=T|s=F,r=T)
-  EXPECT_NEAR(s.net.joint_probability(assignment), 0.5 * 0.9 * 0.8 * 0.9,
-              1e-12);
-  assignment.erase(s.wet);
-  EXPECT_THROW(s.net.joint_probability(assignment), std::invalid_argument);
-}
-
-TEST(Network, MpeWithoutEvidenceIsJointMode) {
-  Sprinkler s;
-  const auto mpe = s.net.most_probable_explanation();
-  // Verify by brute force over all 16 assignments.
-  double best = -1.0;
-  std::map<bn::VarId, std::size_t> best_assign;
-  for (std::size_t mask = 0; mask < 16; ++mask) {
-    std::map<bn::VarId, std::size_t> a{{s.cloudy, mask & 1u},
-                                       {s.sprinkler, (mask >> 1) & 1u},
-                                       {s.rain, (mask >> 2) & 1u},
-                                       {s.wet, (mask >> 3) & 1u}};
-    const double p = s.net.joint_probability(a);
-    if (p > best) {
-      best = p;
-      best_assign = a;
-    }
-  }
-  EXPECT_EQ(mpe, best_assign);
-}
-
-TEST(Network, MpeRespectsEvidence) {
-  Sprinkler s;
-  const auto mpe = s.net.most_probable_explanation({{s.wet, 1}});
-  EXPECT_EQ(mpe.at(s.wet), 1u);  // evidence kept
-  // Given wet grass, rain is the dominant explanation in these tables.
-  EXPECT_EQ(mpe.at(s.rain), 1u);
-}
-
-TEST(Network, MpeZeroProbabilityEvidenceThrows) {
-  bn::Network net;
-  const auto a = net.add_variable("a", {"F", "T"});
-  const auto b = net.add_variable("b", {"F", "T"});
-  net.set_prior(a, {1.0, 0.0});
-  net.set_cpt(b, {a}, {1.0, 0.0, 0.0, 1.0});
-  EXPECT_THROW(net.most_probable_explanation({{b, 1}}), std::runtime_error);
 }

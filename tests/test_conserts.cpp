@@ -193,7 +193,7 @@ TEST(ConSertNetwork, DuplicateNameRejected) {
   cs::ConSertNetwork net;
   net.add(cs::ConSert("x"));
   EXPECT_THROW(net.add(cs::ConSert("x")), std::invalid_argument);
-  EXPECT_TRUE(net.contains("x"));
+  EXPECT_NO_THROW(net.at("x"));
   EXPECT_THROW(net.at("y"), std::out_of_range);
 }
 
@@ -503,11 +503,6 @@ TEST(AssuranceTrace, LossOfAllGuaranteesRecordedAsEmpty) {
   const auto ts = trace.transitions_of(names.uav);
   ASSERT_EQ(ts.size(), 2u);
   EXPECT_EQ(ts[1].to, "");
-
-  trace.clear();
-  EXPECT_TRUE(trace.transitions().empty());
-  EXPECT_EQ(trace.evaluations(), 0u);
-  EXPECT_EQ(trace.current(names.uav), "");
 }
 
 // ---------------------------------------------------------------------------

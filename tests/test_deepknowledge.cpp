@@ -34,6 +34,12 @@ void make_dataset(mx::Rng& rng, std::size_t n, double shift,
   }
 }
 
+/// Output of one forward pass, discarding the hidden activations.
+std::vector<double> forward(const dk::Mlp& net, const std::vector<double>& x) {
+  dk::ActivationTrace trace;
+  return net.forward_traced(x, trace);
+}
+
 }  // namespace
 
 TEST(Mlp, ConstructionValidation) {
@@ -52,7 +58,7 @@ TEST(Mlp, ForwardOutputsInUnitInterval) {
   mx::Rng rng(2);
   dk::Mlp net({2, 8, 1}, rng);
   for (int i = 0; i < 20; ++i) {
-    const auto out = net.forward({rng.normal(), rng.normal()});
+    const auto out = forward(net, {rng.normal(), rng.normal()});
     ASSERT_EQ(out.size(), 1u);
     EXPECT_GT(out[0], 0.0);
     EXPECT_LT(out[0], 1.0);
@@ -62,7 +68,7 @@ TEST(Mlp, ForwardOutputsInUnitInterval) {
 TEST(Mlp, ForwardRejectsBadInput) {
   mx::Rng rng(3);
   dk::Mlp net({2, 4, 1}, rng);
-  EXPECT_THROW(net.forward({1.0}), std::invalid_argument);
+  EXPECT_THROW(forward(net, {1.0}), std::invalid_argument);
 }
 
 TEST(Mlp, TracedForwardCapturesHiddenLayers) {
@@ -81,8 +87,8 @@ TEST(Mlp, TracedForwardCapturesHiddenLayers) {
 TEST(Mlp, DeterministicGivenSeed) {
   mx::Rng r1(7), r2(7);
   dk::Mlp a({2, 4, 1}, r1), b({2, 4, 1}, r2);
-  const auto oa = a.forward({0.3, 0.7});
-  const auto ob = b.forward({0.3, 0.7});
+  const auto oa = forward(a, {0.3, 0.7});
+  const auto ob = forward(b, {0.3, 0.7});
   EXPECT_DOUBLE_EQ(oa[0], ob[0]);
 }
 
@@ -97,7 +103,11 @@ TEST(Mlp, TrainingReducesLossAndLearnsSeparableTask) {
     final_loss = net.train_epoch(inputs, targets, 0.05, rng);
   }
   EXPECT_LT(final_loss, initial_loss * 0.5);
-  EXPECT_GT(net.accuracy(inputs, targets), 0.95);
+  std::size_t correct = 0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if ((forward(net, inputs[i])[0] >= 0.5) == (targets[i][0] >= 0.5)) ++correct;
+  }
+  EXPECT_GT(static_cast<double>(correct) / inputs.size(), 0.95);
 }
 
 TEST(Mlp, TrainEpochValidatesDataset) {
@@ -107,7 +117,6 @@ TEST(Mlp, TrainEpochValidatesDataset) {
   EXPECT_THROW(net.train_epoch(inputs, {}, 0.1, rng), std::invalid_argument);
   EXPECT_THROW(net.train_epoch(inputs, {{1.0, 0.0}}, 0.1, rng),
                std::invalid_argument);
-  EXPECT_THROW(net.accuracy({}, {}), std::invalid_argument);
 }
 
 TEST(Analyzer, ConstructionValidation) {
@@ -217,78 +226,6 @@ TEST(Analyzer, ReportFieldsWithinRanges) {
     EXPECT_LE(r.uncertainty, 1.0);
     EXPECT_EQ(r.window_size, 32u);
   }
-}
-
-#include "sesame/deepknowledge/test_selection.hpp"
-
-TEST(TestSelection, ValidatesArguments) {
-  mx::Rng rng(201);
-  dk::Mlp net({2, 4, 1}, rng);
-  std::vector<std::vector<double>> data;
-  make_dataset(rng, 50, 0.0, data, data);
-  std::vector<std::vector<double>> inputs, targets;
-  make_dataset(rng, 50, 0.0, inputs, targets);
-  dk::Analyzer an(net, inputs, inputs);
-  EXPECT_THROW(dk::select_tests(an, net, {}, 4), std::invalid_argument);
-  EXPECT_THROW(dk::select_tests(an, net, inputs, 0), std::invalid_argument);
-}
-
-TEST(TestSelection, GreedyRankingIsMonotone) {
-  mx::Rng rng(203);
-  std::vector<std::vector<double>> train, targets;
-  make_dataset(rng, 300, 0.0, train, targets);
-  dk::Mlp net({2, 8, 1}, rng);
-  for (int e = 0; e < 5; ++e) net.train_epoch(train, targets, 0.05, rng);
-  std::vector<std::vector<double>> shifted, _t;
-  make_dataset(rng, 300, 1.5, shifted, _t);
-  dk::Analyzer an(net, train, shifted);
-
-  std::vector<std::vector<double>> pool, _t2;
-  make_dataset(rng, 120, 0.5, pool, _t2);
-  const auto ranking = dk::select_tests(an, net, pool, 20);
-  ASSERT_FALSE(ranking.empty());
-  for (std::size_t i = 1; i < ranking.size(); ++i) {
-    // Greedy gains are non-increasing; cumulative coverage non-decreasing.
-    EXPECT_LE(ranking[i].new_buckets, ranking[i - 1].new_buckets);
-    EXPECT_GE(ranking[i].cumulative_coverage,
-              ranking[i - 1].cumulative_coverage);
-    EXPECT_GT(ranking[i].new_buckets, 0u);
-  }
-}
-
-TEST(TestSelection, SelectedSubsetBeatsRandomPrefix) {
-  mx::Rng rng(207);
-  std::vector<std::vector<double>> train, targets;
-  make_dataset(rng, 300, 0.0, train, targets);
-  dk::Mlp net({2, 8, 1}, rng);
-  std::vector<std::vector<double>> shifted, _t;
-  make_dataset(rng, 300, 1.5, shifted, _t);
-  dk::Analyzer an(net, train, shifted);
-
-  std::vector<std::vector<double>> pool, _t2;
-  make_dataset(rng, 200, 0.8, pool, _t2);
-  const std::size_t budget = 10;
-  const auto ranking = dk::select_tests(an, net, pool, budget);
-  std::vector<std::vector<double>> selected, prefix;
-  for (const auto& r : ranking) selected.push_back(pool[r.pool_index]);
-  for (std::size_t i = 0; i < budget && i < pool.size(); ++i) {
-    prefix.push_back(pool[i]);
-  }
-  EXPECT_GE(dk::suite_coverage(an, net, selected),
-            dk::suite_coverage(an, net, prefix));
-}
-
-TEST(TestSelection, StopsWhenNothingAddsCoverage) {
-  mx::Rng rng(211);
-  std::vector<std::vector<double>> train, targets;
-  make_dataset(rng, 100, 0.0, train, targets);
-  dk::Mlp net({2, 4, 1}, rng);
-  dk::Analyzer an(net, train, train);
-  // A pool of identical inputs: the second copy adds nothing.
-  std::vector<std::vector<double>> pool(10, train[0]);
-  const auto ranking = dk::select_tests(an, net, pool, 10);
-  EXPECT_EQ(ranking.size(), 1u);
-  EXPECT_DOUBLE_EQ(dk::suite_coverage(an, net, {}), 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -328,19 +328,6 @@ TEST(UavEddi, SecurityAttachmentDrivesEvidence) {
   EXPECT_FALSE(e.consert_evidence().no_security_attack);
 }
 
-TEST(UavEddi, OdeExportListsModels) {
-  mx::Rng rng(23);
-  eddi::UavEddi e("uav7", small_window_config(), make_reference(rng));
-  const auto doc = e.to_ode();
-  EXPECT_EQ(doc.at("system").as_string(), "uav7");
-  EXPECT_EQ(doc.at("artefact").as_string(), "EDDI");
-  const auto& models = doc.at("models").as_array();
-  ASSERT_GE(models.size(), 3u);  // SafeDrones, SafeML, SINADRA at minimum
-  // Round-trips through the parser.
-  const auto parsed = ode::parse_json(doc.to_json());
-  EXPECT_EQ(parsed.to_json(), doc.to_json());
-}
-
 TEST(ConsertOde, ExportsFullUavNetwork) {
   sesame::conserts::ConSertNetwork net;
   sesame::conserts::add_uav_conserts(net, "uav1");

@@ -69,9 +69,6 @@ TEST(Ctmc, AbsorbingStateDetection) {
   auto chain = simple_failure_chain(0.1);
   EXPECT_FALSE(chain.is_absorbing(0));
   EXPECT_TRUE(chain.is_absorbing(1));
-  const auto abs = chain.absorbing_states();
-  ASSERT_EQ(abs.size(), 1u);
-  EXPECT_EQ(abs[0], 1u);
 }
 
 TEST(Ctmc, ProbabilityInSubset) {
@@ -149,27 +146,6 @@ TEST(CtmcBuilder, NamesArePreserved) {
   EXPECT_EQ(chain.state_name(1), "omega");
 }
 
-TEST(Dtmc, RejectsNonStochastic) {
-  EXPECT_THROW(mk::Dtmc(mx::Matrix{{0.5, 0.4}, {0.0, 1.0}}), std::invalid_argument);
-  EXPECT_THROW(mk::Dtmc(mx::Matrix{{1.5, -0.5}, {0.0, 1.0}}), std::invalid_argument);
-}
-
-TEST(Dtmc, StepEvolution) {
-  mk::Dtmc chain(mx::Matrix{{0.0, 1.0}, {1.0, 0.0}});
-  const auto pi1 = chain.step({1.0, 0.0}, 1);
-  EXPECT_DOUBLE_EQ(pi1[1], 1.0);
-  const auto pi2 = chain.step({1.0, 0.0}, 2);
-  EXPECT_DOUBLE_EQ(pi2[0], 1.0);
-}
-
-TEST(Dtmc, StationaryDistribution) {
-  mk::Dtmc chain(mx::Matrix{{0.9, 0.1}, {0.5, 0.5}});
-  const auto pi = chain.stationary();
-  // Solve pi = pi P -> pi = (5/6, 1/6).
-  EXPECT_NEAR(pi[0], 5.0 / 6.0, 1e-9);
-  EXPECT_NEAR(pi[1], 1.0 / 6.0, 1e-9);
-}
-
 // Property: transient distributions remain valid probability vectors.
 TEST(CtmcProperty, TransientIsDistribution) {
   mx::Rng rng(47);
@@ -210,145 +186,18 @@ TEST(CtmcProperty, AbsorptionProbabilityMonotone) {
   }
 }
 
-#include "sesame/markov/simulate.hpp"
-
-TEST(Simulate, TrajectoryRespectsChainStructure) {
-  mk::CtmcBuilder b;
-  const auto a = b.add_state("a");
-  const auto c = b.add_state("b");
-  const auto d = b.add_state("dead");
-  b.add_transition(a, c, 1.0).add_transition(c, d, 1.0);
-  const auto chain = b.build();
-  mx::Rng rng(71);
-  for (int i = 0; i < 50; ++i) {
-    const auto traj = mk::sample_trajectory(chain, a, 100.0, rng);
-    ASSERT_FALSE(traj.states.empty());
-    EXPECT_EQ(traj.states.front(), a);
-    // Visits are in chain order a -> b -> dead (no skipping).
-    for (std::size_t k = 1; k < traj.states.size(); ++k) {
-      EXPECT_EQ(traj.states[k], traj.states[k - 1] + 1);
-      EXPECT_GE(traj.entry_times[k], traj.entry_times[k - 1]);
-    }
-    if (traj.absorbed) {
-      EXPECT_EQ(traj.states.back(), d);
-    }
-  }
-}
-
-TEST(Simulate, TrajectoryValidation) {
-  auto chain = simple_failure_chain(0.1);
-  mx::Rng rng(1);
-  EXPECT_THROW(mk::sample_trajectory(chain, 9, 1.0, rng), std::out_of_range);
-  EXPECT_THROW(mk::sample_trajectory(chain, 0, -1.0, rng),
-               std::invalid_argument);
-  EXPECT_THROW(mk::estimate_transient(chain, 0, 1.0, 0, rng),
-               std::invalid_argument);
-}
-
-TEST(Simulate, MonteCarloMatchesAnalyticTransient) {
-  const double lambda = 0.05;
-  auto chain = simple_failure_chain(lambda);
-  mx::Rng rng(73);
-  const double t = 20.0;
-  const auto mc = mk::estimate_transient(chain, 0, t, 20000, rng);
-  const double analytic = 1.0 - std::exp(-lambda * t);
-  EXPECT_NEAR(mc[1], analytic, 0.02);
-}
-
-TEST(Simulate, FirstPassageMatchesMtta) {
-  // Single-stage chain: first-passage time is Exp(lambda), mean 1/lambda.
-  const double lambda = 0.2;
-  auto chain = simple_failure_chain(lambda);
-  mx::Rng rng(79);
-  const auto stats = mk::estimate_first_passage(chain, 0, {1}, 1000.0, 5000, rng);
-  EXPECT_GT(stats.hit_fraction, 0.99);
-  EXPECT_NEAR(stats.mean_time, 1.0 / lambda, 0.2);
-}
-
-TEST(Simulate, FirstPassageFromTargetIsZero) {
-  auto chain = simple_failure_chain(0.1);
-  mx::Rng rng(83);
-  const auto hit = mk::sample_first_passage(chain, 1, {1}, 10.0, rng);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_DOUBLE_EQ(*hit, 0.0);
-}
-
-TEST(Simulate, HorizonLimitsHits) {
-  auto chain = simple_failure_chain(0.001);  // slow failures
-  mx::Rng rng(89);
-  const auto stats = mk::estimate_first_passage(chain, 0, {1}, 1.0, 2000, rng);
-  EXPECT_LT(stats.hit_fraction, 0.05);  // ~0.1% expected
-  EXPECT_THROW(mk::sample_first_passage(chain, 0, {}, 1.0, rng),
-               std::invalid_argument);
-}
-
-TEST(Occupancy, TwoStateMatchesClosedForm) {
-  // healthy -> failed at rate l: E[time healthy over [0,T]] =
-  // (1 - e^{-lT})/l; occupancy entries sum to T.
-  const double lambda = 0.05;
-  auto chain = simple_failure_chain(lambda);
-  const double horizon = 40.0;
-  const auto occ = chain.expected_occupancy({1.0, 0.0}, horizon);
-  const double healthy = (1.0 - std::exp(-lambda * horizon)) / lambda;
-  EXPECT_NEAR(occ[0], healthy, 1e-6);
-  EXPECT_NEAR(occ[0] + occ[1], horizon, 1e-6);
-}
-
-TEST(Occupancy, ValidatesInputs) {
-  auto chain = simple_failure_chain(0.1);
-  EXPECT_THROW(chain.expected_occupancy({1.0, 0.0}, -1.0),
-               std::invalid_argument);
-  EXPECT_THROW(chain.expected_occupancy({1.0, 0.0}, 1.0, 0),
-               std::invalid_argument);
-  const auto zero = chain.expected_occupancy({1.0, 0.0}, 0.0);
-  EXPECT_DOUBLE_EQ(zero[0], 0.0);
-}
-
-TEST(Occupancy, RepairableSteadyStateShare) {
-  // Fast-mixing repairable machine: occupancy over a long horizon
-  // approaches the stationary split mu/(l+mu), l/(l+mu).
-  mk::CtmcBuilder b;
-  const auto up = b.add_state("up");
-  const auto down = b.add_state("down");
-  b.add_transition(up, down, 0.5).add_transition(down, up, 1.5);
-  const auto chain = b.build();
-  const double horizon = 200.0;
-  const auto occ = chain.expected_occupancy({1.0, 0.0}, horizon, 200);
-  EXPECT_NEAR(occ[0] / horizon, 0.75, 0.01);
-  EXPECT_NEAR(occ[1] / horizon, 0.25, 0.01);
-}
-
-TEST(EmbeddedDtmc, JumpProbabilitiesNormalized) {
-  mk::CtmcBuilder b;
-  const auto s0 = b.add_state("s0");
-  const auto s1 = b.add_state("s1");
-  const auto s2 = b.add_state("s2");
-  b.add_transition(s0, s1, 2.0).add_transition(s0, s2, 6.0);
-  b.add_transition(s1, s0, 1.0);
-  const auto jump = b.build().embedded_dtmc();
-  // From s0: P(->s1) = 2/8, P(->s2) = 6/8.
-  EXPECT_NEAR(jump.transition()(s0, s1), 0.25, 1e-12);
-  EXPECT_NEAR(jump.transition()(s0, s2), 0.75, 1e-12);
-  // s2 is absorbing -> self-loop.
-  EXPECT_DOUBLE_EQ(jump.transition()(s2, s2), 1.0);
-  // Names carried over.
-  EXPECT_EQ(jump.state_name(1), "s1");
-}
-
-TEST(EmbeddedDtmc, AbsorptionProbabilityMatchesCtmc) {
+TEST(Ctmc, CompetingRisksAbsorptionSplit) {
   // Competing risks from s0: absorb in a (rate 1) or b (rate 3). The
-  // CTMC's eventual absorption split equals the jump chain's first step.
+  // eventual absorption split is rate / total exit rate: 1/4 and 3/4.
   mk::CtmcBuilder b;
   const auto s0 = b.add_state("s0");
   const auto a = b.add_state("a");
   const auto c = b.add_state("b");
   b.add_transition(s0, a, 1.0).add_transition(s0, c, 3.0);
   const auto chain = b.build();
-  const auto ctmc_split = chain.transient({1.0, 0.0, 0.0}, 1e4);
-  const auto jump_split = chain.embedded_dtmc().step({1.0, 0.0, 0.0}, 1);
-  EXPECT_NEAR(ctmc_split[a], jump_split[a], 1e-9);
-  EXPECT_NEAR(ctmc_split[c], jump_split[c], 1e-9);
-  EXPECT_NEAR(jump_split[a], 0.25, 1e-12);
+  const auto split = chain.transient({1.0, 0.0, 0.0}, 1e4);
+  EXPECT_NEAR(split[a], 0.25, 1e-9);
+  EXPECT_NEAR(split[c], 0.75, 1e-9);
 }
 
 TEST(Ctmc, ScaledRatesMatchesRebuiltChain) {

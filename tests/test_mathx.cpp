@@ -1,5 +1,5 @@
 // Unit and property tests for the mathx substrate: matrices, expm, RNG,
-// statistics, ECDF.
+// statistics.
 #include <cmath>
 #include <numbers>
 
@@ -11,26 +11,41 @@
 
 namespace mx = sesame::mathx;
 
+namespace {
+
+mx::Matrix diagonal(const std::vector<double>& d) {
+  mx::Matrix m(d.size(), d.size());
+  for (std::size_t i = 0; i < d.size(); ++i) m(i, i) = d[i];
+  return m;
+}
+
+bool near_identity(const mx::Matrix& m, double tol) {
+  if (!m.is_square()) return false;
+  const mx::Matrix id = mx::Matrix::identity(m.rows());
+  for (std::size_t i = 0; i < m.data().size(); ++i) {
+    if (std::abs(m.data()[i] - id.data()[i]) > tol) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 TEST(Matrix, InitializerListAndAccess) {
   mx::Matrix m{{1.0, 2.0}, {3.0, 4.0}};
   EXPECT_EQ(m.rows(), 2u);
   EXPECT_EQ(m.cols(), 2u);
   EXPECT_DOUBLE_EQ(m(0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(m.at(1, 0), 3.0);
-  EXPECT_THROW(m.at(2, 0), std::out_of_range);
+  EXPECT_DOUBLE_EQ(m(1, 0), 3.0);
 }
 
 TEST(Matrix, RaggedInitializerThrows) {
   EXPECT_THROW((mx::Matrix{{1.0, 2.0}, {3.0}}), std::invalid_argument);
 }
 
-TEST(Matrix, IdentityAndDiagonal) {
+TEST(Matrix, Identity) {
   auto id = mx::Matrix::identity(3);
   EXPECT_DOUBLE_EQ(id(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(id(0, 1), 0.0);
-  auto d = mx::Matrix::diagonal({2.0, 5.0});
-  EXPECT_DOUBLE_EQ(d(1, 1), 5.0);
-  EXPECT_DOUBLE_EQ(d(1, 0), 0.0);
 }
 
 TEST(Matrix, ArithmeticOperators) {
@@ -71,17 +86,9 @@ TEST(Matrix, ApplyVector) {
   EXPECT_DOUBLE_EQ(vt[1], 6.0);
 }
 
-TEST(Matrix, Transpose) {
-  mx::Matrix a{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  auto t = a.transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
-}
-
 TEST(Matrix, Norms) {
   mx::Matrix a{{1.0, -2.0}, {-3.0, 4.0}};
   EXPECT_DOUBLE_EQ(a.norm_inf(), 7.0);
-  EXPECT_DOUBLE_EQ(a.norm_max(), 4.0);
 }
 
 TEST(SolveLinear, SolvesSystem) {
@@ -106,11 +113,11 @@ TEST(SolveLinear, PivotingHandlesZeroDiagonal) {
 TEST(Expm, ZeroMatrixGivesIdentity) {
   mx::Matrix z(3, 3);
   auto e = mx::expm(z);
-  EXPECT_TRUE(e.approx_equal(mx::Matrix::identity(3), 1e-12));
+  EXPECT_TRUE(near_identity(e, 1e-12));
 }
 
 TEST(Expm, DiagonalMatchesScalarExp) {
-  auto d = mx::Matrix::diagonal({-1.0, 2.0, 0.5});
+  auto d = diagonal({-1.0, 2.0, 0.5});
   auto e = mx::expm(d);
   EXPECT_NEAR(e(0, 0), std::exp(-1.0), 1e-10);
   EXPECT_NEAR(e(1, 1), std::exp(2.0), 1e-9);
@@ -138,7 +145,7 @@ TEST(Expm, RotationMatrix) {
 }
 
 TEST(Expm, LargeNormScalingPath) {
-  auto d = mx::Matrix::diagonal({-40.0, -80.0});
+  auto d = diagonal({-40.0, -80.0});
   auto e = mx::expm(d);
   EXPECT_NEAR(e(0, 0), std::exp(-40.0), 1e-22);
   EXPECT_NEAR(e(1, 1), std::exp(-80.0), 1e-30);
@@ -173,23 +180,10 @@ TEST(Rng, UniformMeanApproxHalf) {
 
 TEST(Rng, NormalMomentsMatch) {
   mx::Rng r(13);
-  mx::RunningStats s;
-  for (int i = 0; i < 200000; ++i) s.add(r.normal(3.0, 2.0));
-  EXPECT_NEAR(s.mean(), 3.0, 0.05);
-  EXPECT_NEAR(s.stddev(), 2.0, 0.05);
-}
-
-TEST(Rng, ExponentialMeanMatchesRate) {
-  mx::Rng r(17);
-  double acc = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) acc += r.exponential(4.0);
-  EXPECT_NEAR(acc / n, 0.25, 0.01);
-}
-
-TEST(Rng, ExponentialRejectsNonPositiveRate) {
-  mx::Rng r(1);
-  EXPECT_THROW(r.exponential(0.0), std::invalid_argument);
+  std::vector<double> xs;
+  for (int i = 0; i < 200000; ++i) xs.push_back(r.normal(3.0, 2.0));
+  EXPECT_NEAR(mx::mean(xs), 3.0, 0.05);
+  EXPECT_NEAR(mx::stddev(xs), 2.0, 0.05);
 }
 
 TEST(Rng, BernoulliFrequency) {
@@ -230,18 +224,15 @@ TEST(Rng, UniformIndexCoversRange) {
   EXPECT_THROW(r.uniform_index(0), std::invalid_argument);
 }
 
-TEST(Stats, MeanVarianceMedian) {
+TEST(Stats, MeanVariance) {
   std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(mx::mean(xs), 2.5);
   EXPECT_NEAR(mx::variance(xs), 5.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(mx::median(xs), 2.5);
-  EXPECT_DOUBLE_EQ(mx::median({5.0, 1.0, 9.0}), 5.0);
 }
 
 TEST(Stats, EmptyInputsThrow) {
   EXPECT_THROW(mx::mean({}), std::invalid_argument);
   EXPECT_THROW(mx::variance({1.0}), std::invalid_argument);
-  EXPECT_THROW(mx::median({}), std::invalid_argument);
 }
 
 TEST(Stats, QuantileInterpolates) {
@@ -252,68 +243,14 @@ TEST(Stats, QuantileInterpolates) {
   EXPECT_THROW(mx::quantile(xs, 1.5), std::invalid_argument);
 }
 
-TEST(Stats, Pearson) {
-  std::vector<double> xs{1.0, 2.0, 3.0};
-  std::vector<double> up{2.0, 4.0, 6.0};
-  std::vector<double> down{6.0, 4.0, 2.0};
-  EXPECT_NEAR(mx::pearson(xs, up), 1.0, 1e-12);
-  EXPECT_NEAR(mx::pearson(xs, down), -1.0, 1e-12);
-  EXPECT_THROW(mx::pearson(xs, {1.0, 1.0, 1.0}), std::invalid_argument);
-}
-
-TEST(Stats, RunningStatsMatchesBatch) {
-  std::vector<double> xs{3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0};
-  mx::RunningStats s;
-  for (double x : xs) s.add(x);
-  EXPECT_NEAR(s.mean(), mx::mean(xs), 1e-12);
-  EXPECT_NEAR(s.variance(), mx::variance(xs), 1e-12);
-}
-
-TEST(Ecdf, StepFunctionValues) {
-  mx::Ecdf f({1.0, 2.0, 3.0, 4.0});
-  EXPECT_DOUBLE_EQ(f(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(f(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(f(2.5), 0.5);
-  EXPECT_DOUBLE_EQ(f(4.0), 1.0);
-  EXPECT_DOUBLE_EQ(f(9.0), 1.0);
-}
-
-TEST(Ecdf, InverseQuantiles) {
-  mx::Ecdf f({10.0, 20.0, 30.0, 40.0});
-  EXPECT_DOUBLE_EQ(f.inverse(0.0), 10.0);
-  EXPECT_DOUBLE_EQ(f.inverse(0.25), 10.0);
-  EXPECT_DOUBLE_EQ(f.inverse(0.5), 20.0);
-  EXPECT_DOUBLE_EQ(f.inverse(1.0), 40.0);
-  EXPECT_THROW(mx::Ecdf({}), std::invalid_argument);
-}
-
-TEST(NormalCdf, KnownValues) {
-  EXPECT_NEAR(mx::normal_cdf(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(mx::normal_cdf(1.96), 0.975, 1e-3);
-  EXPECT_NEAR(mx::normal_cdf(-1.96), 0.025, 1e-3);
-}
-
 TEST(NormalQuantile, InvertsCdf) {
   for (double p : {0.01, 0.1, 0.25, 0.5, 0.9, 0.999}) {
-    EXPECT_NEAR(mx::normal_cdf(mx::normal_quantile(p)), p, 1e-6) << p;
+    // Standard normal CDF: 0.5 * erfc(-z / sqrt(2)).
+    const double z = mx::normal_quantile(p);
+    EXPECT_NEAR(0.5 * std::erfc(-z / std::numbers::sqrt2), p, 1e-6) << p;
   }
   EXPECT_THROW(mx::normal_quantile(0.0), std::invalid_argument);
   EXPECT_THROW(mx::normal_quantile(1.0), std::invalid_argument);
-}
-
-TEST(Histogram, BinningAndDensity) {
-  mx::Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(25.0);  // clamps into last bin
-  h.add(-3.0);  // clamps into first bin
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_DOUBLE_EQ(h.density(0), 0.5);
-  EXPECT_NEAR(h.bin_center(0), 0.5, 1e-12);
-  EXPECT_THROW(mx::Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(mx::Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 // Property: expm(Q)*expm(-Q) == I for random small matrices.
@@ -325,7 +262,7 @@ TEST(ExpmProperty, InverseOfNegation) {
       for (std::size_t j = 0; j < 3; ++j) a(i, j) = r.uniform(-1.0, 1.0);
     }
     auto prod = mx::expm(a) * mx::expm(a * -1.0);
-    EXPECT_TRUE(prod.approx_equal(mx::Matrix::identity(3), 1e-8));
+    EXPECT_TRUE(near_identity(prod, 1e-8));
   }
 }
 
@@ -354,13 +291,6 @@ TEST(ExpmProperty, GeneratorExponentialIsStochastic) {
       EXPECT_NEAR(row, 1.0, 1e-9);
     }
   }
-}
-
-TEST(Matrix, ToStringRendersRows) {
-  mx::Matrix m{{1.0, 2.0}, {3.0, 4.0}};
-  const std::string s = m.to_string();
-  EXPECT_NE(s.find("[1, 2]"), std::string::npos);
-  EXPECT_NE(s.find("[3, 4]"), std::string::npos);
 }
 
 TEST(Matrix, ApplyDimensionMismatchThrows) {

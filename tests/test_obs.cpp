@@ -202,7 +202,7 @@ TEST(Registry, MergeSanitizesDefaultedExtremesFromExternalSamples) {
   snap.samples.push_back(s);
 
   obs::MetricsRegistry reg;
-  reg.merge(snap);
+  reg.merge(snap, 1);
   const auto out = reg.snapshot();
   const auto* h = out.find("ext.lat");
   ASSERT_NE(h, nullptr);
@@ -224,7 +224,7 @@ TEST(Registry, MergeRejectsObservationsWithoutBucketMass) {
   snap.samples.push_back(s);
 
   obs::MetricsRegistry reg;
-  EXPECT_THROW(reg.merge(snap), std::invalid_argument);
+  EXPECT_THROW(reg.merge(snap, 1), std::invalid_argument);
 }
 
 TEST(Registry, MergeOfEmptyHistogramSampleKeepsExtremesUntouched) {
@@ -238,8 +238,8 @@ TEST(Registry, MergeOfEmptyHistogramSampleKeepsExtremesUntouched) {
   // bucket bounds (or to 0, the empty-sample encoding of min/max).
   for (const bool empty_first : {true, false}) {
     obs::MetricsRegistry merged;
-    merged.merge(empty_first ? run_empty.snapshot() : run_full.snapshot());
-    merged.merge(empty_first ? run_full.snapshot() : run_empty.snapshot());
+    merged.merge(empty_first ? run_empty.snapshot() : run_full.snapshot(), 1);
+    merged.merge(empty_first ? run_full.snapshot() : run_empty.snapshot(), 2);
     const auto snap = merged.snapshot();
     const auto* h = snap.find("lat");
     ASSERT_NE(h, nullptr);
@@ -262,8 +262,8 @@ TEST(Registry, MergeRollsUpSnapshots) {
   run2.histogram("sesame.platform.staleness_s", {}, {1.0, 5.0}).observe(7.0);
 
   obs::MetricsRegistry campaign;
-  campaign.merge(run1.snapshot());
-  campaign.merge(run2.snapshot());
+  campaign.merge(run1.snapshot(), 1);
+  campaign.merge(run2.snapshot(), 2);
 
   const auto snap = campaign.snapshot();
   const auto* c = snap.find("sesame.mw.publish_total", {{"topic", "a"}});
@@ -284,7 +284,7 @@ TEST(Registry, MergeRollsUpSnapshots) {
   // Kind clash across snapshots surfaces, like direct registration.
   obs::MetricsRegistry clash;
   clash.gauge("sesame.mw.publish_total");
-  EXPECT_THROW(clash.merge(run1.snapshot()), std::logic_error);
+  EXPECT_THROW(clash.merge(run1.snapshot(), 1), std::logic_error);
 }
 
 TEST(Registry, StampedGaugeMergeTakesHighestStamp) {
@@ -339,14 +339,14 @@ TEST(Registry, StampedGaugeMergeIsPermutationInvariant) {
   } while (std::next_permutation(order.begin(), order.end()));
 }
 
-TEST(Registry, UnstampedMergeKeepsLastWinsForInOrderCallers) {
+TEST(Registry, HigherStampWinsOverLargerValue) {
   obs::MetricsRegistry a;
   a.gauge("g").set(1.0);
   obs::MetricsRegistry b;
-  b.gauge("g").set(-5.0);  // smaller value, later merge: must still win
+  b.gauge("g").set(-5.0);  // smaller value, higher stamp: must still win
   obs::MetricsRegistry merged;
-  merged.merge(a.snapshot());
-  merged.merge(b.snapshot());
+  merged.merge(a.snapshot(), 1);
+  merged.merge(b.snapshot(), 2);
   EXPECT_DOUBLE_EQ(merged.snapshot().find("g")->value, -5.0);
 }
 

@@ -180,17 +180,17 @@ TEST(Detector, ConfidenceWithinBounds) {
 TEST(FrameFeatures, ShiftWithAltitude) {
   pc::PersonDetector det{pc::DetectorConfig{}};
   mx::Rng rng(17);
-  mx::RunningStats sharp_low, sharp_high, scale_low, scale_high;
+  std::vector<double> sharp_low, sharp_high, scale_low, scale_high;
   for (int i = 0; i < 200; ++i) {
     const auto lo = det.frame_features(18.0, rng);
     const auto hi = det.frame_features(70.0, rng);
-    sharp_low.add(lo.sharpness);
-    sharp_high.add(hi.sharpness);
-    scale_low.add(lo.target_scale);
-    scale_high.add(hi.target_scale);
+    sharp_low.push_back(lo.sharpness);
+    sharp_high.push_back(hi.sharpness);
+    scale_low.push_back(lo.target_scale);
+    scale_high.push_back(hi.target_scale);
   }
-  EXPECT_GT(sharp_low.mean(), sharp_high.mean());
-  EXPECT_GT(scale_low.mean(), scale_high.mean());
+  EXPECT_GT(mx::mean(sharp_low), mx::mean(sharp_high));
+  EXPECT_GT(mx::mean(scale_low), mx::mean(scale_high));
 }
 
 TEST(FrameFeatures, VectorHasDeclaredArity) {
@@ -270,13 +270,6 @@ TEST(Tracker, ConfirmedTracksPersistThroughGaps) {
   ASSERT_EQ(tracker.confirmed().size(), 1u);
   for (int i = 0; i < 50; ++i) tracker.update({});  // long occlusion
   EXPECT_EQ(tracker.confirmed().size(), 1u);  // persons do not vanish
-}
-
-TEST(Tracker, NearestConfirmedRespectsGate) {
-  pc::PersonTracker tracker;
-  for (int i = 0; i < 3; ++i) tracker.update({det_at(20.0, 20.0)});
-  EXPECT_TRUE(tracker.nearest_confirmed({21.0, 20.0, 0.0}).has_value());
-  EXPECT_FALSE(tracker.nearest_confirmed({80.0, 20.0, 0.0}).has_value());
 }
 
 TEST(Tracker, EndToEndSuppressesFalseAlarms) {
@@ -379,19 +372,6 @@ class EagerTracker {
     return out;
   }
 
-  std::optional<pc::Track> nearest_confirmed(const geo::EnuPoint& p) const {
-    std::optional<pc::Track> best;
-    double best_d = config_.gate_m;
-    for (const auto& t : tracks_) {
-      if (!t.confirmed) continue;
-      const double d = geo::enu_ground_distance_m(t.position, p);
-      if (d <= best_d) {
-        best_d = d;
-        best = t;
-      }
-    }
-    return best;
-  }
 
  private:
   pc::TrackerConfig config_;
@@ -498,15 +478,6 @@ TEST(Tracker, MatchesEagerReferenceOnSeededFrameSequences) {
                       "")
                 << where << " frame " << reference.frames();
             ASSERT_EQ(tracker.frames_processed(), reference.frames());
-            const geo::EnuPoint probe = persons[rng.uniform_index(4)];
-            const auto want = reference.nearest_confirmed(probe);
-            const auto got = tracker.nearest_confirmed(probe);
-            ASSERT_EQ(want.has_value(), got.has_value())
-                << where << " frame " << reference.frames();
-            if (want) {
-              ASSERT_EQ(track_diff({*want}, {*got}), "")
-                  << where << " frame " << reference.frames();
-            }
           }
         }
         gate_ties += reference.gate_ties();

@@ -484,60 +484,13 @@ TEST(MissionRunner, BaselineHasNoAssuranceTrace) {
   EXPECT_TRUE(runner.run().assurance_trace.empty());
 }
 
-#include "sesame/platform/gps_watchdog.hpp"
 #include "sesame/security/security_eddi.hpp"
 
-TEST(GpsWatchdog, JammingDetectionFeedsAttackTree) {
-  sim::World world(kOrigin, 81);
-  sim::UavConfig uc;
-  uc.name = "u1";
-  world.add_uav(uc, kOrigin);
-  pf::GpsWatchdog watchdog(world.bus());
-  watchdog.watch_uav("u1");
-  sesame::security::SecurityEddi eddi(
-      world.bus(), sesame::security::make_jamming_attack_tree());
-
-  auto& uav = world.uav_by_name("u1");
-  uav.command_takeoff();
-  world.run(10, 1.0);
-  EXPECT_EQ(watchdog.alerts_raised(), 0u);
-
-  // Jamming starts: fix lost while airborne.
-  uav.gps().set_signal_lost(true);
-  world.run(2, 1.0);
-  EXPECT_FALSE(eddi.attack_detected());  // below the streak threshold
-  world.run(2, 1.0);
-  EXPECT_TRUE(eddi.attack_detected());
-  EXPECT_EQ(watchdog.alerts_raised(), 1u);
-
-  // No alert storm during the outage; re-arms after recovery.
-  world.run(20, 1.0);
-  EXPECT_EQ(watchdog.alerts_raised(), 1u);
-  uav.gps().set_signal_lost(false);
-  world.run(3, 1.0);
-  uav.gps().set_signal_lost(true);
-  world.run(5, 1.0);
-  EXPECT_EQ(watchdog.alerts_raised(), 2u);
-}
-
-TEST(GpsWatchdog, GroundedVehicleNeverAlerts) {
-  sim::World world(kOrigin);
-  sim::UavConfig uc;
-  uc.name = "u1";
-  world.add_uav(uc, kOrigin);
-  pf::GpsWatchdog watchdog(world.bus());
-  watchdog.watch_uav("u1");
-  world.uav_by_name("u1").gps().set_signal_lost(true);
-  world.run(20, 1.0);  // idle on the ground with no fix
-  EXPECT_EQ(watchdog.alerts_raised(), 0u);
-  EXPECT_THROW((pf::GpsWatchdog{world.bus(), {0}}), std::invalid_argument);
-}
-
-TEST(GpsWatchdog, PrefixSharingNamesKeepSeparateState) {
-  // "uav1" and "uav10" share a prefix. The GCS and the watchdog keep one
-  // state slot per vehicle; every mode event, battery warning and GNSS
-  // alert must land on the vehicle whose telemetry caused it. The
-  // expected GCS mode log is rebuilt here from the telemetry stream.
+TEST(GroundControlStation, PrefixSharingNamesKeepSeparateState) {
+  // "uav1" and "uav10" share a prefix. The GCS keeps one state slot per
+  // vehicle; every mode event and battery warning must land on the
+  // vehicle whose telemetry caused it. The expected GCS mode log is
+  // rebuilt here from the telemetry stream.
   sim::World world(kOrigin, 81);
   const std::vector<std::string> names{"uav1", "uav10"};
   for (const auto& name : names) {
@@ -563,36 +516,16 @@ TEST(GpsWatchdog, PrefixSharingNamesKeepSeparateState) {
           }
         }));
   }
-  std::vector<std::string> alert_sources;
-  auto alerts = world.bus().subscribe<sesame::security::IdsAlert>(
-      sesame::security::ids_alert_topic(),
-      [&](const sesame::mw::MessageHeader&, const sesame::security::IdsAlert& a) {
-        alert_sources.push_back(a.source);
-      });
-
   pf::DatabaseManager db(world.bus());
   pf::GroundControlStation gcs(world.bus(), db);
-  pf::GpsWatchdog watchdog(world.bus());
   for (const auto& name : names) {
     gcs.watch_uav(name);
-    watchdog.watch_uav(name);
     auto& uav = world.uav_by_name(name);
     uav.add_waypoint({150.0, 0.0, 30.0});
     uav.command_takeoff();
   }
-  auto& jammed = world.uav_by_name("uav10");
-  world.run(10, 1.0);
-  jammed.gps().set_signal_lost(true);  // one outage ...
-  world.run(6, 1.0);
-  jammed.gps().set_signal_lost(false);
-  world.run(3, 1.0);
-  jammed.gps().set_signal_lost(true);  // ... and a second one
-  world.run(5, 1.0);
-  jammed.gps().set_signal_lost(false);
-  world.run(96, 1.0);
+  world.run(120, 1.0);
 
-  EXPECT_EQ(watchdog.alerts_raised(), 2u);
-  EXPECT_EQ(alert_sources, (std::vector<std::string>{"uav10", "uav10"}));
   for (const auto& name : names) {
     std::vector<std::string> got;
     for (const auto& e : gcs.events_of("mode")) {
@@ -730,39 +663,6 @@ TEST(MissionRunner, TelemetryStalenessDemotesCommGuarantee) {
   EXPECT_GT(demotion_time_s, 60.0);
   EXPECT_LE(demotion_time_s, 60.0 + cfg.telemetry_staleness_window_s +
                                  2.0 * cfg.consert_period_s);
-}
-
-TEST(GpsWatchdog, JammingAlertSurvivesTelemetryLoss) {
-  // The watchdog needs consecutive *received* no-fix samples; a 10%-lossy
-  // telemetry stream must still produce the alert, just possibly later.
-  sim::World world(kOrigin, 81);
-  sim::UavConfig uc;
-  uc.name = "u1";
-  world.add_uav(uc, kOrigin);
-
-  mw::FaultPlan plan;
-  plan.seed = 5150;
-  mw::FaultRule rule;
-  rule.topic_suffix = "/telemetry";
-  rule.drop_probability = 0.10;
-  plan.rules.push_back(rule);
-  mw::FaultInjector injector(plan);
-  auto policy = world.bus().add_delivery_policy(&injector);
-
-  pf::GpsWatchdog watchdog(world.bus());
-  watchdog.watch_uav("u1");
-  sesame::security::SecurityEddi eddi(
-      world.bus(), sesame::security::make_jamming_attack_tree());
-
-  auto& uav = world.uav_by_name("u1");
-  uav.command_takeoff();
-  world.run(10, 1.0);
-  EXPECT_EQ(watchdog.alerts_raised(), 0u);
-
-  uav.gps().set_signal_lost(true);
-  world.run(30, 1.0);
-  EXPECT_TRUE(eddi.attack_detected());
-  EXPECT_GE(watchdog.alerts_raised(), 1u);
 }
 
 TEST(ConfigIo, RoundTripsFaultInjectionFields) {

@@ -908,8 +908,8 @@ TEST_P(HistogramMergeProperties, RegistrySnapshotMergeMatchesOracleBothOrders) {
 
   for (const bool reversed : {false, true}) {
     sesame::obs::MetricsRegistry merged;
-    merged.merge(reversed ? run2.snapshot() : run1.snapshot());
-    merged.merge(reversed ? run1.snapshot() : run2.snapshot());
+    merged.merge(reversed ? run2.snapshot() : run1.snapshot(), 1);
+    merged.merge(reversed ? run1.snapshot() : run2.snapshot(), 2);
     const auto snap = merged.snapshot();
     const auto* h = snap.find("m");
     ASSERT_NE(h, nullptr);

@@ -222,53 +222,6 @@ TEST(ReliabilityLevelNames, AllDistinct) {
   EXPECT_EQ(sd::reliability_level_name(sd::ReliabilityLevel::kLow), "Low");
 }
 
-TEST(FleetReliability, ValidatesArguments) {
-  sd::ReliabilityMonitor m;
-  EXPECT_THROW(sd::fleet_mission_reliability({}, 1, 100.0),
-               std::invalid_argument);
-  EXPECT_THROW(sd::fleet_mission_reliability({&m}, 0, 100.0),
-               std::invalid_argument);
-  EXPECT_THROW(sd::fleet_mission_reliability({&m}, 2, 100.0),
-               std::invalid_argument);
-  EXPECT_THROW(sd::fleet_mission_reliability({nullptr}, 1, 100.0),
-               std::invalid_argument);
-}
-
-TEST(FleetReliability, RedundancyImprovesMissionReliability) {
-  sd::ReliabilityMonitor m;
-  const double t = 1800.0;
-  // Needing 2 capable UAVs: a 3-UAV fleet beats a 2-UAV fleet.
-  const double two_of_two = sd::fleet_mission_reliability({&m, &m}, 2, t);
-  const double two_of_three =
-      sd::fleet_mission_reliability({&m, &m, &m}, 2, t);
-  EXPECT_GT(two_of_three, two_of_two);
-  // And requiring fewer capable UAVs can only help.
-  const double one_of_three =
-      sd::fleet_mission_reliability({&m, &m, &m}, 1, t);
-  EXPECT_GE(one_of_three, two_of_three);
-}
-
-TEST(FleetReliability, MatchesClosedFormForIdenticalUavs) {
-  sd::ReliabilityMonitor m;
-  const double t = 3600.0;
-  const double p = m.nominal_failure_probability(t);
-  // min_capable = 2 of 3: mission lost when >= 2 of 3 fail.
-  const double p_loss = 3 * p * p * (1 - p) + p * p * p;
-  EXPECT_NEAR(sd::fleet_mission_reliability({&m, &m, &m}, 2, t),
-              1.0 - p_loss, 1e-9);
-}
-
-TEST(FleetReliability, MonotoneDecliningInMissionTime) {
-  sd::ReliabilityMonitor m;
-  double prev = 1.1;
-  for (double t = 600.0; t <= 7200.0; t += 600.0) {
-    const double r = sd::fleet_mission_reliability({&m, &m, &m}, 2, t);
-    EXPECT_LE(r, prev + 1e-12);
-    EXPECT_GE(r, 0.0);
-    prev = r;
-  }
-}
-
 TEST(BatteryModel, ChainAtMatchesDirectlyBuiltRates) {
   // chain_at is now derived by scaling a base chain; the generator must be
   // bit-identical to building with pre-scaled rates (the pre-optimisation

@@ -44,20 +44,32 @@ TEST(Distances, EmptySampleThrows) {
   }
 }
 
-TEST(Distances, KsDisjointSamplesIsOne) {
-  EXPECT_DOUBLE_EQ(sml::ks_distance({1.0, 2.0}, {10.0, 11.0}), 1.0);
-}
-
-TEST(Distances, KsHandComputed) {
-  // F_a steps at 1,3; F_b steps at 2,4. Max gap = 0.5.
-  EXPECT_DOUBLE_EQ(sml::ks_distance({1.0, 3.0}, {2.0, 4.0}), 0.5);
+TEST(Distances, HandComputedTable) {
+  using M = sml::Measure;
+  struct Case {
+    M measure;
+    std::vector<double> a, b;
+    double want;
+  };
+  const Case cases[] = {
+      {M::kKolmogorovSmirnov, {1.0, 2.0}, {10.0, 11.0}, 1.0},  // disjoint
+      // F_a steps at 1,3; F_b steps at 2,4. Max gap = 0.5.
+      {M::kKolmogorovSmirnov, {1.0, 3.0}, {2.0, 4.0}, 0.5},
+      // W1 between X and X + c is exactly |c|.
+      {M::kWasserstein, {1.0, 2.0, 3.0, 4.0}, {3.5, 4.5, 5.5, 6.5}, 2.5},
+  };
+  for (const Case& c : cases) {
+    EXPECT_NEAR(sml::distance(c.measure, c.a, c.b), c.want, 1e-12)
+        << sml::measure_name(c.measure);
+  }
 }
 
 TEST(Distances, KsSymmetric) {
   mx::Rng rng(3);
   const auto a = normal_sample(rng, 50, 0.0, 1.0);
   const auto b = normal_sample(rng, 60, 0.5, 1.2);
-  EXPECT_DOUBLE_EQ(sml::ks_distance(a, b), sml::ks_distance(b, a));
+  const auto ks = sml::Measure::kKolmogorovSmirnov;
+  EXPECT_DOUBLE_EQ(sml::distance(ks, a, b), sml::distance(ks, b, a));
 }
 
 TEST(Distances, KuiperAtLeastKs) {
@@ -65,16 +77,9 @@ TEST(Distances, KuiperAtLeastKs) {
   for (int i = 0; i < 10; ++i) {
     const auto a = normal_sample(rng, 40, 0.0, 1.0);
     const auto b = normal_sample(rng, 40, rng.uniform(-1.0, 1.0), 1.0);
-    EXPECT_GE(sml::kuiper_distance(a, b) + 1e-12, sml::ks_distance(a, b));
+    EXPECT_GE(sml::distance(sml::Measure::kKuiper, a, b) + 1e-12,
+              sml::distance(sml::Measure::kKolmogorovSmirnov, a, b));
   }
-}
-
-TEST(Distances, WassersteinPureShiftEqualsShift) {
-  // W1 between X and X + c is exactly |c|.
-  const std::vector<double> a{1.0, 2.0, 3.0, 4.0};
-  std::vector<double> b;
-  for (double x : a) b.push_back(x + 2.5);
-  EXPECT_NEAR(sml::wasserstein_distance(a, b), 2.5, 1e-12);
 }
 
 TEST(Distances, WassersteinScalesWithUnits) {
@@ -84,8 +89,8 @@ TEST(Distances, WassersteinScalesWithUnits) {
   std::vector<double> a10, b10;
   for (double x : a) a10.push_back(10.0 * x);
   for (double x : b) b10.push_back(10.0 * x);
-  EXPECT_NEAR(sml::wasserstein_distance(a10, b10),
-              10.0 * sml::wasserstein_distance(a, b), 1e-9);
+  const auto w = sml::Measure::kWasserstein;
+  EXPECT_NEAR(sml::distance(w, a10, b10), 10.0 * sml::distance(w, a, b), 1e-9);
 }
 
 TEST(Distances, GrowWithShiftMagnitude) {
@@ -106,18 +111,16 @@ TEST(Distances, AndersonDarlingSensitiveToTails) {
   mx::Rng rng(13);
   const auto ref = normal_sample(rng, 500, 0.0, 1.0);
   const auto heavy = normal_sample(rng, 500, 0.0, 3.0);
-  EXPECT_GT(sml::anderson_darling_distance(ref, heavy), 0.05);
+  EXPECT_GT(sml::distance(sml::Measure::kAndersonDarling, ref, heavy), 0.05);
 }
 
-TEST(Distances, CvmBoundedByKsSquared) {
-  // CvM uses squared gaps, so it is <= KS^2 * (na*nb/n^2) * steps bound;
-  // sanity: CvM <= KS * steps scale. We just check CvM <= AD since AD
-  // upweights the same integrand.
+TEST(Distances, CvmBoundedByAd) {
+  // AD upweights the same squared-gap integrand CvM sums, so CvM <= AD.
   mx::Rng rng(17);
   const auto a = normal_sample(rng, 100, 0.0, 1.0);
   const auto b = normal_sample(rng, 100, 1.0, 1.0);
-  EXPECT_LE(sml::cramer_von_mises_distance(a, b),
-            sml::anderson_darling_distance(a, b) + 1e-9);
+  EXPECT_LE(sml::distance(sml::Measure::kCramerVonMises, a, b),
+            sml::distance(sml::Measure::kAndersonDarling, a, b) + 1e-9);
 }
 
 TEST(Distances, MeasureNamesDistinct) {
@@ -234,87 +237,6 @@ TEST(Monitor, MultiFeatureAggregation) {
   EXPECT_THROW(mon.push({1.0}), std::invalid_argument);
 }
 
-TEST(Monitor, ResetClearsWindow) {
-  mx::Rng rng(47);
-  sml::MonitorConfig cfg;
-  cfg.window = 8;
-  sml::Monitor mon(cfg, {normal_sample(rng, 100, 0.0, 1.0)});
-  for (int i = 0; i < 8; ++i) mon.push({0.0});
-  EXPECT_TRUE(mon.ready());
-  mon.reset();
-  EXPECT_FALSE(mon.ready());
-  EXPECT_EQ(mon.buffered(), 0u);
-}
-
-TEST(Monitor, ConfidenceLevelNames) {
-  EXPECT_EQ(sml::confidence_level_name(sml::ConfidenceLevel::kHigh), "High");
-  EXPECT_EQ(sml::confidence_level_name(sml::ConfidenceLevel::kMedium), "Medium");
-  EXPECT_EQ(sml::confidence_level_name(sml::ConfidenceLevel::kLow), "Low");
-}
-
-#include "sesame/safeml/calibration.hpp"
-
-TEST(Calibration, ValidatesArguments) {
-  mx::Rng rng(1);
-  std::vector<std::vector<double>> ref{{1.0, 2.0, 3.0, 4.0}};
-  EXPECT_THROW(sml::calibrate_monitor(sml::Measure::kKolmogorovSmirnov, {},
-                                      4, rng),
-               std::invalid_argument);
-  EXPECT_THROW(sml::calibrate_monitor(sml::Measure::kKolmogorovSmirnov, ref,
-                                      8, rng),
-               std::invalid_argument);  // reference smaller than window
-  EXPECT_THROW(sml::calibrate_monitor(sml::Measure::kKolmogorovSmirnov, ref,
-                                      4, rng, 5),
-               std::invalid_argument);  // too few trials
-  EXPECT_THROW(sml::calibrate_monitor(sml::Measure::kKolmogorovSmirnov, ref,
-                                      4, rng, 100, 0.4, 0.7),
-               std::invalid_argument);  // thresholds inverted
-}
-
-TEST(Calibration, CleanDataClassifiesHigh) {
-  mx::Rng rng(97);
-  const auto reference = std::vector<std::vector<double>>{
-      normal_sample(rng, 500, 0.0, 1.0), normal_sample(rng, 500, 10.0, 2.0)};
-  const auto report = sml::calibrate_monitor(
-      sml::Measure::kKolmogorovSmirnov, reference, 64, rng);
-  EXPECT_GT(report.config.full_scale, 0.0);
-  EXPECT_GE(report.self_distance_p95, report.self_distance_p50);
-
-  sml::Monitor mon(report.config, reference);
-  int high = 0;
-  const int rounds = 50;
-  for (int r = 0; r < rounds; ++r) {
-    for (int i = 0; i < 64; ++i) {
-      mon.push({rng.normal(0.0, 1.0), rng.normal(10.0, 2.0)});
-    }
-    if (mon.assess()->level == sml::ConfidenceLevel::kHigh) ++high;
-  }
-  // Calibration targets ~95% High on clean data.
-  EXPECT_GT(high, rounds * 3 / 4);
-}
-
-TEST(Calibration, ShiftedDataStillFlagged) {
-  mx::Rng rng(101);
-  const auto reference =
-      std::vector<std::vector<double>>{normal_sample(rng, 500, 0.0, 1.0)};
-  const auto report = sml::calibrate_monitor(
-      sml::Measure::kWasserstein, reference, 64, rng);
-  sml::Monitor mon(report.config, reference);
-  for (int i = 0; i < 64; ++i) mon.push({rng.normal(4.0, 1.0)});
-  EXPECT_EQ(mon.assess()->level, sml::ConfidenceLevel::kLow);
-}
-
-TEST(Calibration, WorksForEveryMeasure) {
-  mx::Rng rng(103);
-  const auto reference =
-      std::vector<std::vector<double>>{normal_sample(rng, 300, 0.0, 1.0)};
-  for (auto m : sml::all_measures()) {
-    const auto report = sml::calibrate_monitor(m, reference, 32, rng, 100);
-    EXPECT_GT(report.config.full_scale, 0.0) << sml::measure_name(m);
-    EXPECT_EQ(report.config.measure, m);
-  }
-}
-
 TEST(Monitor, PerFeatureDissimilarityIsolatesDriftedChannel) {
   mx::Rng rng(107);
   sml::MonitorConfig cfg;
@@ -336,97 +258,20 @@ TEST(Monitor, PerFeatureDissimilarityIsolatesDriftedChannel) {
   EXPECT_NEAR(a->dissimilarity, (per[0] + per[1]) / 2.0, 1e-12);
 }
 
-#include "sesame/safeml/drift.hpp"
-
-TEST(DriftDetector, ValidatesConfig) {
-  sml::DriftDetectorConfig cfg;
-  cfg.threshold = 0.0;
-  EXPECT_THROW((sml::DriftDetector{cfg}), std::invalid_argument);
-  cfg = {};
-  cfg.slack = -0.1;
-  EXPECT_THROW((sml::DriftDetector{cfg}), std::invalid_argument);
-}
-
-TEST(DriftDetector, NoAlarmOnInControlStream) {
-  mx::Rng rng(111);
-  sml::DriftDetectorConfig cfg;
-  cfg.reference = 0.10;
-  cfg.slack = 0.05;
-  cfg.threshold = 0.5;
-  sml::DriftDetector detector(cfg);
-  for (int i = 0; i < 2000; ++i) {
-    detector.push(std::max(0.0, rng.normal(0.10, 0.02)));
-  }
-  EXPECT_FALSE(detector.alarmed());
-}
-
-TEST(DriftDetector, FastDetectionOfSustainedShift) {
-  mx::Rng rng(113);
-  sml::DriftDetectorConfig cfg;
-  cfg.reference = 0.10;
-  cfg.slack = 0.05;
-  cfg.threshold = 0.5;
-  sml::DriftDetector detector(cfg);
-  for (int i = 0; i < 500; ++i) {
-    detector.push(std::max(0.0, rng.normal(0.10, 0.02)));
-  }
-  ASSERT_FALSE(detector.alarmed());
-  // Shift of +0.25 in dissimilarity: expected detection delay ~ h/(shift-k)
-  // = 0.5/0.2 ~ 3 samples.
-  int delay = 0;
-  while (!detector.push(std::max(0.0, rng.normal(0.35, 0.02)))) ++delay;
-  EXPECT_LT(delay, 10);
-  ASSERT_TRUE(detector.alarm_index().has_value());
-  EXPECT_GE(*detector.alarm_index(), 500u);
-}
-
-TEST(DriftDetector, AlarmLatchesUntilReset) {
-  sml::DriftDetector detector({0.0, 0.0, 0.1});
-  EXPECT_TRUE(detector.push(1.0));
-  EXPECT_TRUE(detector.push(0.0));  // latched despite clean sample
-  detector.reset();
-  EXPECT_FALSE(detector.alarmed());
-  EXPECT_EQ(detector.samples_seen(), 0u);
-}
-
-TEST(DriftDetector, TransientBlipDoesNotAlarm) {
-  sml::DriftDetectorConfig cfg;
-  cfg.reference = 0.1;
-  cfg.slack = 0.05;
-  cfg.threshold = 1.0;
-  sml::DriftDetector detector(cfg);
-  // One big blip then back to normal: statistic decays via the slack.
-  detector.push(0.6);
-  for (int i = 0; i < 50; ++i) detector.push(0.05);
-  EXPECT_FALSE(detector.alarmed());
-  EXPECT_LT(detector.statistic(), 0.2);
-}
-
-TEST(Distances, SortedVariantMatchesUnsortedForAllMeasures) {
+TEST(Distances, PreparedReferenceMatchesTwoSampleDistance) {
   mx::Rng rng(1234);
   std::vector<double> a, b;
   for (int i = 0; i < 200; ++i) a.push_back(rng.normal(0.0, 1.0));
   for (int i = 0; i < 150; ++i) b.push_back(rng.normal(0.4, 1.3));
 
-  std::vector<double> a_sorted = a, b_sorted = b;
-  std::sort(a_sorted.begin(), a_sorted.end());
+  std::vector<double> b_sorted = b;
   std::sort(b_sorted.begin(), b_sorted.end());
-
+  const sml::PreparedReference ref(a);
   for (const auto m : sml::all_measures()) {
-    EXPECT_EQ(sml::distance(m, a, b),
-              sml::distance_sorted(m, a_sorted, b_sorted))
+    EXPECT_EQ(sml::distance(m, a, b), ref.distance(m, b_sorted))
         << sml::measure_name(m);
   }
-}
-
-TEST(Distances, SortedVariantRejectsEmptySamples) {
-  const std::vector<double> some{1.0, 2.0};
-  EXPECT_THROW(
-      sml::distance_sorted(sml::Measure::kKolmogorovSmirnov, {}, some),
-      std::invalid_argument);
-  EXPECT_THROW(
-      sml::distance_sorted(sml::Measure::kKolmogorovSmirnov, some, {}),
-      std::invalid_argument);
+  EXPECT_THROW(sml::PreparedReference({}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -465,10 +310,6 @@ TEST(Monitor, SortedWindowMatchesTwoSampleDistanceBitForBit) {
     std::vector<std::deque<double>> model(features);
     const int pushes = 3 * static_cast<int>(window) + 5;
     for (int p = 0; p < pushes; ++p) {
-      if (p == pushes / 2) {  // reset mid-stream
-        for (auto& mon : monitors) mon.reset();
-        for (auto& w : model) w.clear();
-      }
       std::vector<double> row;
       const double drift = p > pushes / 3 ? 1.0 : 0.0;
       for (std::size_t k = 0; k < features; ++k) row.push_back(grid_value(rng, drift));

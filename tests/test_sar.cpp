@@ -85,22 +85,6 @@ TEST(Coverage, SerpentineAlternatesDirection) {
   EXPECT_GT(wps[2].north_m, wps[3].north_m);
 }
 
-TEST(Coverage, PlanLengthPositiveAndScalesWithArea) {
-  sar::CoverageConfig cfg;
-  const auto small = sar::plan_coverage({0, 100, 0, 100}, 1, cfg);
-  const auto large = sar::plan_coverage({0, 300, 0, 300}, 1, cfg);
-  EXPECT_GT(sar::plan_length_m(small[0]), 0.0);
-  EXPECT_GT(sar::plan_length_m(large[0]), sar::plan_length_m(small[0]) * 2.0);
-}
-
-TEST(Coverage, CoverageFraction) {
-  sar::CoverageConfig cfg;
-  cfg.lane_spacing_m = 25.0;
-  EXPECT_DOUBLE_EQ(sar::coverage_fraction(cfg, 30.0), 1.0);
-  EXPECT_NEAR(sar::coverage_fraction(cfg, 12.5), 0.5, 1e-12);
-  EXPECT_DOUBLE_EQ(sar::coverage_fraction(cfg, 0.0), 0.0);
-}
-
 TEST(Mission, ValidatesSetup) {
   sim::World world(kOrigin);
   world.add_uav(fast_uav("u1"), kOrigin);
@@ -324,55 +308,6 @@ TEST(CoverageTracker, PartialEdgeCellCentreStaysInsideArea) {
   EXPECT_TRUE(tracker.covered_at({22.0, 14.0, 0.0}));
 }
 
-TEST(CoverageTracker, SharedRegionQueriesDoNotDoubleCountOverlap) {
-  sar::CoverageTracker tracker({0, 100, 0, 100}, 10.0);
-  sesame::sim::Footprint fp;
-  fp.center_east_m = 50.0;
-  fp.center_north_m = 50.0;
-  fp.half_width_m = 50.0;
-  fp.half_height_m = 50.0;
-  tracker.mark(fp);  // everything covered
-  EXPECT_DOUBLE_EQ(tracker.fraction_covered(), 1.0);
-
-  // Two overlapping sweep strips: each fully covered on its own, and the
-  // global figure stays 1.0 — the 20 m overlap band is credited once.
-  const sar::Area left{0, 60, 0, 100};
-  const sar::Area right{40, 100, 0, 100};
-  EXPECT_DOUBLE_EQ(tracker.fraction_covered(left), 1.0);
-  EXPECT_DOUBLE_EQ(tracker.fraction_covered(right), 1.0);
-
-  // A disjoint partition's region areas weight back to the global fraction.
-  tracker.reset();
-  fp.center_east_m = 25.0;  // cover only the west half
-  fp.half_width_m = 25.0;
-  tracker.mark(fp);
-  const sar::Area west{0, 50, 0, 100};
-  const sar::Area east{50, 100, 0, 100};
-  EXPECT_DOUBLE_EQ(tracker.fraction_covered(west), 1.0);
-  EXPECT_DOUBLE_EQ(tracker.fraction_covered(east), 0.0);
-  EXPECT_DOUBLE_EQ(tracker.fraction_covered(), 0.5);
-
-  // Region queries clip to the tracked area; a region half outside still
-  // reports the covered share of its inside part, and a disjoint region 0.
-  const sar::Area overhang{-50, 50, 0, 100};
-  EXPECT_DOUBLE_EQ(tracker.fraction_covered(overhang), 1.0);
-  const sar::Area outside{200, 300, 0, 100};
-  EXPECT_DOUBLE_EQ(tracker.fraction_covered(outside), 0.0);
-}
-
-TEST(CoverageTracker, ResetClears) {
-  sar::CoverageTracker tracker({0, 100, 0, 100}, 10.0);
-  sesame::sim::Footprint fp;
-  fp.center_east_m = 50.0;
-  fp.center_north_m = 50.0;
-  fp.half_width_m = 50.0;
-  fp.half_height_m = 50.0;
-  tracker.mark(fp);
-  EXPECT_GT(tracker.fraction_covered(), 0.9);
-  tracker.reset();
-  EXPECT_DOUBLE_EQ(tracker.fraction_covered(), 0.0);
-}
-
 TEST(Mission, SweepCoversAreaWhenLaneSpacingMatchesFootprint) {
   sim::World world(kOrigin, 61);
   world.add_uav(fast_uav("u1"), kOrigin);
@@ -433,32 +368,4 @@ TEST(Mission, PersonTrackerConfirmsFoundPersons) {
   EXPECT_LT(geo::enu_ground_distance_m(confirmed[0].position,
                                        {5.0, 40.0, 0.0}),
             3.0);
-}
-
-TEST(Mission, ProgressAndEta) {
-  sim::World world(kOrigin);
-  world.add_uav(fast_uav("u1"), kOrigin);
-  sar::CoverageConfig cfg;
-  cfg.altitude_m = 25.0;
-  auto plans = sar::plan_coverage({0.0, 60.0, 0.0, 160.0}, 1, cfg);
-  sar::SarMission mission(world, {"u1"}, plans);
-  EXPECT_DOUBLE_EQ(mission.progress(), 0.0);
-  const double eta0 = mission.eta_s(12.0);
-  EXPECT_GT(eta0, 0.0);
-  EXPECT_THROW(mission.eta_s(0.0), std::invalid_argument);
-
-  world.uav_by_name("u1").command_takeoff();
-  double prev_progress = 0.0;
-  for (int t = 0; t < 400 && !mission.complete(); ++t) {
-    world.step(1.0);
-    mission.tick();
-    EXPECT_GE(mission.progress(), prev_progress - 1e-12);
-    prev_progress = mission.progress();
-  }
-  ASSERT_TRUE(mission.complete());
-  EXPECT_DOUBLE_EQ(mission.progress(), 1.0);
-  EXPECT_DOUBLE_EQ(mission.eta_s(12.0), 0.0);
-  // The initial ETA was a sane forecast of the actual duration.
-  EXPECT_GT(eta0, 10.0);
-  EXPECT_LT(eta0, 400.0);
 }

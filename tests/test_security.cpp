@@ -32,8 +32,6 @@ TEST(AttackTree, LeafTriggering) {
   EXPECT_TRUE(tree.trigger("CAPEC-1"));
   EXPECT_TRUE(tree.goal_achieved());
   EXPECT_FALSE(tree.trigger("CAPEC-99"));
-  tree.reset();
-  EXPECT_FALSE(tree.goal_achieved());
 }
 
 TEST(AttackTree, AndRequiresAllChildren) {
@@ -231,10 +229,6 @@ TEST(SecurityEddi, ReportsGoalOnlyOnce) {
   bus.publish("t", 2, "attacker", 1.0);
   EXPECT_EQ(eddi.events_raised(), 1u);
   EXPECT_GE(eddi.alerts_consumed(), 2u);
-  eddi.reset();
-  EXPECT_FALSE(eddi.tree().goal_achieved());
-  bus.publish("t", 3, "attacker", 2.0);
-  EXPECT_EQ(eddi.events_raised(), 2u);
 }
 
 TEST(SecurityEddi, CallbackInvoked) {
@@ -267,28 +261,48 @@ TEST(SeverityNames, Distinct) {
   EXPECT_EQ(sec::severity_name(sec::Severity::kCritical), "Critical");
 }
 
-TEST(JammingTree, StructureAndIndependentEddis) {
+namespace {
+
+/// A second tree beside the spoofing one: GNSS jamming (CAPEC-601) or
+/// command-link flooding (CAPEC-125, shared with the spoofing tree).
+sec::AttackTree jamming_tree() {
+  sec::AttackStepInfo jam;
+  jam.capec_id = "CAPEC-601";
+  jam.title = "Jam GNSS reception";
+  sec::AttackStepInfo flood;
+  flood.capec_id = "CAPEC-125";
+  flood.title = "Flood the command-and-control channel";
+  return sec::AttackTree(
+      "denial_of_navigation",
+      sec::AttackNode::or_node("Deny navigation or command",
+                               {sec::AttackNode::leaf(jam),
+                                sec::AttackNode::leaf(flood)}));
+}
+
+}  // namespace
+
+TEST(SecondTree, StructureAndIndependentEddis) {
   // One Security EDDI per attack tree, running side by side on one bus.
   mw::Bus bus;
   sec::SecurityEddi spoof_eddi(bus, sec::make_spoofing_attack_tree());
-  sec::SecurityEddi jam_eddi(bus, sec::make_jamming_attack_tree());
+  sec::SecurityEddi jam_eddi(bus, jamming_tree());
 
   // A jamming alert (physical-layer sensor) reaches only the jamming tree.
   sec::IdsAlert jam;
   jam.rule = "gps_fix_lost";
   jam.capec_id = "CAPEC-601";
-  jam.source = "gps_watchdog";
+  jam.source = "gnss_sensor";
   jam.time_s = 12.0;
-  bus.publish(sec::ids_alert_topic(), jam, "gps_watchdog", 12.0);
+  bus.publish(sec::ids_alert_topic(), jam, "gnss_sensor", 12.0);
   EXPECT_TRUE(jam_eddi.attack_detected());
   EXPECT_FALSE(spoof_eddi.attack_detected());
 }
 
-TEST(JammingTree, FloodingReachesBothTrees) {
+TEST(SecondTree, FloodingReachesBothTrees) {
   // CAPEC-125 appears in both trees: one alert fires both EDDIs.
   mw::Bus bus;
   sec::SecurityEddi spoof_eddi(bus, sec::make_spoofing_attack_tree());
-  sec::SecurityEddi jam_eddi(bus, sec::make_jamming_attack_tree());
+  sec::SecurityEddi jam_eddi(bus, jamming_tree());
   sec::IdsAlert flood;
   flood.rule = "flooding";
   flood.capec_id = "CAPEC-125";
@@ -296,15 +310,6 @@ TEST(JammingTree, FloodingReachesBothTrees) {
   bus.publish(sec::ids_alert_topic(), flood, "ids", 1.0);
   EXPECT_TRUE(spoof_eddi.attack_detected());
   EXPECT_TRUE(jam_eddi.attack_detected());
-}
-
-TEST(JammingTree, MitigationsNameLocalizationFallback) {
-  auto tree = sec::make_jamming_attack_tree();
-  tree.trigger("CAPEC-601");
-  ASSERT_TRUE(tree.goal_achieved());
-  const auto mits = tree.mitigations();
-  ASSERT_EQ(mits.size(), 1u);
-  EXPECT_NE(mits[0].find("collaborative"), std::string::npos);
 }
 
 // --- WireMonitor (sesame.wire.* counters as IDS evidence) ------------------

@@ -581,7 +581,7 @@ TEST(Wire, BadRequestsGetStructuredErrors) {
   server.start();
   client.start();
 
-  client.request_status(404);  // no such job
+  client.poll_events(404, 0);  // no such job
   pump(server, client);
   ASSERT_TRUE(client.has_response());
   const auto reply = ode::parse_json(client.pop_response());
@@ -591,17 +591,19 @@ TEST(Wire, BadRequestsGetStructuredErrors) {
 }
 
 TEST(Drain, SignalLatchTripsOnceAndIsExclusive) {
-  service::DrainSignal drain;
-  EXPECT_FALSE(drain.requested());
-  EXPECT_FALSE(drain.flag()->load());
+  {
+    service::DrainSignal drain;
+    EXPECT_FALSE(drain.requested());
+    EXPECT_FALSE(drain.flag()->load());
 
-  // Only one latch may own the process-wide handlers at a time.
-  EXPECT_THROW(service::DrainSignal(), std::logic_error);
+    // Only one latch may own the process-wide handlers at a time.
+    EXPECT_THROW(service::DrainSignal(), std::logic_error);
 
-  std::raise(SIGTERM);  // the installed handler only flips the latch
-  EXPECT_TRUE(drain.requested());
-  EXPECT_TRUE(drain.flag()->load());
-
-  drain.reset();
-  EXPECT_FALSE(drain.requested());
+    std::raise(SIGTERM);  // the installed handler only flips the latch
+    EXPECT_TRUE(drain.requested());
+    EXPECT_TRUE(drain.flag()->load());
+  }
+  // A new latch installs un-tripped.
+  service::DrainSignal again;
+  EXPECT_FALSE(again.requested());
 }

@@ -1,5 +1,5 @@
 // Tests for the world simulator: battery discharge and fault injection,
-// GPS spoofing effects, UAV flight modes and navigation, camera geometry,
+// GPS noise and signal loss, UAV flight modes and navigation, camera geometry,
 // and world/bus wiring.
 #include <algorithm>
 #include <cmath>
@@ -103,35 +103,6 @@ TEST(Gps, HealthyFixNearTruth) {
   }
 }
 
-TEST(Gps, SpoofingWalksFixAway) {
-  sesame::mathx::Rng rng(5);
-  sim::GpsConfig cfg;
-  cfg.noise_sigma_m = 0.0;
-  cfg.spoof_drift_m_per_s = 2.0;
-  sim::Gps gps(cfg, rng);
-  gps.start_spoofing();
-  std::optional<sim::GpsFix> fix;
-  for (int i = 0; i < 100; ++i) fix = gps.read(kOrigin, 1.0);
-  ASSERT_TRUE(fix.has_value());
-  // 100 s at 2 m/s -> 200 m of offset.
-  EXPECT_NEAR(geo::haversine_m(fix->position, kOrigin), 200.0, 1.0);
-  EXPECT_NEAR(gps.spoof_offset_m(), 200.0, 1e-9);
-  gps.stop_spoofing();
-  EXPECT_DOUBLE_EQ(gps.spoof_offset_m(), 0.0);
-  const auto clean = gps.read(kOrigin, 1.0);
-  EXPECT_LT(geo::haversine_m(clean->position, kOrigin), 1.0);
-}
-
-TEST(Gps, SpoofedFixStillClaimsGoodQuality) {
-  // The receiver's self-reported quality does not reveal the attack.
-  sesame::mathx::Rng rng(7);
-  sim::Gps gps(sim::GpsConfig{}, rng);
-  gps.start_spoofing();
-  const auto fix = gps.read(kOrigin, 10.0);
-  ASSERT_TRUE(fix.has_value());
-  EXPECT_EQ(fix->satellites, sim::GpsConfig{}.healthy_satellites);
-}
-
 TEST(Gps, SignalLossAndDisable) {
   sesame::mathx::Rng rng(9);
   sim::Gps gps(sim::GpsConfig{}, rng);
@@ -197,23 +168,6 @@ TEST(Uav, EmergencyLandDescendsInPlace) {
   EXPECT_EQ(uav.mode(), sim::FlightMode::kLanded);
   EXPECT_NEAR(uav.true_position().east_m, east_before, 3.0);
   EXPECT_LE(uav.true_position().up_m, 0.1);
-}
-
-TEST(Uav, SpoofingDeviatesTrueTrajectory) {
-  sim::World world(kOrigin);
-  auto cfg = test_uav("u1");
-  cfg.gps.spoof_drift_m_per_s = 1.5;
-  cfg.gps.spoof_bearing_deg = 90.0;  // fix walks east
-  world.add_uav(cfg, kOrigin);
-  auto& uav = world.uav(0);
-  uav.add_waypoint({0.0, 300.0, 30.0});  // mission heads due north
-  uav.command_takeoff();
-  world.run(15, 1.0);
-  uav.gps().start_spoofing();
-  world.run(60, 1.0);
-  // The estimate is dragged east, so the true vehicle is pushed west.
-  EXPECT_LT(uav.true_position().east_m, -20.0);
-  EXPECT_GT(uav.estimation_error_m(), 20.0);
 }
 
 TEST(Uav, DeadReckoningDriftsWithWind) {
@@ -283,17 +237,6 @@ TEST(Camera, GsdGrowsWithAltitude) {
   EXPECT_GT(cam.ground_sample_distance_m(60.0),
             cam.ground_sample_distance_m(20.0));
   EXPECT_DOUBLE_EQ(cam.ground_sample_distance_m(0.0), 0.0);
-}
-
-TEST(Camera, VisibleFiltersByFootprint) {
-  sim::Camera cam;
-  std::vector<geo::EnuPoint> pts{{0.0, 0.0, 0.0},    // directly below
-                                 {5.0, 5.0, 0.0},    // nearby
-                                 {500.0, 0.0, 0.0}}; // far outside
-  const auto vis = cam.visible({0.0, 0.0, 30.0}, pts);
-  ASSERT_EQ(vis.size(), 2u);
-  EXPECT_EQ(vis[0], 0u);
-  EXPECT_EQ(vis[1], 1u);
 }
 
 TEST(Camera, ValidatesConfig) {
@@ -464,14 +407,14 @@ TEST(CommLink, FadingJitterBoundedAndCentred) {
   cfg.fading_sigma = 0.1;
   sim::CommLink link(cfg);
   sesame::mathx::Rng rng(77);
-  sesame::mathx::RunningStats stats;
+  std::vector<double> qs;
   for (int i = 0; i < 2000; ++i) {
     const double q = link.sample_quality(800.0, rng);
     EXPECT_GE(q, 0.0);
     EXPECT_LE(q, 1.0);
-    stats.add(q);
+    qs.push_back(q);
   }
-  EXPECT_NEAR(stats.mean(), link.quality(800.0), 0.01);
+  EXPECT_NEAR(sesame::mathx::mean(qs), link.quality(800.0), 0.01);
 }
 
 TEST(Uav, CommandsIgnoredInWrongStates) {
@@ -511,7 +454,6 @@ TEST(Uav, WaypointTransferValidation) {
   world.add_uav(test_uav("u1"), kOrigin);
   auto& uav = world.uav(0);
   EXPECT_THROW(uav.transfer_waypoints_to(uav), std::invalid_argument);
-  EXPECT_THROW(uav.lower_waypoints_to(0.0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -749,36 +691,6 @@ TEST(World, LossyLinksEnableTwiceThrows) {
 
 // A world reused for a second scenario must not replay the first run's
 // fault-delayed traffic into freshly wired subscribers.
-TEST(World, ResetPendingCommsDiscardsDelayedTraffic) {
-  sim::World world(kOrigin, 5);
-  world.add_uav(test_uav("u1"), kOrigin);
-
-  sesame::mw::FaultPlan plan;
-  sesame::mw::FaultRule rule;
-  rule.topic_suffix = "/position_fix";
-  rule.delay_probability = 1.0;
-  rule.delay_steps = 4;
-  plan.rules.push_back(rule);
-  sesame::mw::FaultInjector injector(plan);
-  auto policy = world.bus().add_delivery_policy(&injector);
-
-  // Run 1 leaves a delayed position fix in flight.
-  world.bus().publish(sim::position_fix_topic("u1"), kOrigin, "cl", 0.0);
-  EXPECT_EQ(world.bus().delayed_pending(), 1u);
-
-  int run2_fixes = 0;
-  auto sub = world.bus().subscribe<geo::GeoPoint>(
-      sim::position_fix_topic("u1"),
-      [&](const sesame::mw::MessageHeader&, const geo::GeoPoint&) {
-        ++run2_fixes;
-      });
-  EXPECT_EQ(world.reset_pending_comms(), 1u);
-  EXPECT_EQ(world.bus().delayed_pending(), 0u);
-  EXPECT_TRUE(world.bus().journal().empty());
-  world.run(6, 1.0);  // would have matured the stale fix
-  EXPECT_EQ(run2_fixes, 0);
-}
-
 // ---------------------------------------------------------------------------
 // Vehicle-level failure schedules (docs/ROBUSTNESS.md)
 

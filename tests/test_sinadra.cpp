@@ -124,149 +124,6 @@ TEST(SarRiskModel, CriticalityConsistentWithPosterior) {
   }
 }
 
-TEST(AdaptationNames, Distinct) {
-  EXPECT_EQ(sn::adaptation_name(sn::Adaptation::kProceed), "Proceed");
-  EXPECT_EQ(sn::adaptation_name(sn::Adaptation::kRescan), "Rescan");
-  EXPECT_EQ(sn::adaptation_name(sn::Adaptation::kDescendAndRescan),
-            "DescendAndRescan");
-}
-
-#include "sesame/sinadra/filter.hpp"
-
-TEST(RiskFilter, ValidatesConfig) {
-  sn::FilterConfig cfg;
-  cfg.alpha = 0.0;
-  EXPECT_THROW(sn::RiskFilter{cfg}, std::invalid_argument);
-  cfg.alpha = 0.5;
-  cfg.hysteresis = -0.1;
-  EXPECT_THROW(sn::RiskFilter{cfg}, std::invalid_argument);
-}
-
-TEST(RiskFilter, SmoothsCriticality) {
-  sn::RiskFilter filter;
-  sn::RiskAssessment raw;
-  raw.criticality = 1.0;
-  const auto first = filter.update(raw);
-  EXPECT_DOUBLE_EQ(first.criticality, 1.0);  // primed with first sample
-  raw.criticality = 0.0;
-  const auto second = filter.update(raw);
-  EXPECT_GT(second.criticality, 0.5);  // smoothing resists the jump
-}
-
-TEST(RiskFilter, EscalatesImmediately) {
-  sn::FilterConfig cfg;
-  cfg.alpha = 1.0;  // no smoothing: isolate the hysteresis logic
-  sn::RiskFilter filter(cfg);
-  sn::RiskAssessment raw;
-  raw.criticality = 0.8;  // above descend threshold (0.70)
-  EXPECT_EQ(filter.update(raw).recommendation,
-            sn::Adaptation::kDescendAndRescan);
-  EXPECT_EQ(filter.transitions(), 1u);
-}
-
-TEST(RiskFilter, DeEscalationNeedsHysteresisMargin) {
-  sn::FilterConfig cfg;
-  cfg.alpha = 1.0;
-  cfg.hysteresis = 0.08;
-  sn::RiskFilter filter(cfg);
-  sn::RiskAssessment raw;
-  raw.criticality = 0.5;  // above rescan threshold (0.45)
-  EXPECT_EQ(filter.update(raw).recommendation, sn::Adaptation::kRescan);
-  raw.criticality = 0.42;  // below threshold but inside the margin
-  EXPECT_EQ(filter.update(raw).recommendation, sn::Adaptation::kRescan);
-  raw.criticality = 0.30;  // clear of the margin
-  EXPECT_EQ(filter.update(raw).recommendation, sn::Adaptation::kProceed);
-}
-
-TEST(RiskFilter, SuppressesFlappingAroundThreshold) {
-  // Raw samples oscillate across the rescan threshold; the raw model would
-  // flap every sample, the filter should settle.
-  sn::SarRiskModel model;
-  sn::RiskFilter filter;
-  std::size_t raw_flaps = 0;
-  sn::Adaptation prev_raw = sn::Adaptation::kProceed;
-  for (int i = 0; i < 60; ++i) {
-    sn::RiskAssessment raw;
-    raw.criticality = (i % 2 == 0) ? 0.48 : 0.42;  // straddles 0.45
-    raw.recommendation = raw.criticality >= 0.45 ? sn::Adaptation::kRescan
-                                                 : sn::Adaptation::kProceed;
-    if (raw.recommendation != prev_raw) ++raw_flaps;
-    prev_raw = raw.recommendation;
-    filter.update(raw);
-  }
-  EXPECT_GT(raw_flaps, 20u);           // raw decision flaps constantly
-  EXPECT_LE(filter.transitions(), 2u);  // filtered decision settles
-}
-
-TEST(RiskFilter, ResetClearsState) {
-  sn::RiskFilter filter;
-  sn::RiskAssessment raw;
-  raw.criticality = 0.9;
-  filter.update(raw);
-  filter.reset();
-  EXPECT_DOUBLE_EQ(filter.smoothed_criticality(), 0.0);
-  EXPECT_EQ(filter.current_recommendation(), sn::Adaptation::kProceed);
-  EXPECT_EQ(filter.transitions(), 0u);
-}
-
-TEST(SarRiskModel, ExplainNamesMostProbableSituation) {
-  sn::SarRiskModel model;
-  // Good conditions: the most probable explanation is good detection.
-  sn::SituationEvidence good;
-  good.altitude = sn::AltitudeBand::kLow;
-  good.visibility = sn::Visibility::kGood;
-  good.safeml = sn::PerceptionConfidence::kHigh;
-  EXPECT_EQ(model.explain(good).detection_quality, "good");
-
-  // Degraded conditions: the explanation flips to poor detection.
-  sn::SituationEvidence bad;
-  bad.altitude = sn::AltitudeBand::kHigh;
-  bad.visibility = sn::Visibility::kPoor;
-  bad.safeml = sn::PerceptionConfidence::kLow;
-  bad.deepknowledge = sn::PerceptionConfidence::kLow;
-  EXPECT_EQ(model.explain(bad).detection_quality, "poor");
-}
-
-TEST(SarRiskModel, ExplanationKeepsEvidenceStates) {
-  sn::SarRiskModel model;
-  sn::SituationEvidence e;
-  e.altitude = sn::AltitudeBand::kMedium;
-  e.density = sn::PersonDensity::kDense;
-  const auto expl = model.explain(e);
-  EXPECT_EQ(expl.situation.at("altitude"), "medium");
-  EXPECT_EQ(expl.situation.at("density"), "dense");
-  // Every network variable appears.
-  EXPECT_EQ(expl.situation.size(), model.network().num_variables());
-}
-
-TEST(RiskFilter, SmoothsModelDrivenAltitudeTransition) {
-  // Feed the filter real model assessments across an altitude climb: the
-  // recommendation escalates once and does not flap on the way.
-  sn::SarRiskModel model;
-  sn::RiskFilter filter;
-  std::size_t flaps_before = filter.transitions();
-  for (int i = 0; i < 10; ++i) {
-    sn::SituationEvidence e;
-    e.altitude = sn::AltitudeBand::kLow;
-    e.safeml = sn::PerceptionConfidence::kHigh;
-    filter.update(model.assess(e));
-  }
-  EXPECT_EQ(filter.current_recommendation(), sn::Adaptation::kProceed);
-  for (int i = 0; i < 30; ++i) {
-    sn::SituationEvidence e;
-    e.altitude = sn::AltitudeBand::kHigh;
-    e.visibility = sn::Visibility::kPoor;
-    e.safeml = sn::PerceptionConfidence::kLow;
-    e.deepknowledge = sn::PerceptionConfidence::kLow;
-    e.density = sn::PersonDensity::kDense;
-    filter.update(model.assess(e));
-  }
-  EXPECT_EQ(filter.current_recommendation(),
-            sn::Adaptation::kDescendAndRescan);
-  // Escalation happened in at most two steps (Proceed->Rescan->Descend).
-  EXPECT_LE(filter.transitions() - flaps_before, 2u);
-}
-
 TEST(SarRiskModel, MemoisedAssessIsStableAndComplete) {
   const sn::SarRiskModel model;
   sn::SituationEvidence nominal;

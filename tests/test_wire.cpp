@@ -17,10 +17,6 @@
 #include "sesame/mw/codec.hpp"
 #include "sesame/mw/framing.hpp"
 #include "sesame/obs/metrics.hpp"
-#include "sesame/security/attack_tree.hpp"
-#include "sesame/security/ids.hpp"
-#include "sesame/security/security_eddi.hpp"
-#include "sesame/security/wire_types.hpp"
 #include "sesame/sim/wire_types.hpp"
 #include "sesame/sim/world.hpp"
 
@@ -198,29 +194,6 @@ TEST(Codec, RoundTripsTelemetry) {
   EXPECT_EQ(back->mode, sim::FlightMode::kMission);
   EXPECT_DOUBLE_EQ(back->time_s, 99.5);
   EXPECT_FALSE(back->gps_fix);
-}
-
-TEST(Codec, RoundTripsSecurityEvent) {
-  mw::Codec codec;
-  security::register_wire_types(codec);
-  security::SecurityEvent e;
-  e.tree = "ros_spoofing";
-  e.time_s = 61.0;
-  e.severity = security::Severity::kCritical;
-  e.attack_path = {"inject", "falsify telemetry"};
-  e.mitigations = {"authenticate publishers"};
-  e.suspicious_sources = {"attacker"};
-  const auto wire = codec.encode(fix_msg(), e);
-  const auto d = mw::Codec::decode(wire);
-  ASSERT_TRUE(d.has_value());
-  const auto back = codec.decode_payload<security::SecurityEvent>(
-      d->payload_tag, d->payload);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->tree, "ros_spoofing");
-  EXPECT_EQ(back->severity, security::Severity::kCritical);
-  EXPECT_EQ(back->attack_path,
-            (std::vector<std::string>{"inject", "falsify telemetry"}));
-  EXPECT_EQ(back->suspicious_sources, std::vector<std::string>{"attacker"});
 }
 
 TEST(Codec, UnregisteredTypeThrowsOnEncodeAndFailsEncodeAny) {
@@ -661,7 +634,6 @@ TEST(Fuzz, RandomBytesNeverDeliverThroughFraming) {
 TEST(Fuzz, RandomPayloadBytesNeverCrashRegisteredDecoders) {
   mw::Codec codec;
   sim::register_wire_types(codec);
-  security::register_wire_types(codec);
   mw::Bus bus;
   auto sub = bus.subscribe<sim::Telemetry>(
       "t", [](const mw::MessageHeader&, const sim::Telemetry&) {});
@@ -669,8 +641,7 @@ TEST(Fuzz, RandomPayloadBytesNeverCrashRegisteredDecoders) {
   const std::uint32_t tags[] = {
       mw::Codec::kF64Tag,     mw::Codec::kStringTag,
       sim::kGeoPointTag,      sim::kTelemetryTag,
-      sim::kHealthHeartbeatTag, security::kIdsAlertTag,
-      security::kSecurityEventTag};
+      sim::kHealthHeartbeatTag};
   int delivered = 0;
   for (int iter = 0; iter < 2000; ++iter) {
     mw::WireWriter w;
@@ -713,7 +684,6 @@ struct FederationFixture {
  private:
   const mw::Codec& prepared() {
     sim::register_wire_types(codec);
-    security::register_wire_types(codec);
     return codec;
   }
 };
