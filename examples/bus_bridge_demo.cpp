@@ -13,20 +13,19 @@
 // Everything the processes exchange is the byte protocol pinned in
 // docs/PROTOCOL.md; run under `strace -e trace=read,write` to watch the
 // COBS-delimited frames go by.
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "sesame/mw/bus.hpp"
 #include "sesame/mw/bus_bridge.hpp"
 #include "sesame/mw/codec.hpp"
+#include "sesame/mw/socket_pump.hpp"
 #include "sesame/sim/wire_types.hpp"
 #include "sesame/sim/world.hpp"
 
@@ -34,47 +33,21 @@ using namespace sesame;
 
 namespace {
 
-/// Moves bytes between the bridge and the socket (both directions).
-/// Returns false when the peer hung up. A peer that hangs up may still
-/// have sent frames we have not read (the vehicle closes right after its
-/// ack), so a failed write stops writing but still drains the socket.
-bool pump_socket(mw::BusBridge& bridge, int fd,
-                 std::vector<std::uint8_t>& unsent) {
-  if (unsent.empty() && bridge.has_outbound()) unsent = bridge.take_outbound();
-  bool peer_gone = false;
-  while (!unsent.empty()) {
-    // MSG_NOSIGNAL: a closed peer is an EPIPE error here, not a SIGPIPE
-    // that kills the process.
-    const ssize_t n = ::send(fd, unsent.data(), unsent.size(), MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      unsent.clear();  // EPIPE / ECONNRESET: nobody will read these
-      peer_gone = true;
-      break;
-    }
-    unsent.erase(unsent.begin(), unsent.begin() + n);
-    if (unsent.empty() && bridge.has_outbound())
-      unsent = bridge.take_outbound();
-  }
-  std::uint8_t buf[4096];
-  while (true) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n == 0) return false;  // peer closed
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return !peer_gone;
-      return false;
-    }
-    bridge.feed_inbound({buf, static_cast<std::size_t>(n)});
-  }
-}
-
-/// One poll round with a short timeout; keeps the loop bounded.
-void wait_readable(int fd) {
-  pollfd p{fd, POLLIN, 0};
-  ::poll(&p, 1, 20);
+/// Moves bytes between the bridge and the socket (both directions), after
+/// waiting up to 20 ms for the peer. Returns false once the peer hung up
+/// and everything it sent has been read.
+bool pump_bridge(mw::BusBridge& bridge, mw::SocketPump& pump) {
+  if (bridge.has_outbound()) pump.queue(bridge.take_outbound());
+  pump.flush();
+  pump.wait(20);
+  pump.read([&](std::span<const std::uint8_t> bytes) {
+    bridge.feed_inbound(bytes);
+  });
+  return !pump.eof();
 }
 
 int run_vehicle(int fd) {
+  mw::SocketPump pump(fd);
   mw::Codec codec;
   sim::register_wire_types(codec);
   mw::Bus bus;
@@ -95,7 +68,6 @@ int run_vehicle(int fd) {
         commanded = true;
       });
 
-  std::vector<std::uint8_t> unsent;
   sim::Telemetry t;
   t.uav = "uav1";
   t.reported_position = {35.1875, 33.375, 0.0};
@@ -106,13 +78,11 @@ int run_vehicle(int fd) {
     t.reported_position.alt_m = t.altitude_m;
     t.battery_soc = 1.0 - 0.002 * step;
     bus.publish("uav/uav1/telemetry", t, "uav1", t.time_s);
-    if (!pump_socket(bridge, fd, unsent)) break;
-    if (!commanded) wait_readable(fd);
+    if (!pump_bridge(bridge, pump)) break;
   }
   // Flush the ack before leaving.
-  for (int i = 0; i < 50 && (bridge.has_outbound() || !unsent.empty()); ++i)
-    if (!pump_socket(bridge, fd, unsent)) break;
-  ::close(fd);
+  for (int i = 0; i < 50 && (bridge.has_outbound() || pump.owed() > 0); ++i)
+    if (!pump_bridge(bridge, pump)) break;
   return commanded ? 0 : 1;
 }
 
@@ -142,10 +112,10 @@ int run_gcs(int fd, pid_t child) {
         acked = true;
       });
 
-  std::vector<std::uint8_t> unsent;
+  mw::SocketPump pump(fd);
   bool sent_command = false;
   for (int round = 0; round < 500 && !acked; ++round) {
-    if (!pump_socket(bridge, fd, unsent)) break;
+    if (!pump_bridge(bridge, pump)) break;
     if (telemetry_seen >= 5 && !sent_command) {
       std::printf(
           "[gcs]     %d telemetry frames federated (battery %.1f%%), "
@@ -154,9 +124,7 @@ int run_gcs(int fd, pid_t child) {
       bus.publish("gcs/commands", std::string("return_to_home"), "gcs", 99.0);
       sent_command = true;
     }
-    if (!acked) wait_readable(fd);
   }
-  ::close(fd);
 
   int status = 0;
   ::waitpid(child, &status, 0);

@@ -24,8 +24,9 @@
 //
 // Everything is single-threaded except the service's executor pool; the
 // poll() loop owns all sockets, wire sessions and the wire-security
-// observability bundle.
-#include <fcntl.h>
+// observability bundle. Each connection is a service::ServiceConnection;
+// its limits (high water, connection cap, idle timeout) are constants
+// (docs/SERVICE.md, "Connections").
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -41,7 +42,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,27 +49,17 @@
 #include "sesame/mw/bus.hpp"
 #include "sesame/security/attack_tree.hpp"
 #include "sesame/security/security_eddi.hpp"
+#include "sesame/service/connection.hpp"
 #include "sesame/service/drain.hpp"
-#include "sesame/service/http.hpp"
 #include "sesame/service/service.hpp"
-#include "sesame/service/wire.hpp"
 
 namespace {
 
 using namespace sesame;
 
-struct Connection {
-  int fd = -1;
-  bool is_wire = false;
-  service::HttpConnection http;
-  std::unique_ptr<service::WireSession> wire;
-  std::string out;       ///< bytes waiting for the socket
-  bool closing = false;  ///< close once `out` drains (HTTP: after response)
-};
-
 /// Binds a non-blocking loopback listener; fills in the bound port.
 int make_listener(std::uint16_t port, std::uint16_t& bound) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) return -1;
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -85,7 +75,6 @@ int make_listener(std::uint16_t port, std::uint16_t& bound) {
   socklen_t len = sizeof(addr);
   ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
   bound = ntohs(addr.sin_port);
-  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
   return fd;
 }
 
@@ -196,17 +185,21 @@ int main(int argc, char** argv) {
         .count();
   };
 
-  std::map<int, Connection> conns;
+  service::ConnectionContext context{svc, alert_bus, wire_obs};
+  std::map<int, service::ServiceConnection> conns;
   std::uint64_t next_wire_link = 1;
 
   while (!drain.requested()) {
+    // At the connection cap the listeners leave the poll set; new
+    // connects wait in the listen backlog.
+    const bool accepting = conns.size() < service::kMaxConnections;
     std::vector<pollfd> fds;
-    fds.push_back({http_fd, POLLIN, 0});
-    fds.push_back({wire_fd, POLLIN, 0});
-    for (auto& [fd, conn] : conns) {
-      short events = POLLIN;
-      if (!conn.out.empty()) events |= POLLOUT;
-      fds.push_back({fd, events, 0});
+    if (accepting) {
+      fds.push_back({http_fd, POLLIN, 0});
+      fds.push_back({wire_fd, POLLIN, 0});
+    }
+    for (const auto& [fd, conn] : conns) {
+      fds.push_back({fd, conn.poll_events(), 0});
     }
     const int ready = ::poll(fds.data(), fds.size(), 200);
     if (ready < 0) {
@@ -214,93 +207,29 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "poll: %s\n", std::strerror(errno));
       break;
     }
+    const double now = now_s();
 
-    // New connections.
     for (const int listener : {http_fd, wire_fd}) {
-      for (;;) {
+      while (conns.size() < service::kMaxConnections) {
         const int fd = ::accept(listener, nullptr, nullptr);
         if (fd < 0) break;
-        ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
-        Connection conn;
-        conn.fd = fd;
-        conn.is_wire = listener == wire_fd;
-        if (conn.is_wire) {
-          conn.wire = std::make_unique<service::WireSession>(
-              svc, alert_bus,
-              "service_wire_" + std::to_string(next_wire_link++));
-          conn.wire->set_observability(&wire_obs);
-          conn.wire->start();
-          const auto bytes = conn.wire->take_outbound();
-          conn.out.append(reinterpret_cast<const char*>(bytes.data()),
-                          bytes.size());
-        }
-        conns.emplace(fd, std::move(conn));
+        conns.try_emplace(
+            fd, fd, context, now,
+            listener == http_fd
+                ? std::string()
+                : "service_wire_" + std::to_string(next_wire_link++));
       }
     }
 
-    std::vector<int> closed;
-    for (auto& pfd : fds) {
-      const auto it = conns.find(pfd.fd);
-      if (it == conns.end()) continue;
-      Connection& conn = it->second;
-
-      if ((pfd.revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
-        char buf[4096];
-        const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
-        if (n <= 0 && !(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))) {
-          if (conn.out.empty()) {
-            closed.push_back(conn.fd);
-            continue;
-          }
-          conn.closing = true;  // flush what we owe, then close
-        } else if (n > 0) {
-          if (conn.is_wire) {
-            conn.wire->feed(std::span<const std::uint8_t>(
-                reinterpret_cast<const std::uint8_t*>(buf),
-                static_cast<std::size_t>(n)));
-            conn.wire->poll_security(now_s());
-            const auto bytes = conn.wire->take_outbound();
-            conn.out.append(reinterpret_cast<const char*>(bytes.data()),
-                            bytes.size());
-          } else {
-            if (auto req = conn.http.feed(buf, static_cast<std::size_t>(n))) {
-              service::HttpResponse resp =
-                  service::handle_request(svc, *req);
-              // The daemon augments /metrics with the wire-security
-              // families (sesame.security.wire_*) its monitors maintain.
-              if (req->path == "/metrics" && resp.status == 200) {
-                resp.body += wire_obs.metrics.render_prometheus();
-              }
-              conn.out = service::serialize_response(resp);
-              conn.closing = true;
-            } else if (conn.http.failed()) {
-              closed.push_back(conn.fd);
-              continue;
-            }
-          }
-        }
+    for (const auto& pfd : fds) {
+      if (pfd.revents == 0) continue;
+      if (const auto it = conns.find(pfd.fd); it != conns.end()) {
+        it->second.service(pfd.revents, now);
       }
-
-      if (!conn.out.empty()) {
-        // MSG_NOSIGNAL: a client that reset its connection must cost us
-        // that connection only, not a SIGPIPE that kills the daemon.
-        const ssize_t n = ::send(conn.fd, conn.out.data(), conn.out.size(),
-                                 MSG_NOSIGNAL);
-        if (n > 0) {
-          conn.out.erase(0, static_cast<std::size_t>(n));
-        } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                   errno != EINTR) {
-          // EPIPE / ECONNRESET: the unsent bytes can never be delivered.
-          closed.push_back(conn.fd);
-          continue;
-        }
-      }
-      if (conn.out.empty() && conn.closing) closed.push_back(conn.fd);
     }
-    for (const int fd : closed) {
-      ::close(fd);
-      conns.erase(fd);
-    }
+    std::erase_if(conns, [&](const auto& entry) {
+      return entry.second.finished(now);
+    });
   }
 
   // Graceful drain: finish in-flight runs, spool everything unfinished.
@@ -320,7 +249,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "drain: dropped %zu submission(s) (no --spool)\n",
                  spooled.size());
   }
-  for (auto& [fd, conn] : conns) ::close(fd);
+  conns.clear();
   ::close(http_fd);
   ::close(wire_fd);
   if (eddi.attack_detected()) {

@@ -20,19 +20,20 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "sesame/eddi/ode.hpp"
+#include "sesame/mw/socket_pump.hpp"
 #include "sesame/service/submission.hpp"
 #include "sesame/service/wire.hpp"
 
@@ -54,32 +55,22 @@ int dial(std::uint16_t port) {
   return fd;
 }
 
-bool send_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    // MSG_NOSIGNAL: a daemon that closed the connection is a failed send,
-    // not a SIGPIPE.
-    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (w <= 0) return false;
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
 /// One HTTP exchange (the daemon closes after each response). Returns the
 /// full response text, empty on transport failure.
 std::string http_exchange(std::uint16_t port, const std::string& request) {
   const int fd = dial(port);
   if (fd < 0) return {};
+  mw::SocketPump pump(fd);
+  pump.queue(request);
   std::string response;
-  if (send_all(fd, request.data(), request.size())) {
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-      response.append(buf, static_cast<std::size_t>(n));
-    }
+  while (!pump.eof()) {
+    pump.flush();
+    pump.wait(-1);
+    pump.read([&](std::span<const std::uint8_t> bytes) {
+      response.append(reinterpret_cast<const char*>(bytes.data()),
+                      bytes.size());
+    });
   }
-  ::close(fd);
   return response;
 }
 
@@ -191,10 +182,7 @@ int run_wire(std::uint16_t port, const service::Submission& submission,
     std::fprintf(stderr, "cannot connect to wire port %u\n", port);
     return 1;
   }
-  // Reads time out so the loop can keep polling while the campaign runs.
-  timeval tv{};
-  tv.tv_usec = 100 * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  mw::SocketPump pump(fd);
   service::WireClient client;
   client.start();
   client.submit(submission);
@@ -206,32 +194,16 @@ int run_wire(std::uint16_t port, const service::Submission& submission,
   std::size_t cursor = 0;
 
   for (;;) {
-    if (client.has_outbound()) {
-      const auto bytes = client.take_outbound();
-      if (!send_all(fd, reinterpret_cast<const char*>(bytes.data()),
-                    bytes.size())) {
-        std::fprintf(stderr, "wire write failed\n");
-        ::close(fd);
-        return 1;
-      }
-    }
-    char buf[4096];
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n == 0) {
-      std::fprintf(stderr, "daemon closed the wire connection\n");
-      ::close(fd);
+    if (client.has_outbound()) pump.queue(client.take_outbound());
+    pump.flush();
+    if (pump.write_failed()) {
+      std::fprintf(stderr, "wire write failed\n");
       return 1;
     }
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      std::fprintf(stderr, "wire read failed\n");
-      ::close(fd);
-      return 1;
-    }
-    if (n > 0) {
-      client.feed(std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(buf),
-          static_cast<std::size_t>(n)));
-    }
+    // Wake at least every 100 ms so the loop keeps polling while the
+    // campaign runs.
+    pump.wait(100);
+    pump.read([&](std::span<const std::uint8_t> bytes) { client.feed(bytes); });
 
     while (client.has_response()) {
       const auto doc = eddi::ode::parse_json(client.pop_response());
@@ -244,7 +216,6 @@ int run_wire(std::uint16_t port, const service::Submission& submission,
       } else if (type == "rejected" || type == "error") {
         std::fprintf(stderr, "submission rejected: %s\n",
                      doc.to_json().c_str());
-        ::close(fd);
         return 3;
       } else if (type == "events") {
         print_events(doc.at("events"));
@@ -254,13 +225,16 @@ int run_wire(std::uint16_t port, const service::Submission& submission,
         if (state == "failed" || state == "drained") {
           std::fprintf(stderr, "job %s: %s\n", state.c_str(),
                        doc.to_json().c_str());
-          ::close(fd);
           return 4;
         }
       }
     }
 
     if (client.report_received()) break;
+    if (pump.eof()) {
+      std::fprintf(stderr, "daemon closed the wire connection\n");
+      return 1;
+    }
 
     const auto now = std::chrono::steady_clock::now();
     if (accepted && client.established() &&
@@ -269,7 +243,6 @@ int run_wire(std::uint16_t port, const service::Submission& submission,
       last_poll = now;
     }
   }
-  ::close(fd);
   return write_report(out_path, client.report());
 }
 

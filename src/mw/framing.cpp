@@ -107,12 +107,19 @@ void Framing::start() {
   emit_frame(FrameType::kInit, body);
 }
 
+std::size_t Framing::max_payload_bytes() const noexcept {
+  // Header, payload and CRC within max_frame_bytes: the peer's packet-size
+  // check (handle_packet) then accepts the COBS encoding of the frame.
+  return config_.max_frame_bytes - kFrameHeaderBytes - kCrcBytes;
+}
+
 void Framing::send_message(std::span<const std::uint8_t> payload) {
-  if (payload.size() + kFrameHeaderBytes > config_.max_frame_bytes)
+  if (payload.size() > max_payload_bytes())
     throw std::length_error("mw::Framing: message exceeds max_frame_bytes");
   if (!established_ || send_credit_ == 0) {
     if (established_) ++counters_.window_stalls;
     pending_.emplace_back(payload.begin(), payload.end());
+    pending_bytes_ += payload.size();
     return;
   }
   --send_credit_;
@@ -125,6 +132,7 @@ void Framing::flush_pending() {
     --send_credit_;
     ++counters_.messages_tx;
     emit_frame(FrameType::kMessage, pending_.front());
+    pending_bytes_ -= pending_.front().size();
     pending_.pop_front();
   }
 }

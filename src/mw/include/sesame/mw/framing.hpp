@@ -138,13 +138,17 @@ class Framing {
 
   /// Submits one message payload. Sent immediately when the peer window
   /// allows, queued otherwise. Throws std::length_error when the payload
-  /// cannot fit max_frame_bytes.
+  /// exceeds max_payload_bytes().
   void send_message(std::span<const std::uint8_t> payload);
 
   /// Message-frame credit currently available toward the peer.
   std::uint32_t send_credit() const noexcept { return send_credit_; }
-  /// Messages queued waiting for credit (or for the handshake).
-  std::size_t queued_messages() const noexcept { return pending_.size(); }
+  /// Payload bytes of the messages queued waiting for credit (or for the
+  /// handshake).
+  std::size_t queued_bytes() const noexcept { return pending_bytes_; }
+  /// Largest payload one send_message() call accepts: its frame, header
+  /// and CRC included, fits max_frame_bytes.
+  std::size_t max_payload_bytes() const noexcept;
 
   /// Drains the bytes to put on the wire.
   std::vector<std::uint8_t> take_outbound();
@@ -167,6 +171,7 @@ class Framing {
   std::vector<std::uint8_t> outbound_;   ///< wire bytes not yet taken
   std::vector<std::uint8_t> rx_buf_;     ///< partial packet accumulator
   std::deque<std::vector<std::uint8_t>> pending_;  ///< awaiting credit
+  std::size_t pending_bytes_ = 0;   ///< payload bytes in pending_
   LinkCounters counters_;
   std::uint64_t tx_seq_ = 0;        ///< last sequence sent
   std::uint64_t rx_last_seq_ = 0;   ///< last sequence accepted

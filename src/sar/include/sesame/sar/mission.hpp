@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "sesame/perception/detector.hpp"
-#include "sesame/perception/tracker.hpp"
 #include "sesame/sar/coverage.hpp"
 #include "sesame/sar/coverage_tracker.hpp"
 #include "sesame/sim/spatial_grid.hpp"
@@ -108,13 +107,6 @@ class SarMission {
     return tracker_ ? &*tracker_ : nullptr;
   }
 
-  /// The multi-frame person tracker fed by every tick's detections: its
-  /// confirmed tracks are the persons the GCS reports (raw detections are
-  /// noisy and include false alarms).
-  const perception::PersonTracker& person_tracker() const noexcept {
-    return person_tracker_;
-  }
-
  private:
   /// Drops a mission-active UAV from the roster, keeping the others' order.
   void leave_roster(std::size_t uav);
@@ -124,7 +116,6 @@ class SarMission {
   std::vector<std::uint8_t> on_roster_;  ///< by fleet index
   std::vector<std::size_t> last_tick_detectors_;
   perception::PersonDetector detector_;
-  perception::PersonTracker person_tracker_;
   DetectionStats stats_;
   std::optional<CoverageTracker> tracker_;
 

@@ -64,7 +64,6 @@ void SarMission::tick() {
     const auto detections = detector_.detect(uav.true_position(), persons,
                                              candidate_scratch_, world_->rng());
     if (!detections.empty()) last_tick_detectors_.push_back(i);
-    person_tracker_.update(detections);
     for (const auto& d : detections) {
       if (d.person_index.has_value()) {
         ++stats_.true_detections;

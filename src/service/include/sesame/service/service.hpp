@@ -8,7 +8,8 @@
 //
 // Responsibilities:
 //  - Admission control: global and per-tenant queue caps, a runs-per-
-//    campaign ceiling, and a hard stop while draining. Rejections are
+//    campaign ceiling, a per-run cost ceiling (kMaxRunCost, priced by
+//    resolve()), and a hard stop while draining. Rejections are
 //    structured (SubmitOutcome), never exceptions, so transports map them
 //    to protocol errors trivially.
 //  - Per-tenant fair scheduling: executors pick the oldest queued job of
@@ -77,7 +78,8 @@ struct SubmitOutcome {
   bool accepted = false;
   std::uint64_t job_id = 0;      ///< valid when accepted
   std::string reject_reason;     ///< "draining" | "queue_full" |
-                                 ///< "tenant_quota" | "runs_cap"
+                                 ///< "tenant_quota" | "runs_cap" |
+                                 ///< "cost_cap"
 };
 
 struct JobStatus {

@@ -62,7 +62,16 @@ struct ResolvedCampaign {
   /// Cache key: FNV-1a 64 over (preset, canonical resolved scenario JSON,
   /// chaos profile, runs, seed, collect_metrics).
   std::uint64_t digest = 0;
+  /// Price of one run: vehicle-ticks (n_uavs × ⌈max_time_s / dt_s⌉) plus
+  /// coverage cells (area / (5 m)²) plus persons. Not finite when the
+  /// scenario's numbers overflow a double.
+  double run_cost = 0.0;
 };
+
+/// The most one run may cost to be admitted: about 4× fleet_1024's
+/// 947k (307k vehicle-ticks, 640k cells, 256 persons), so a run — and a
+/// drain that waits for it — stays bounded in time and memory.
+inline constexpr double kMaxRunCost = 4'000'000.0;
 
 /// Resolves preset + config overrides and computes the cache digest.
 /// Throws like submission_from_json on bad presets/configs.

@@ -17,12 +17,19 @@
 //     {"type":"status", ...JobStatus fields...}
 //     {"type":"events", "job": id, "next": m, "events": [...]}
 //     {"type":"report_follows", "job": id, "bytes": n}
-//       ...followed by ONE RAW frame carrying exactly n report bytes.
+//       ...followed by RAW frames carrying exactly n report bytes: one
+//       frame when n fits a frame's payload, else consecutive frames of
+//       one payload each (the last one shorter).
+//     {"type":"reply_follows", "bytes": n}
+//       ...followed by frames carrying one n-byte JSON reply that does not
+//       fit a frame (a large event poll); the client hands the reassembled
+//       reply out as a response and hides the announcement.
 //
-// The raw report frame is the byte-identity surface: the report is never
+// The raw report frames are the byte-identity surface: the report is never
 // re-encoded into a JSON string (escaping would still round-trip, but raw
 // framing makes "the bytes on the wire ARE campaign_cli's bytes" directly
-// auditable) — the client hashes/writes the frame payload verbatim.
+// auditable) — the client writes the reassembled payload verbatim. A reply
+// that fits one frame travels exactly as it did before splitting existed.
 //
 // Security (ROADMAP item 1 leftover): every session owns a
 // security::WireMonitor over its framing counters. The owner polls
@@ -31,8 +38,10 @@
 // consumes them (wire.cpp never drops evidence silently).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <span>
 #include <string>
 #include <vector>
@@ -43,6 +52,12 @@
 #include "sesame/service/service.hpp"
 
 namespace sesame::service {
+
+/// Backpressure bound, in bytes. A wire session handles no request while
+/// this many reply bytes wait for the peer's window credit (later requests
+/// are held, credit frames still count); a daemon connection reads nothing
+/// while its unsent bytes and held requests reach it (connection.hpp).
+inline constexpr std::size_t kHighWaterBytes = std::size_t{1} << 20;
 
 /// Server side of one wire connection.
 class WireSession {
@@ -62,6 +77,8 @@ class WireSession {
   }
 
   /// Consumes inbound wire bytes; responses queue on take_outbound().
+  /// Requests are handled in arrival order; while kHighWaterBytes of
+  /// replies wait for credit, new requests are held until credit arrives.
   void feed(std::span<const std::uint8_t> bytes);
   std::vector<std::uint8_t> take_outbound() {
     return framing_.take_outbound();
@@ -69,6 +86,11 @@ class WireSession {
   bool has_outbound() const noexcept { return framing_.has_outbound(); }
 
   /// Polls the link's counters into the wire monitor (call after feed).
+  /// Reply payload bytes waiting for the peer's window credit.
+  std::size_t queued_bytes() const noexcept { return framing_.queued_bytes(); }
+  /// Request bytes received and held, not yet handled.
+  std::size_t held_request_bytes() const noexcept { return held_bytes_; }
+
   void poll_security(double now_s) {
     monitor_.observe(framing_.counters(), now_s);
   }
@@ -82,6 +104,8 @@ class WireSession {
   CampaignService& service_;
   mw::Framing framing_;
   security::WireMonitor monitor_;
+  std::list<std::string> held_;  ///< requests waiting for reply credit
+  std::size_t held_bytes_ = 0;
 };
 
 /// Client side: a thin request/response pump for campaign_submit and the
@@ -106,15 +130,21 @@ class WireClient {
   bool has_response() const noexcept { return !responses_.empty(); }
   std::string pop_response();
 
-  /// Raw report bytes (set once the frame after "report_follows" lands).
+  /// Raw report bytes (set once every byte "report_follows" announced has
+  /// landed).
   const std::string& report() const noexcept { return report_; }
   bool report_received() const noexcept { return report_received_; }
 
  private:
+  /// What the frames after an announcement reassemble into.
+  enum class Assembling { kNone, kReply, kReport };
+
   mw::Framing framing_;
   std::deque<std::string> responses_;
   std::string report_;
-  bool expect_report_ = false;
+  std::string partial_;  ///< announced bytes received so far
+  std::size_t expect_bytes_ = 0;
+  Assembling assembling_ = Assembling::kNone;
   bool report_received_ = false;
 };
 

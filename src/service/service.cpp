@@ -57,6 +57,8 @@ SubmitOutcome CampaignService::submit(const Submission& submission) {
   if (submission.runs > limits_.max_runs_per_campaign) {
     return reject("runs_cap");
   }
+  // Negated so a NaN cost is refused too.
+  if (!(resolved.run_cost <= kMaxRunCost)) return reject("cost_cap");
   metrics_
       .counter("sesame.service.submissions_total",
                {{"tenant", submission.tenant}})

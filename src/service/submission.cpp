@@ -1,6 +1,7 @@
 #include "sesame/service/submission.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -119,7 +120,7 @@ ResolvedCampaign resolve(const Submission& s) {
   }
   if (s.chaos && !factory.chaos_enabled()) factory.enable_chaos();
 
-  ResolvedCampaign r{std::move(factory), {}, 0};
+  ResolvedCampaign r{std::move(factory), {}, 0, 0.0};
   r.config.runs = s.runs;
   r.config.seed = s.seed;
   r.config.jobs = 1;  // the service decides; never part of the identity
@@ -137,6 +138,16 @@ ResolvedCampaign resolve(const Submission& s) {
   canon += "\nmetrics=";
   canon += s.collect_metrics ? '1' : '0';
   r.digest = fnv1a64(canon);
+
+  // Magnitudes, so an inverted area or a negative time cannot buy a
+  // discount.
+  const platform::RunnerConfig& base = r.factory.base();
+  constexpr double kCellM = 5.0;
+  r.run_cost =
+      static_cast<double>(base.n_uavs) *
+          std::ceil(std::fabs(base.max_time_s / base.dt_s)) +
+      std::fabs(base.area.width() * base.area.height()) / (kCellM * kCellM) +
+      static_cast<double>(base.n_persons);
   return r;
 }
 

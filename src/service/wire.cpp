@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "sesame/eddi/ode.hpp"
@@ -22,9 +23,31 @@ std::uint64_t integer_field(const Value& doc, const std::string& key) {
 }
 
 /// Queues `bytes` as one Message frame.
-void send_frame(mw::Framing& framing, const std::string& bytes) {
+void send_frame(mw::Framing& framing, std::string_view bytes) {
   framing.send_message(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+}
+
+/// Queues `bytes` as consecutive frames of at most one payload each: one
+/// frame, possibly empty, when they fit. An announcement sent before them
+/// carries their total.
+void send_chunks(mw::Framing& framing, std::string_view bytes) {
+  std::size_t pos = 0;
+  do {
+    send_frame(framing, bytes.substr(pos, framing.max_payload_bytes()));
+    pos += framing.max_payload_bytes();
+  } while (pos < bytes.size());
+}
+
+/// Queues one JSON reply: one frame when it fits, else announced by
+/// {"type":"reply_follows","bytes":n} and sent in chunks.
+void send_reply(mw::Framing& framing, const std::string& text) {
+  if (text.size() > framing.max_payload_bytes()) {
+    send_frame(framing, Value(Value::Object{{"type", "reply_follows"},
+                                            {"bytes", text.size()}})
+                            .to_json());
+  }
+  send_chunks(framing, text);
 }
 
 /// The submission fields of a wire "submit" request ("type" dropped), so
@@ -44,11 +67,27 @@ WireSession::WireSession(CampaignService& service, mw::Bus& alert_bus,
       monitor_(alert_bus, std::move(link_name)) {}
 
 void WireSession::feed(std::span<const std::uint8_t> bytes) {
-  framing_.feed(bytes, [this](std::span<const std::uint8_t> payload,
-                              std::uint64_t /*seq*/) {
-    handle(std::string(reinterpret_cast<const char*>(payload.data()),
-                       payload.size()));
+  const auto may_handle = [this] {
+    return framing_.queued_bytes() < kHighWaterBytes;
+  };
+  framing_.feed(bytes, [&](std::span<const std::uint8_t> payload,
+                           std::uint64_t /*seq*/) {
+    std::string text(reinterpret_cast<const char*>(payload.data()),
+                     payload.size());
+    if (held_.empty() && may_handle()) {
+      handle(text);
+      return;
+    }
+    held_bytes_ += text.size();
+    held_.push_back(std::move(text));
   });
+  // Credit that arrived in these bytes may release held requests.
+  while (!held_.empty() && may_handle()) {
+    const std::string text = std::move(held_.front());
+    held_.pop_front();
+    held_bytes_ -= text.size();
+    handle(text);
+  }
 }
 
 void WireSession::handle(const std::string& text) {
@@ -81,15 +120,15 @@ void WireSession::handle(const std::string& text) {
       reply = events_to_json(service_, id, cursor);
       reply["type"] = "events";
       reply["job"] = id;
-      send_frame(framing_, reply.to_json());
-      // A completed job's poll also delivers the report: announce, then
-      // ship the bytes as ONE raw frame (the byte-identity surface).
+      send_reply(framing_, reply.to_json());
+      // A completed job's poll also delivers the report: announce its
+      // size, then ship the raw bytes (the byte-identity surface).
       if (status.state == JobState::kCompleted) {
         const std::string report = service_.report(id);
         const Value follows = Value::Object{
             {"type", "report_follows"}, {"job", id}, {"bytes", report.size()}};
         send_frame(framing_, follows.to_json());
-        send_frame(framing_, report);
+        send_chunks(framing_, report);
       }
       return;
     } else {
@@ -100,7 +139,7 @@ void WireSession::handle(const std::string& text) {
   } catch (const std::exception& e) {
     reply = Value::Object{{"type", "error"}, {"error", e.what()}};
   }
-  send_frame(framing_, reply.to_json());
+  send_reply(framing_, reply.to_json());
 }
 
 WireClient::WireClient(mw::FramingConfig framing) : framing_(framing) {}
@@ -124,16 +163,33 @@ void WireClient::feed(std::span<const std::uint8_t> bytes) {
                               std::uint64_t /*seq*/) {
     std::string text(reinterpret_cast<const char*>(payload.data()),
                      payload.size());
-    if (expect_report_) {
-      report_ = std::move(text);
-      report_received_ = true;
-      expect_report_ = false;
+    if (assembling_ != Assembling::kNone) {
+      if (partial_.empty()) {
+        partial_ = std::move(text);  // one frame: no copy
+      } else {
+        partial_ += text;
+      }
+      if (partial_.size() < expect_bytes_) return;
+      const Assembling done = std::exchange(assembling_, Assembling::kNone);
+      if (done == Assembling::kReport) {
+        report_ = std::move(partial_);
+        report_received_ = true;
+      } else {
+        responses_.push_back(std::move(partial_));
+      }
+      partial_.clear();
       return;
     }
-    // Peek for the report announcement; anything else is a response.
+    // Peek for an announcement; anything else is a response.
     try {
-      expect_report_ = eddi::ode::parse_json(text).at("type").as_string() ==
-                       "report_follows";
+      const Value doc = eddi::ode::parse_json(text);
+      const std::string& type = doc.at("type").as_string();
+      if (type == "report_follows" || type == "reply_follows") {
+        expect_bytes_ = integer_field(doc, "bytes");
+        assembling_ = type == "report_follows" ? Assembling::kReport
+                                               : Assembling::kReply;
+        if (assembling_ == Assembling::kReply) return;  // transport only
+      }
     } catch (const std::exception&) {
       // Not a typed JSON document: surface it; the caller decides.
     }

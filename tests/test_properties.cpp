@@ -10,7 +10,6 @@
 
 #include "sesame/bayes/network.hpp"
 #include "sesame/conserts/uav_network.hpp"
-#include "sesame/perception/tracker.hpp"
 #include "sesame/sar/coverage_tracker.hpp"
 #include "sesame/sim/comm_link.hpp"
 #include "sesame/eddi/ode.hpp"
@@ -689,45 +688,6 @@ TEST_P(CoverageTrackerProperties, MonotoneAndIdempotent) {
 
 INSTANTIATE_TEST_SUITE_P(CellSizes, CoverageTrackerProperties,
                          ::testing::Values(2.0, 5.0, 12.5, 33.0));
-
-// ---------------------------------------------------------------------------
-// Person tracker: invariants under random detection streams.
-// ---------------------------------------------------------------------------
-
-class TrackerStreamProperties : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(TrackerStreamProperties, HitsBoundConfirmationAndIdsUnique) {
-  mathx::Rng rng(GetParam());
-  perception::TrackerConfig cfg;
-  cfg.confirm_hits = 3;
-  perception::PersonTracker tracker(cfg);
-  for (int frame = 0; frame < 80; ++frame) {
-    std::vector<perception::Detection> dets;
-    const auto n = rng.uniform_index(4);
-    for (std::size_t i = 0; i < n; ++i) {
-      perception::Detection d;
-      d.confidence = rng.uniform(0.1, 0.99);
-      d.estimated_position = {rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0),
-                              0.0};
-      dets.push_back(d);
-    }
-    tracker.update(dets);
-    std::set<std::size_t> ids;
-    for (const auto& t : tracker.tracks()) {
-      EXPECT_TRUE(ids.insert(t.id).second) << "duplicate track id";
-      EXPECT_GE(t.hits, 1u);
-      if (t.confirmed) {
-        EXPECT_GE(t.hits, cfg.confirm_hits);
-      } else {
-        EXPECT_LE(t.misses, cfg.max_misses + 1);
-      }
-    }
-  }
-  EXPECT_EQ(tracker.frames_processed(), 80u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, TrackerStreamProperties,
-                         ::testing::Values(5u, 55u, 555u));
 
 }  // namespace
 

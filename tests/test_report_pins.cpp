@@ -17,6 +17,8 @@
 // aggregates.
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -37,6 +39,28 @@ namespace campaign = sesame::campaign;
 namespace platform = sesame::platform;
 
 namespace {
+
+/// The pins define their own scenarios, so a fault plan named by the
+/// SESAME_FAULT_PLAN hook (the CI fault-stress job runs every binary under
+/// one) must not reach them. Unset for this binary's tests, restored after.
+class WithoutEnvironmentFaultPlan : public ::testing::Environment {
+ public:
+  void SetUp() override {
+    if (const char* path = std::getenv("SESAME_FAULT_PLAN")) {
+      saved_ = path;
+      ::unsetenv("SESAME_FAULT_PLAN");
+    }
+  }
+  void TearDown() override {
+    if (saved_) ::setenv("SESAME_FAULT_PLAN", saved_->c_str(), 1);
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+const auto* const kWithoutEnvironmentFaultPlan =
+    ::testing::AddGlobalTestEnvironment(new WithoutEnvironmentFaultPlan);
 
 struct PinnedRun {
   std::string report;

@@ -347,25 +347,3 @@ TEST(Mission, WideLaneSpacingLeavesGaps) {
   }
   EXPECT_LT(mission.coverage()->fraction_covered(), 0.8);
 }
-
-TEST(Mission, PersonTrackerConfirmsFoundPersons) {
-  sim::World world(kOrigin, 71);
-  sim::UavConfig cfg = fast_uav("u1");
-  cfg.cruise_speed_mps = 4.0;  // slow pass: plenty of frames per person
-  world.add_uav(cfg, kOrigin);
-  world.add_person({5.0, 40.0, 0.0});
-  sar::CoverageConfig ccfg;
-  ccfg.altitude_m = 20.0;
-  auto plans = sar::plan_coverage({0.0, 40.0, 0.0, 80.0}, 1, ccfg);
-  sar::SarMission mission(world, {"u1"}, plans);
-  world.uav_by_name("u1").command_takeoff();
-  for (int t = 0; t < 300 && !mission.complete(); ++t) {
-    world.step(1.0);
-    mission.tick();
-  }
-  const auto confirmed = mission.person_tracker().confirmed();
-  ASSERT_GE(confirmed.size(), 1u);
-  EXPECT_LT(geo::enu_ground_distance_m(confirmed[0].position,
-                                       {5.0, 40.0, 0.0}),
-            3.0);
-}

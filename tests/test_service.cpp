@@ -8,11 +8,18 @@
 // fetched from the service — over any transport, at any executor count,
 // under multi-tenant concurrency — is exactly campaign_json() of the same
 // (scenario, runs, seed), i.e. the bytes campaign_cli --json writes.
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
-#include <stdexcept>
+#include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -23,7 +30,10 @@
 #include "sesame/eddi/ode.hpp"
 #include "sesame/mw/bus.hpp"
 #include "sesame/mw/framing.hpp"
+#include "sesame/mw/socket_pump.hpp"
+#include "sesame/obs/observability.hpp"
 #include "sesame/platform/config_io.hpp"
+#include "sesame/service/connection.hpp"
 #include "sesame/service/drain.hpp"
 #include "sesame/service/http.hpp"
 #include "sesame/service/service.hpp"
@@ -358,6 +368,33 @@ TEST(Service, AdmissionRejectsOverCapsAndWhileDraining) {
   EXPECT_FALSE(too_big.accepted);
   EXPECT_EQ(too_big.reject_reason, "runs_cap");
 
+  // One run priced past kMaxRunCost: 20,000 vehicles flying for 1e9 s, a
+  // 2,000 km square area (1.6e11 coverage cells of 5 m), and the first
+  // again with an inverted area that must not buy a discount.
+  for (const char* config :
+       {R"({"n_uavs": 20000, "max_time_s": 1e9})",
+        R"({"area": {"east_min": 0, "east_max": 2e6,
+                     "north_min": 0, "north_max": 2e6}})",
+        R"({"n_uavs": 20000, "max_time_s": 1e9,
+            "area": {"east_min": 0, "east_max": -1e12,
+                     "north_min": 0, "north_max": 1e12}})"}) {
+    service::Submission s;
+    s.tenant = "alpha";
+    s.preset = "baseline";
+    s.runs = 1;
+    s.config_json = config;
+    EXPECT_GT(service::resolve(s).run_cost, service::kMaxRunCost) << config;
+    const auto priced_out = svc.submit(s);
+    EXPECT_FALSE(priced_out.accepted) << config;
+    EXPECT_EQ(priced_out.reject_reason, "cost_cap") << config;
+  }
+  // Every preset stays far below the cap; fleet_1024 is the dearest.
+  for (const auto& name : campaign::ScenarioFactory::preset_names()) {
+    service::Submission s;
+    s.preset = name;
+    EXPECT_LE(service::resolve(s).run_cost, service::kMaxRunCost / 4) << name;
+  }
+
   svc.drain();
   const auto while_drained = svc.submit(tiny_submission("alpha", 3));
   EXPECT_FALSE(while_drained.accepted);
@@ -535,42 +572,54 @@ TEST(Http, RoutesTheFullJobLifecycle) {
 }
 
 TEST(Wire, LoopbackSessionDeliversByteIdenticalReport) {
-  service::CampaignService svc;
-  sesame::mw::Bus alert_bus;
-  service::WireSession server(svc, alert_bus, "test_link");
-  service::WireClient client;
-  server.start();
-  client.start();
+  // The 2-vehicle report fits one frame; the 128-vehicle one is over
+  // 64 KiB, so it travels as several frames after its announcement.
+  std::size_t largest_report = 0;
+  for (const service::Submission& s :
+       {tiny_submission("alpha", 55),
+        tiny_submission("alpha", 56, /*runs=*/1, /*n_uavs=*/128)}) {
+    SCOPED_TRACE("n_uavs " + ode::parse_json(s.config_json)
+                                 .at("n_uavs")
+                                 .to_json());
+    service::CampaignService svc;
+    sesame::mw::Bus alert_bus;
+    service::WireSession server(svc, alert_bus, "test_link");
+    service::WireClient client;
+    server.start();
+    client.start();
 
-  const service::Submission s = tiny_submission("alpha", 55);
-  client.submit(s);
-  pump(server, client);
+    client.submit(s);
+    pump(server, client);
 
-  ASSERT_TRUE(client.established());
-  ASSERT_TRUE(client.has_response());
-  const auto accepted = ode::parse_json(client.pop_response());
-  ASSERT_EQ(accepted.at("type").as_string(), "accepted") << accepted.to_json();
-  const auto job =
-      static_cast<std::uint64_t>(accepted.at("job").as_number());
+    ASSERT_TRUE(client.established());
+    ASSERT_TRUE(client.has_response());
+    const auto accepted = ode::parse_json(client.pop_response());
+    ASSERT_EQ(accepted.at("type").as_string(), "accepted")
+        << accepted.to_json();
+    const auto job =
+        static_cast<std::uint64_t>(accepted.at("job").as_number());
 
-  ASSERT_EQ(svc.wait(job).state, service::JobState::kCompleted);
+    ASSERT_EQ(svc.wait(job).state, service::JobState::kCompleted);
 
-  client.poll_events(job, 0);
-  pump(server, client);
+    client.poll_events(job, 0);
+    pump(server, client);
 
-  // The poll of a completed job streams the events, announces the report,
-  // and ships the raw bytes as one frame.
-  ASSERT_TRUE(client.has_response());
-  const auto events = ode::parse_json(client.pop_response());
-  EXPECT_EQ(events.at("type").as_string(), "events");
-  EXPECT_GE(events.at("events").as_array().size(), 3u);
-  ASSERT_TRUE(client.report_received());
-  EXPECT_EQ(client.report(), expected_report_bytes(s));
+    // The poll of a completed job streams the events, announces the
+    // report, and ships its raw bytes.
+    ASSERT_TRUE(client.has_response());
+    const auto events = ode::parse_json(client.pop_response());
+    EXPECT_EQ(events.at("type").as_string(), "events");
+    EXPECT_GE(events.at("events").as_array().size(), 3u);
+    ASSERT_TRUE(client.report_received());
+    EXPECT_EQ(client.report(), expected_report_bytes(s));
+    largest_report = std::max(largest_report, client.report().size());
 
-  // A clean session raises no wire-security alerts.
-  server.poll_security(1.0);
-  EXPECT_EQ(server.counters().crc_errors, 0u);
-  EXPECT_EQ(server.counters().replays_rejected, 0u);
+    // A clean session raises no wire-security alerts.
+    server.poll_security(1.0);
+    EXPECT_EQ(server.counters().crc_errors, 0u);
+    EXPECT_EQ(server.counters().replays_rejected, 0u);
+  }
+  EXPECT_GT(largest_report, std::size_t{1} << 16);
 }
 
 TEST(Wire, BadRequestsGetStructuredErrors) {
@@ -588,6 +637,270 @@ TEST(Wire, BadRequestsGetStructuredErrors) {
   EXPECT_EQ(reply.at("type").as_string(), "error");
   EXPECT_NE(reply.at("error").as_string().find("no such job"),
             std::string::npos);
+
+  // A submission over the cost cap is a structured rejection, as runs_cap.
+  service::Submission priced_out;
+  priced_out.preset = "baseline";
+  priced_out.runs = 1;
+  priced_out.config_json = R"({"n_uavs": 20000, "max_time_s": 1e9})";
+  client.submit(priced_out);
+  pump(server, client);
+  ASSERT_TRUE(client.has_response());
+  const auto rejected = ode::parse_json(client.pop_response());
+  EXPECT_EQ(rejected.at("type").as_string(), "rejected");
+  EXPECT_EQ(rejected.at("reason").as_string(), "cost_cap");
+}
+
+// --- Daemon connections over a socketpair ----------------------------------
+
+namespace {
+
+/// The shared state of one daemon's connections.
+struct Daemon {
+  service::CampaignService svc;
+  sesame::mw::Bus alert_bus;
+  sesame::obs::Observability wire_obs;
+  service::ConnectionContext context{svc, alert_bus, wire_obs};
+};
+
+/// Both ends of an AF_UNIX stream pair.
+std::pair<int, int> socket_pair() {
+  int sv[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+    throw std::runtime_error("socketpair failed");
+  }
+  return {sv[0], sv[1]};
+}
+
+/// A wire peer writing hand-built frames: unlike mw::Framing it sends
+/// whatever it likes, whatever window credit the server granted.
+struct RawWirePeer {
+  std::uint64_t seq = 0;
+
+  std::vector<std::uint8_t> frame(sesame::mw::Framing::FrameType type,
+                                  std::span<const std::uint8_t> body) {
+    std::vector<std::uint8_t> plain{static_cast<std::uint8_t>(type)};
+    ++seq;
+    for (int i = 0; i < 8; ++i) {
+      plain.push_back(static_cast<std::uint8_t>(seq >> (8 * i)));
+    }
+    plain.insert(plain.end(), body.begin(), body.end());
+    const std::uint32_t crc = sesame::mw::crc32_ieee(plain);
+    for (int i = 0; i < 4; ++i) {
+      plain.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+    }
+    std::vector<std::uint8_t> wire;
+    sesame::mw::cobs_encode(plain, wire);
+    return wire;
+  }
+  std::vector<std::uint8_t> init(std::uint16_t window) {
+    const std::uint8_t body[] = {static_cast<std::uint8_t>(window),
+                                 static_cast<std::uint8_t>(window >> 8), 1, 0};
+    return frame(sesame::mw::Framing::FrameType::kInit, body);
+  }
+  std::vector<std::uint8_t> release(std::uint16_t count) {
+    const std::uint8_t body[] = {static_cast<std::uint8_t>(count),
+                                 static_cast<std::uint8_t>(count >> 8)};
+    return frame(sesame::mw::Framing::FrameType::kReleaseWindow, body);
+  }
+  std::vector<std::uint8_t> message(const std::string& text) {
+    return frame(sesame::mw::Framing::FrameType::kMessage,
+                 {reinterpret_cast<const std::uint8_t*>(text.data()),
+                  text.size()});
+  }
+};
+
+/// Runs a job whose report is about 50 KB (one frame) and returns it with
+/// a poll request for it. Polling past the last event keeps each events
+/// reply small.
+std::pair<std::string, std::string> flood_target(Daemon& daemon) {
+  const auto submitted = daemon.svc.submit(
+      tiny_submission("flood", 7, /*runs=*/1, /*n_uavs=*/64));
+  EXPECT_TRUE(submitted.accepted);
+  const std::uint64_t job = submitted.job_id;
+  EXPECT_EQ(daemon.svc.wait(job).state, service::JobState::kCompleted);
+  const std::size_t cursor = daemon.svc.events(job, 0).size();
+  return {daemon.svc.report(job),
+          R"({"cursor":)" + std::to_string(cursor) + R"(,"job":)" +
+              std::to_string(job) + R"(,"type":"poll"})"};
+}
+
+}  // namespace
+
+TEST(Connection, PeerThatNeverReadsStallsReadsInsteadOfGrowingMemory) {
+  Daemon daemon;
+  const auto [report, poll] = flood_target(daemon);
+  ASSERT_GT(report.size(), 40000u);
+  ASSERT_LT(report.size(), 65000u);
+  // Wire bytes one poll's replies can take: events, announcement, report.
+  const std::size_t reply_bytes = report.size() + report.size() / 100 + 1024;
+  constexpr int kPolls = 3000;
+
+  // Window 65535: the peer grants itself credit, so the replies leave the
+  // session and wait unsent. Window 1: the peer ignores credit, so the
+  // replies wait in the session for credit.
+  for (const std::uint16_t window : {std::uint16_t{65535}, std::uint16_t{1}}) {
+    SCOPED_TRACE("peer window " + std::to_string(window));
+    const auto [server_fd, peer_fd] = socket_pair();
+    service::ServiceConnection conn(server_fd, daemon.context, 0.0, "flood");
+    sesame::mw::SocketPump peer(peer_fd);
+    RawWirePeer raw;
+    peer.queue(raw.init(window));
+    std::size_t poll_frame_bytes = 0;
+    for (int i = 0; i < kPolls; ++i) {
+      const auto frame = raw.message(poll);
+      poll_frame_bytes = frame.size();
+      peer.queue(frame);
+    }
+
+    // The peer writes and never reads, until nothing moves any more.
+    std::size_t max_held = 0;
+    for (int round = 0, quiet = 0; round < 100000 && quiet < 3; ++round) {
+      const std::size_t peer_before = peer.owed();
+      const std::size_t conn_before = conn.held_bytes();
+      peer.flush();
+      conn.service(POLLIN | POLLOUT, 0.0);
+      max_held = std::max(max_held, conn.held_bytes());
+      const bool moved =
+          peer.owed() != peer_before || conn.held_bytes() != conn_before;
+      quiet = moved ? 0 : quiet + 1;
+    }
+    // Unsent replies stop reads at the high-water mark; replies waiting
+    // for credit stop requests at it, and held requests then stop reads
+    // at it again.
+    const std::size_t polls_per_read =
+        service::kReadChunkBytes / poll_frame_bytes + 1;
+    const std::size_t marks = window == 1 ? 2 : 1;
+    EXPECT_GE(conn.held_bytes(), service::kHighWaterBytes);  // it stalled
+    EXPECT_LE(max_held,
+              marks * service::kHighWaterBytes + polls_per_read * reply_bytes);
+    EXPECT_LE(max_held, std::size_t{8} << 20);
+
+    // The peer reads and grants credit: every reply arrives, in order.
+    sesame::mw::Framing decoder;  // its own outbound frames are unused
+    std::size_t replies = 0;
+    std::size_t misplaced = 0;
+    std::size_t credited = 0;
+    for (int round = 0; round < 1000000 && replies < 3 * kPolls; ++round) {
+      peer.flush();
+      peer.read([&](std::span<const std::uint8_t> bytes) {
+        decoder.feed(bytes, [&](std::span<const std::uint8_t> payload,
+                                std::uint64_t) {
+          const std::string text(
+              reinterpret_cast<const char*>(payload.data()), payload.size());
+          bool ok = false;
+          if (replies % 3 == 2) {
+            ok = text == report;
+          } else {
+            const auto doc = ode::parse_json(text);
+            ok = doc.at("type").as_string() ==
+                 (replies % 3 == 0 ? "events" : "report_follows");
+          }
+          misplaced += ok ? 0 : 1;
+          ++replies;
+        });
+      });
+      if (replies > credited) {
+        peer.queue(raw.release(static_cast<std::uint16_t>(replies - credited)));
+        credited = replies;
+      }
+      conn.service(POLLIN | POLLOUT, 0.0);
+      max_held = std::max(max_held, conn.held_bytes());
+    }
+    EXPECT_EQ(replies, 3u * kPolls);
+    EXPECT_EQ(misplaced, 0u);
+    EXPECT_LE(max_held, std::size_t{8} << 20);
+    EXPECT_EQ(decoder.counters().crc_errors, 0u);
+  }
+}
+
+TEST(Connection, HungUpPeerFinishesWhileItsReadsAreStalled) {
+  Daemon daemon;
+  const auto [report, poll] = flood_target(daemon);
+  const auto [server_fd, peer_fd] = socket_pair();
+  service::ServiceConnection conn(server_fd, daemon.context, 0.0, "flood");
+  {
+    // Window 1 and no credit: replies wait for credit, then requests
+    // (padded, so credit frames back stay few) are held until the held
+    // bytes alone close the connection's reads.
+    sesame::mw::SocketPump peer(peer_fd);
+    RawWirePeer raw;
+    peer.queue(raw.init(1));
+    const std::string padded =
+        poll.substr(0, poll.size() - 1) + R"(,"pad":")" +
+        std::string(16 * 1024, 'x') + R"("})";
+    for (std::size_t queued = 0; queued < 2 * service::kHighWaterBytes;) {
+      const auto frame = raw.message(padded);
+      queued += frame.size();
+      peer.queue(frame);
+    }
+    for (int round = 0; round < 100000 && conn.poll_events() != 0; ++round) {
+      peer.flush();
+      conn.service(POLLIN | POLLOUT, 0.0);
+    }
+    ASSERT_EQ(conn.poll_events(), 0);  // stalled, with nothing to send
+    ASSERT_GT(peer.owed(), 0u);        // and the peer still had more
+  }  // the peer hangs up
+
+  // poll() reports the hang-up even though no event is asked for; each
+  // wake-up must make progress until the connection finishes.
+  int wakeups = 0;
+  for (; wakeups < 10000 && !conn.finished(0.0); ++wakeups) {
+    pollfd p{server_fd, conn.poll_events(), 0};
+    ASSERT_EQ(::poll(&p, 1, 1000), 1);
+    conn.service(p.revents, 0.0);
+  }
+  EXPECT_TRUE(conn.finished(0.0));
+  EXPECT_LT(wakeups, 10000);
+}
+
+TEST(Connection, HttpRequestFollowedByHalfCloseGetsTheWholeResponse) {
+  Daemon daemon;
+  const auto [server_fd, client_fd] = socket_pair();
+  std::optional<service::ServiceConnection> conn;
+  conn.emplace(server_fd, daemon.context, 0.0);
+  sesame::mw::SocketPump client(client_fd);
+  client.queue(std::string_view("GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n"));
+  client.flush();
+  ::shutdown(client_fd, SHUT_WR);  // FIN right after the request
+
+  std::string response;
+  for (int round = 0; round < 1000 && !client.eof(); ++round) {
+    if (conn) {
+      conn->service(POLLIN | POLLOUT, 0.0);
+      if (conn->finished(0.0)) conn.reset();  // closes the server end
+    }
+    client.read([&](std::span<const std::uint8_t> bytes) {
+      response.append(reinterpret_cast<const char*>(bytes.data()),
+                      bytes.size());
+    });
+  }
+  EXPECT_FALSE(conn.has_value());
+  ASSERT_EQ(response.rfind("HTTP/1.1 200", 0), 0u) << response;
+  const std::size_t head_end = response.find("\r\n\r\n");
+  ASSERT_NE(head_end, std::string::npos);
+  const std::string length = "Content-Length: " +
+                             std::to_string(response.size() - head_end - 4);
+  EXPECT_NE(response.find(length), std::string::npos) << response;
+}
+
+TEST(Connection, IdleAndMalformedConnectionsAreClosed) {
+  Daemon daemon;
+  const auto [idle_fd, idle_peer] = socket_pair();
+  service::ServiceConnection idle(idle_fd, daemon.context, 10.0, "idle");
+  idle.service(POLLOUT, 10.0);  // sends the handshake: a byte moved
+  EXPECT_FALSE(idle.finished(10.0 + service::kIdleTimeoutS));
+  EXPECT_TRUE(idle.finished(10.0 + service::kIdleTimeoutS + 1.0));
+  ::close(idle_peer);
+
+  const auto [bad_fd, bad_peer] = socket_pair();
+  service::ServiceConnection bad(bad_fd, daemon.context, 0.0);
+  sesame::mw::SocketPump peer(bad_peer);
+  peer.queue(std::string_view("POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n"));
+  peer.flush();
+  EXPECT_FALSE(bad.finished(0.0));
+  bad.service(POLLIN, 0.0);
+  EXPECT_TRUE(bad.finished(0.0));
 }
 
 TEST(Drain, SignalLatchTripsOnceAndIsExclusive) {

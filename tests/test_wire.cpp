@@ -5,8 +5,14 @@
 // tests below pin them.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string_view>
+#include <utility>
 #include <span>
 #include <string>
 #include <vector>
@@ -16,6 +22,7 @@
 #include "sesame/mw/bus_bridge.hpp"
 #include "sesame/mw/codec.hpp"
 #include "sesame/mw/framing.hpp"
+#include "sesame/mw/socket_pump.hpp"
 #include "sesame/obs/metrics.hpp"
 #include "sesame/sim/wire_types.hpp"
 #include "sesame/sim/world.hpp"
@@ -373,7 +380,7 @@ TEST(Framing, MessagesQueueUntilEstablished) {
   Sink sa, sb;
   const auto payload = bytes_of({1, 2, 3});
   a.send_message(payload);  // before any handshake
-  EXPECT_EQ(a.queued_messages(), 1u);
+  EXPECT_EQ(a.queued_bytes(), 3u);
   a.start();
   b.start();
   pump(a, b, sa, sb);
@@ -397,6 +404,18 @@ TEST(Framing, RoundTripsMessagesBothWays) {
   EXPECT_EQ(a.counters().messages_tx, 1u);
   EXPECT_EQ(a.counters().messages_rx, 1u);
   EXPECT_EQ(a.counters().crc_errors, 0u);
+
+  // The largest payload send_message accepts, with no zero byte (COBS's
+  // worst case), still passes the receiver's packet-size check.
+  const std::vector<std::uint8_t> largest(a.max_payload_bytes(), 0x5A);
+  a.send_message(largest);
+  pump(a, b, sa, sb);
+  ASSERT_EQ(sb.messages.size(), 2u);
+  EXPECT_EQ(sb.messages[1], largest);
+  EXPECT_EQ(b.counters().malformed_frames, 0u);
+  EXPECT_THROW(a.send_message(std::vector<std::uint8_t>(
+                   a.max_payload_bytes() + 1, 0x5A)),
+               std::length_error);
 }
 
 TEST(Framing, WindowStallsAndReleases) {
@@ -410,11 +429,11 @@ TEST(Framing, WindowStallsAndReleases) {
   pump(a, b, sa, sb);
   EXPECT_EQ(a.send_credit(), 2u);
   for (int i = 0; i < 5; ++i) a.send_message(bytes_of({i}));
-  EXPECT_EQ(a.queued_messages(), 3u);  // 2 in flight, 3 stalled
+  EXPECT_EQ(a.queued_bytes(), 3u);  // 2 in flight, 3 one-byte ones stalled
   EXPECT_EQ(a.counters().window_stalls, 3u);
   pump(a, b, sa, sb);  // credits flow back, queue drains
   EXPECT_EQ(sb.messages.size(), 5u);
-  EXPECT_EQ(a.queued_messages(), 0u);
+  EXPECT_EQ(a.queued_bytes(), 0u);
   EXPECT_EQ(a.send_credit(), 2u);  // all credit returned
 }
 
@@ -863,6 +882,106 @@ TEST(BusBridge, ReplayedWireBytesAreRejectedAtTheLink) {
   f.bridge_b.feed_inbound(wire);  // attacker replays the captured bytes
   EXPECT_EQ(got, 1u);
   EXPECT_GE(f.bridge_b.link_counters().replays_rejected, 1u);
+}
+
+// --- SocketPump --------------------------------------------------------------
+
+/// Both ends of a connected AF_UNIX stream pair.
+std::pair<int, int> socket_pair() {
+  int sv[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+    throw std::runtime_error("socketpair failed");
+  }
+  return {sv[0], sv[1]};
+}
+
+/// Appends everything `pump` can read now to `out`.
+void read_into(mw::SocketPump& pump, std::string& out) {
+  pump.read([&](std::span<const std::uint8_t> bytes) {
+    out.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  });
+}
+
+TEST(SocketPump, PartialWritesDeliverEveryByteInOrder) {
+  const auto [a_fd, b_fd] = socket_pair();
+  mw::SocketPump a(a_fd);
+  mw::SocketPump b(b_fd);
+  // Several socket buffers' worth, queued in pieces between flushes.
+  std::string sent;
+  for (int i = 0; i < 4096; ++i) sent += "chunk " + std::to_string(i) + ';';
+  std::string payload = sent;
+  while (payload.size() < (std::size_t{4} << 20)) payload += sent;
+  std::string received;
+  std::size_t queued = 0;
+  bool stalled = false;
+  for (int round = 0; round < 100000 && received.size() < payload.size();
+       ++round) {
+    if (queued < payload.size()) {
+      const std::size_t n =
+          std::min<std::size_t>(1 << 20, payload.size() - queued);
+      a.queue(std::string_view(payload).substr(queued, n));
+      queued += n;
+    }
+    a.flush();
+    stalled |= a.owed() > 0;  // the socket took only part of what is owed
+    read_into(b, received);
+  }
+  EXPECT_TRUE(stalled);
+  EXPECT_EQ(received, payload);
+  EXPECT_EQ(a.owed(), 0u);
+  EXPECT_FALSE(a.write_failed());
+}
+
+TEST(SocketPump, PeerFinEndsReadingButOwedBytesStillFlush) {
+  const auto [a_fd, b_fd] = socket_pair();
+  mw::SocketPump a(a_fd);
+  mw::SocketPump b(b_fd);
+  a.queue(std::string(1 << 20, 'x'));  // more than one socket buffer
+  a.flush();
+  ASSERT_GT(a.owed(), 0u);
+  b.queue(std::string_view("last words"));
+  b.flush();
+  ::shutdown(b.fd(), SHUT_WR);  // b: FIN, but still reading
+
+  std::string at_a;
+  read_into(a, at_a);
+  EXPECT_EQ(at_a, "last words");
+  EXPECT_TRUE(a.eof());
+  EXPECT_FALSE(a.done());  // still owes its bytes
+
+  std::string at_b;
+  for (int round = 0; round < 10000 && !a.done(); ++round) {
+    a.flush();
+    read_into(b, at_b);
+  }
+  EXPECT_TRUE(a.done());
+  EXPECT_EQ(at_b.size(), std::size_t{1} << 20);
+  EXPECT_FALSE(a.write_failed());
+}
+
+TEST(SocketPump, BrokenPeerDropsOwedBytesAndUnreadBytesStillArrive) {
+  const auto [a_fd, b_fd] = socket_pair();
+  mw::SocketPump a(a_fd);
+  {
+    mw::SocketPump b(b_fd);
+    b.queue(std::string_view("ack"));
+    b.flush();
+    a.queue(std::string(1 << 20, 'x'));
+    a.flush();
+    ASSERT_GT(a.owed(), 0u);
+  }  // the peer hangs up with a's bytes unread
+
+  a.flush();  // EPIPE: nobody will read what is owed
+  EXPECT_TRUE(a.write_failed());
+  EXPECT_EQ(a.owed(), 0u);
+  a.queue(std::string_view("discarded"));
+  EXPECT_EQ(a.owed(), 0u);
+
+  std::string received;
+  read_into(a, received);
+  EXPECT_EQ(received, "ack");
+  EXPECT_TRUE(a.eof());
+  EXPECT_TRUE(a.done());
 }
 
 }  // namespace

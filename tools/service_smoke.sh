@@ -14,8 +14,17 @@
 #      vehicle count) get a 400, and a Content-Length of -1 (followed by
 #      1 MB of body) or of 10^9 bytes gets the connection closed; none of
 #      them stops the daemon serving or changes a stored report;
-#   6. SIGTERM drains gracefully: in-flight work is spooled, the daemon
-#      exits 0, and a restarted daemon replays the spool.
+#   6. a submission priced past the cost cap (20,000 vehicles for 1e9 s)
+#      gets a 429 without running anything;
+#   7. a client that half-closes (shutdown(SHUT_WR)) right after its
+#      request still gets the whole response;
+#   8. the 256-vehicle report fetched over the wire transport (several
+#      frames) is byte-identical to the HTTP bytes;
+#   9. SIGTERM right after a refused submission drains gracefully within
+#      30 s: in-flight work is spooled, the daemon exits 0, and a restarted
+#      daemon replays the spool.
+# After each of steps 4-8 the daemon must still answer /healthz and return
+# the step-4 report unchanged.
 #
 # Usage: tools/service_smoke.sh <build-dir>   (e.g. ./build)
 set -euo pipefail
@@ -34,6 +43,14 @@ cleanup() {
 trap cleanup EXIT
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
+
+# The daemon answers /healthz and still returns the step-4 report bytes.
+still_serving() {
+  curl -fsS "http://127.0.0.1:$HTTP_PORT/healthz" >/dev/null \
+    || fail "daemon stopped answering after $1"
+  curl -fsS "http://127.0.0.1:$HTTP_PORT/api/v1/jobs/$JOB/report" \
+    | cmp - "$WORK/big.json" || fail "report bytes changed after $1"
+}
 
 cat > "$WORK/cfg.json" <<'EOF'
 {"n_uavs": 2, "n_persons": 2, "max_time_s": 150.0}
@@ -100,10 +117,7 @@ for _ in range(50):
     s.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
     s.close()
 PY
-curl -fsS "http://127.0.0.1:$HTTP_PORT/healthz" >/dev/null \
-  || fail "daemon died after clients reset mid-report"
-curl -fsS "http://127.0.0.1:$HTTP_PORT/api/v1/jobs/$JOB/report" \
-  | cmp - "$WORK/big.json" || fail "report bytes changed after the resets"
+still_serving "clients reset mid-report"
 echo "ok: 50 reset report fetches left the daemon serving"
 
 # --- 5. malformed submissions are refused, not fatal ------------------------
@@ -133,16 +147,67 @@ for length, body in (("-1", b"x" * 1000000), ("1000000000", b"")):
     if not closed:
         sys.exit("FAIL: Content-Length: %s left the connection open" % length)
 PY
-curl -fsS "http://127.0.0.1:$HTTP_PORT/healthz" >/dev/null \
-  || fail "daemon died on a malformed submission"
-curl -fsS "http://127.0.0.1:$HTTP_PORT/api/v1/jobs/$JOB/report" \
-  | cmp - "$WORK/big.json" || fail "report bytes changed after bad input"
+still_serving "bad input"
 echo "ok: malformed submissions refused, daemon still serving"
 
-# --- 6. graceful drain spools in-flight work --------------------------------
+# --- 6. a submission over the cost cap is refused ---------------------------
+REPRODUCER='{"tenant": "t", "preset": "baseline", "runs": 1, "seed": "1",
+             "config": {"n_uavs": 20000, "max_time_s": 1e9}}'
+code=$(curl -sS -o "$WORK/priced.json" -w '%{http_code}' -X POST \
+  "http://127.0.0.1:$HTTP_PORT/api/v1/campaigns" -d "$REPRODUCER")
+[ "$code" = 429 ] || fail "over-cost submission got $code, not 429"
+grep -q cost_cap "$WORK/priced.json" || fail "429 does not name cost_cap"
+still_serving "the over-cost submission"
+echo "ok: over-cost submission refused with 429 cost_cap"
+
+# --- 7. a half-closed request still gets the whole response -----------------
+python3 - "$HTTP_PORT" "$JOB" "$WORK/halfclose.json" <<'PY'
+import socket, sys
+port, job, out = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+s = socket.create_connection(("127.0.0.1", port), timeout=30)
+s.sendall(("GET /api/v1/jobs/%s/report HTTP/1.1\r\nHost: localhost\r\n\r\n"
+           % job).encode())
+s.shutdown(socket.SHUT_WR)  # FIN right after the request
+response = b""
+while True:
+    chunk = s.recv(65536)
+    if not chunk:
+        break
+    response += chunk
+s.close()
+head, _, body = response.partition(b"\r\n\r\n")
+if not head.startswith(b"HTTP/1.1 200"):
+    sys.exit("FAIL: half-closed request got %r" % head[:40])
+open(out, "wb").write(body)
+PY
+cmp "$WORK/halfclose.json" "$WORK/big.json" \
+  || fail "half-closed request got a different report"
+still_serving "a half-closed request"
+echo "ok: half-closed request got the whole report"
+
+# --- 8. the large report over the wire transport -----------------------------
+echo '{"n_uavs": 256, "max_time_s": 20.0}' > "$WORK/big_cfg.json"
+"$SUBMIT" --port "$WIRE_PORT" --transport wire --preset baseline \
+  --config "$WORK/big_cfg.json" --runs 1 --seed 5 \
+  --out "$WORK/big_wire.json" 2>/dev/null \
+  || fail "wire fetch of the 256-vehicle report failed"
+cmp "$WORK/big_wire.json" "$WORK/big.json" \
+  || fail "wire report differs from the HTTP bytes"
+still_serving "the wire fetch"
+echo "ok: 256-vehicle report byte-identical over the wire"
+
+# --- 9. graceful drain spools in-flight work --------------------------------
 curl -fsS -X POST "http://127.0.0.1:$HTTP_PORT/api/v1/campaigns" \
   -d '{"preset": "nominal", "runs": 500, "seed": 99}' >/dev/null
+code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST \
+  "http://127.0.0.1:$HTTP_PORT/api/v1/campaigns" -d "$REPRODUCER")
+[ "$code" = 429 ] || fail "over-cost submission got $code, not 429"
 kill -TERM "$DAEMON_PID"
+for _ in $(seq 300); do
+  kill -0 "$DAEMON_PID" 2>/dev/null || break
+  sleep 0.1
+done
+kill -0 "$DAEMON_PID" 2>/dev/null && fail "daemon still draining after 30 s"
 wait "$DAEMON_PID" || fail "daemon exited non-zero on SIGTERM"
 DAEMON_PID=""
 ls "$WORK/spool/"*.json >/dev/null 2>&1 || fail "drain left no spool file"
