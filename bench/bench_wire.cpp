@@ -103,8 +103,9 @@ void BM_FramingRoundTrip(benchmark::State& state) {
   b.feed(a.take_outbound(), drop_credit);
   std::uint64_t delivered = 0;
   const mw::Framing::MessageSink sink =
-      [&delivered](std::span<const std::uint8_t> payload, std::uint64_t) {
+      [&delivered, &b](std::span<const std::uint8_t> payload, std::uint64_t) {
         delivered += payload.size();
+        b.release(1);
       };
   std::size_t wire_bytes = 0;
   for (auto _ : state) {

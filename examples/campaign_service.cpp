@@ -44,6 +44,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sesame/mw/bus.hpp"
@@ -228,7 +229,14 @@ int main(int argc, char** argv) {
       }
     }
     std::erase_if(conns, [&](const auto& entry) {
-      return entry.second.finished(now);
+      const char* end = entry.second.finished(now);
+      if (end != nullptr && std::string_view(end) != "closed") {
+        wire_obs.metrics
+            .counter("sesame.service.client_disconnects_total",
+                     {{"reason", end}})
+            .inc();
+      }
+      return end != nullptr;
     });
   }
 

@@ -60,9 +60,11 @@ std::vector<std::uint8_t> BusBridge::take_outbound() {
 void BusBridge::feed_inbound(std::span<const std::uint8_t> bytes) {
   framing_.feed(bytes, [this](std::span<const std::uint8_t> payload,
                               std::uint64_t /*link_seq*/) {
+    // Credited back once handled, after any reaction it caused was sent.
     const std::optional<DecodedMessage> m = Codec::decode(payload);
     if (!m.has_value()) {
       ++counters_.decode_errors;
+      framing_.release(1);
       return;
     }
     // Remember the origin before publishing so the tap sees it as remote
@@ -82,6 +84,7 @@ void BusBridge::feed_inbound(std::span<const std::uint8_t> bytes) {
         ++counters_.malformed_payloads;
         break;
     }
+    framing_.release(1);
   });
   sync_metrics();
 }
@@ -105,6 +108,7 @@ void BusBridge::set_metrics(obs::MetricsRegistry* registry) {
   mirror("sesame.wire.replays_rejected_total", lc.replays_rejected);
   mirror("sesame.wire.resyncs_total", lc.resyncs);
   mirror("sesame.wire.window_stalls_total", lc.window_stalls);
+  mirror("sesame.wire.window_violations_total", lc.window_violations);
   mirror("sesame.wire.messages_forwarded_total", counters_.forwarded);
   mirror("sesame.wire.messages_delivered_total", counters_.delivered);
   mirror("sesame.wire.decode_errors_total", counters_.decode_errors);

@@ -137,6 +137,15 @@ void Framing::flush_pending() {
   }
 }
 
+void Framing::release(std::uint32_t n) {
+  if (n == 0 || n > unreleased_)
+    throw std::logic_error("mw::Framing: release of 0 or undelivered");
+  unreleased_ -= n;
+  std::vector<std::uint8_t> credit;
+  append_u16_le(credit, static_cast<std::uint16_t>(n));  // n <= window
+  emit_frame(FrameType::kReleaseWindow, credit);
+}
+
 std::vector<std::uint8_t> Framing::take_outbound() {
   return std::move(outbound_);
 }
@@ -267,15 +276,15 @@ void Framing::handle_packet(std::span<const std::uint8_t> packet,
       return;
     }
     case static_cast<std::uint8_t>(FrameType::kMessage): {
+      // One more than the window: never delivered; the owner closes.
+      if (unreleased_ >= config_.window) {
+        ++counters_.window_violations;
+        return;
+      }
+      ++unreleased_;
       ++counters_.frames_rx;
       ++counters_.messages_rx;
       if (sink) sink({body, body_len}, seq);
-      // Credit the peer back one Message frame. Per-message release keeps
-      // the window honest; batching the credits is a future optimisation
-      // (docs/PROTOCOL.md §4.3).
-      std::vector<std::uint8_t> credit;
-      append_u16_le(credit, 1);
-      emit_frame(FrameType::kReleaseWindow, credit);
       return;
     }
     default:

@@ -31,11 +31,13 @@
 //    `Init` frame resets the expectation (session restart).
 //
 // Flow control (SESAME windowed layer): `Init` advertises how many
-// Message frames the sender may have outstanding toward us; the peer
-// answers `InitResponse`; each delivered Message is credited back with
-// `ReleaseWindow`. Messages submitted while the window is closed queue
-// locally (`window_stalls` counts the stalls) and flush as credit
-// arrives — nothing is dropped by flow control.
+// Message frames the peer may have outstanding toward us; the peer
+// answers `InitResponse`. The owner credits a delivered Message back
+// (`release()` → `ReleaseWindow`) once it has handled it. One Message
+// beyond the window is a violation: not delivered, counted, and the
+// owner closes the link; a re-`Init` forgives nothing outstanding.
+// Messages sent on a closed window queue locally (`window_stalls`) and
+// flush as credit arrives — nothing is dropped by flow control.
 #pragma once
 
 #include <cstdint>
@@ -103,6 +105,7 @@ struct LinkCounters {
   std::uint64_t seq_gaps = 0;         ///< forward sequence jumps accepted
   std::uint64_t resyncs = 0;          ///< packets discarded for any reason
   std::uint64_t window_stalls = 0;    ///< sends queued on a closed window
+  std::uint64_t window_violations = 0;  ///< Messages beyond our window
 };
 
 /// One full-duplex framed endpoint. Byte-oriented and transport-agnostic:
@@ -141,6 +144,10 @@ class Framing {
   /// exceeds max_payload_bytes().
   void send_message(std::span<const std::uint8_t> payload);
 
+  /// Credits `n` ≥ 1 handled Messages back to the peer in one ReleaseWindow
+  /// frame. Throws std::logic_error beyond those delivered, unreleased.
+  void release(std::uint32_t n);
+
   /// Message-frame credit currently available toward the peer.
   std::uint32_t send_credit() const noexcept { return send_credit_; }
   /// Payload bytes of the messages queued waiting for credit (or for the
@@ -176,6 +183,7 @@ class Framing {
   std::uint64_t tx_seq_ = 0;        ///< last sequence sent
   std::uint64_t rx_last_seq_ = 0;   ///< last sequence accepted
   std::uint32_t send_credit_ = 0;   ///< Message frames we may still send
+  std::uint32_t unreleased_ = 0;    ///< delivered, not yet release()d
   std::uint16_t negotiated_ = 0;
   bool started_ = false;
   bool established_ = false;

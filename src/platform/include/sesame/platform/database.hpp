@@ -1,14 +1,12 @@
 // Database manager of the multi-UAV control platform (paper Section IV-A).
 //
 // Provides an API for telemetry storage and retrieval. UAVs report their
-// state over the bus; the manager persists the latest record and a bounded
-// history per vehicle. MissionRunner keeps the latest record only (history
-// limit 1): that is what the GCS queries. Access mirrors the paper's
-// behaviour: requests must come from sources inside the platform network
-// (a whitelist here), so external clients cannot read fleet state.
+// state over the bus; the manager persists the latest record per vehicle,
+// which is what the GCS queries. Access mirrors the paper's behaviour:
+// requests must come from sources inside the platform network (a
+// whitelist here), so external clients cannot read fleet state.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -22,8 +20,7 @@ namespace sesame::platform {
 
 class DatabaseManager {
  public:
-  /// `history_limit` bounds the per-UAV history (oldest entries dropped).
-  explicit DatabaseManager(mw::Bus& bus, std::size_t history_limit = 4096);
+  explicit DatabaseManager(mw::Bus& bus) : bus_(&bus) {}
 
   /// Starts persisting telemetry of the named UAV.
   void attach_uav(const std::string& name);
@@ -36,10 +33,6 @@ class DatabaseManager {
   std::optional<sim::Telemetry> latest(const std::string& client,
                                        const std::string& uav) const;
 
-  /// Full stored history (oldest first).
-  std::vector<sim::Telemetry> history(const std::string& client,
-                                      const std::string& uav) const;
-
   std::size_t records_stored() const noexcept { return records_stored_; }
 
   /// Stale or duplicate telemetry discarded (record time not newer than
@@ -48,9 +41,8 @@ class DatabaseManager {
 
  private:
   mw::Bus* bus_;
-  std::size_t history_limit_;
   std::set<std::string> allowed_clients_;
-  std::map<std::string, std::deque<sim::Telemetry>> store_;
+  std::map<std::string, std::optional<sim::Telemetry>> store_;
   std::vector<mw::Subscription> subscriptions_;
   std::size_t records_stored_ = 0;
   std::size_t records_rejected_ = 0;

@@ -101,9 +101,7 @@ void MissionRunner::setup_world() {
          0.0});
   }
 
-  // Latest record per vehicle only: nothing here reads a history, and at
-  // fleet scale it costs a Telemetry copy per vehicle per tick.
-  database_ = std::make_unique<DatabaseManager>(world_->bus(), 1);
+  database_ = std::make_unique<DatabaseManager>(world_->bus());
   database_->allow_client("gcs");
   for (const auto& name : names_) database_->attach_uav(name);
 

@@ -18,13 +18,11 @@ ServiceConnection::ServiceConnection(int fd, ConnectionContext& context,
 }
 
 std::size_t ServiceConnection::held_bytes() const noexcept {
-  return pump_.owed() +
-         (wire_ ? wire_->queued_bytes() + wire_->held_request_bytes() : 0);
+  return pump_.owed() + (wire_ ? wire_->queued_bytes() : 0);
 }
 
 bool ServiceConnection::reads_open() const noexcept {
-  const std::size_t held = wire_ ? wire_->held_request_bytes() : 0;
-  return !pump_.eof() && pump_.owed() + held < kHighWaterBytes;
+  return !pump_.eof() && pump_.owed() < kHighWaterBytes;
 }
 
 short ServiceConnection::poll_events() const noexcept {
@@ -66,10 +64,16 @@ void ServiceConnection::service(short revents, double now_s) {
   if (moved > 0) last_activity_s_ = now_s;
 }
 
-bool ServiceConnection::finished(double now_s) const noexcept {
-  return http_.failed() || pump_.done() ||
-         (responded_ && pump_.owed() == 0) ||
-         now_s - last_activity_s_ > kIdleTimeoutS;
+const char* ServiceConnection::finished(double now_s) const noexcept {
+  if (http_.failed()) return "malformed";
+  if (wire_ && wire_->counters().window_violations > 0) {
+    return "window_violation";
+  }
+  if (pump_.done() || (responded_ && pump_.owed() == 0)) {
+    return pump_.write_failed() ? "peer_reset" : "closed";
+  }
+  if (now_s - last_activity_s_ > kIdleTimeoutS) return "idle";
+  return nullptr;
 }
 
 }  // namespace sesame::service

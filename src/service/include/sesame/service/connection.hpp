@@ -1,6 +1,6 @@
 // One daemon connection: a socket pump and the adapter it feeds. A peer
-// that stops reading or granting credit stalls its own reads instead of
-// growing the daemon (docs/SERVICE.md, "Connections").
+// that stops reading or granting credit stalls itself instead of growing
+// the daemon (docs/SERVICE.md, "Connections").
 #pragma once
 
 #include <cstddef>
@@ -45,12 +45,12 @@ class ServiceConnection {
   /// Handles one poll() wake-up: reads (if open) and dispatches, then
   /// flushes.
   void service(short revents, double now_s);
-  /// True once the connection should be destroyed (which closes it): done,
-  /// malformed, answered and flushed, or idle past kIdleTimeoutS.
-  bool finished(double now_s) const noexcept;
+  /// Null while the connection should stay; else why it should be
+  /// destroyed (which closes it): "closed", "idle", "window_violation",
+  /// "malformed" or "peer_reset" (docs/SERVICE.md, "Connections").
+  const char* finished(double now_s) const noexcept;
 
-  /// Bytes held for the peer: unsent, replies waiting for window credit,
-  /// and requests held until those leave.
+  /// Bytes held for the peer: unsent, and replies waiting for credit.
   std::size_t held_bytes() const noexcept;
 
  private:

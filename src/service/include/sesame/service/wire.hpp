@@ -55,8 +55,8 @@ namespace sesame::service {
 
 /// Backpressure bound, in bytes. A wire session handles no request while
 /// this many reply bytes wait for the peer's window credit (later requests
-/// are held, credit frames still count); a daemon connection reads nothing
-/// while its unsent bytes and held requests reach it (connection.hpp).
+/// are held uncredited, so the receive window bounds them); a daemon
+/// connection reads nothing while this many bytes are unsent.
 inline constexpr std::size_t kHighWaterBytes = std::size_t{1} << 20;
 
 /// Server side of one wire connection.
@@ -77,20 +77,18 @@ class WireSession {
   }
 
   /// Consumes inbound wire bytes; responses queue on take_outbound().
-  /// Requests are handled in arrival order; while kHighWaterBytes of
-  /// replies wait for credit, new requests are held until credit arrives.
+  /// Requests are handled, then credited, in arrival order; while
+  /// kHighWaterBytes of replies wait for credit, new ones are held.
   void feed(std::span<const std::uint8_t> bytes);
   std::vector<std::uint8_t> take_outbound() {
     return framing_.take_outbound();
   }
   bool has_outbound() const noexcept { return framing_.has_outbound(); }
 
-  /// Polls the link's counters into the wire monitor (call after feed).
   /// Reply payload bytes waiting for the peer's window credit.
   std::size_t queued_bytes() const noexcept { return framing_.queued_bytes(); }
-  /// Request bytes received and held, not yet handled.
-  std::size_t held_request_bytes() const noexcept { return held_bytes_; }
 
+  /// Polls the link's counters into the wire monitor (call after feed).
   void poll_security(double now_s) {
     monitor_.observe(framing_.counters(), now_s);
   }
@@ -104,8 +102,7 @@ class WireSession {
   CampaignService& service_;
   mw::Framing framing_;
   security::WireMonitor monitor_;
-  std::list<std::string> held_;  ///< requests waiting for reply credit
-  std::size_t held_bytes_ = 0;
+  std::list<std::string> held_;  ///< unhandled requests: at most the window
 };
 
 /// Client side: a thin request/response pump for campaign_submit and the
@@ -138,6 +135,9 @@ class WireClient {
  private:
   /// What the frames after an announcement reassemble into.
   enum class Assembling { kNone, kReply, kReport };
+
+  /// Files one frame: a response, an announcement or a piece announced.
+  void on_frame(std::string text);
 
   mw::Framing framing_;
   std::deque<std::string> responses_;

@@ -67,26 +67,16 @@ WireSession::WireSession(CampaignService& service, mw::Bus& alert_bus,
       monitor_(alert_bus, std::move(link_name)) {}
 
 void WireSession::feed(std::span<const std::uint8_t> bytes) {
-  const auto may_handle = [this] {
-    return framing_.queued_bytes() < kHighWaterBytes;
-  };
-  framing_.feed(bytes, [&](std::span<const std::uint8_t> payload,
-                           std::uint64_t /*seq*/) {
-    std::string text(reinterpret_cast<const char*>(payload.data()),
-                     payload.size());
-    if (held_.empty() && may_handle()) {
-      handle(text);
-      return;
-    }
-    held_bytes_ += text.size();
-    held_.push_back(std::move(text));
+  framing_.feed(bytes, [this](std::span<const std::uint8_t> payload,
+                              std::uint64_t /*seq*/) {
+    held_.emplace_back(reinterpret_cast<const char*>(payload.data()),
+                       payload.size());
   });
-  // Credit that arrived in these bytes may release held requests.
-  while (!held_.empty() && may_handle()) {
-    const std::string text = std::move(held_.front());
+  // Credit each request once handled; the rest wait, uncredited.
+  while (!held_.empty() && framing_.queued_bytes() < kHighWaterBytes) {
+    handle(held_.front());
     held_.pop_front();
-    held_bytes_ -= text.size();
-    handle(text);
+    framing_.release(1);
   }
 }
 
@@ -161,40 +151,44 @@ void WireClient::poll_events(std::uint64_t job_id, std::size_t cursor) {
 void WireClient::feed(std::span<const std::uint8_t> bytes) {
   framing_.feed(bytes, [this](std::span<const std::uint8_t> payload,
                               std::uint64_t /*seq*/) {
-    std::string text(reinterpret_cast<const char*>(payload.data()),
-                     payload.size());
-    if (assembling_ != Assembling::kNone) {
-      if (partial_.empty()) {
-        partial_ = std::move(text);  // one frame: no copy
-      } else {
-        partial_ += text;
-      }
-      if (partial_.size() < expect_bytes_) return;
-      const Assembling done = std::exchange(assembling_, Assembling::kNone);
-      if (done == Assembling::kReport) {
-        report_ = std::move(partial_);
-        report_received_ = true;
-      } else {
-        responses_.push_back(std::move(partial_));
-      }
-      partial_.clear();
-      return;
-    }
-    // Peek for an announcement; anything else is a response.
-    try {
-      const Value doc = eddi::ode::parse_json(text);
-      const std::string& type = doc.at("type").as_string();
-      if (type == "report_follows" || type == "reply_follows") {
-        expect_bytes_ = integer_field(doc, "bytes");
-        assembling_ = type == "report_follows" ? Assembling::kReport
-                                               : Assembling::kReply;
-        if (assembling_ == Assembling::kReply) return;  // transport only
-      }
-    } catch (const std::exception&) {
-      // Not a typed JSON document: surface it; the caller decides.
-    }
-    responses_.push_back(std::move(text));
+    on_frame(std::string(reinterpret_cast<const char*>(payload.data()),
+                         payload.size()));
+    framing_.release(1);  // handled: credit the server back
   });
+}
+
+void WireClient::on_frame(std::string text) {
+  if (assembling_ != Assembling::kNone) {
+    if (partial_.empty()) {
+      partial_ = std::move(text);  // one frame: no copy
+    } else {
+      partial_ += text;
+    }
+    if (partial_.size() < expect_bytes_) return;
+    const Assembling done = std::exchange(assembling_, Assembling::kNone);
+    if (done == Assembling::kReport) {
+      report_ = std::move(partial_);
+      report_received_ = true;
+    } else {
+      responses_.push_back(std::move(partial_));
+    }
+    partial_.clear();
+    return;
+  }
+  // Peek for an announcement; anything else is a response.
+  try {
+    const Value doc = eddi::ode::parse_json(text);
+    const std::string& type = doc.at("type").as_string();
+    if (type == "report_follows" || type == "reply_follows") {
+      expect_bytes_ = integer_field(doc, "bytes");
+      assembling_ = type == "report_follows" ? Assembling::kReport
+                                             : Assembling::kReply;
+      if (assembling_ == Assembling::kReply) return;  // transport only
+    }
+  } catch (const std::exception&) {
+    // Not a typed JSON document: surface it; the caller decides.
+  }
+  responses_.push_back(std::move(text));
 }
 
 std::string WireClient::pop_response() {

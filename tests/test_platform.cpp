@@ -47,7 +47,7 @@ TEST(DatabaseManager, StoresAndServesTelemetry) {
   const auto latest = db.latest("gcs", "u1");
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->uav, "u1");
-  EXPECT_EQ(db.history("gcs", "u1").size(), 3u);
+  EXPECT_DOUBLE_EQ(latest->time_s, 3.0);
   EXPECT_EQ(db.records_stored(), 3u);
 }
 
@@ -60,27 +60,12 @@ TEST(DatabaseManager, RejectsOutsideClients) {
   db.attach_uav("u1");
   world.run(1, 1.0);
   EXPECT_THROW(db.latest("internet_rando", "u1"), std::runtime_error);
-  EXPECT_THROW((pf::DatabaseManager{world.bus(), 0}), std::invalid_argument);
-}
-
-TEST(DatabaseManager, HistoryBounded) {
-  sim::World world(kOrigin);
-  sim::UavConfig uc;
-  uc.name = "u1";
-  world.add_uav(uc, kOrigin);
-  pf::DatabaseManager db(world.bus(), 5);
-  db.attach_uav("u1");
-  db.allow_client("gcs");
-  world.run(12, 1.0);
-  EXPECT_EQ(db.history("gcs", "u1").size(), 5u);
-  // Oldest dropped: first stored record is from t=8.
-  EXPECT_DOUBLE_EQ(db.history("gcs", "u1").front().time_s, 8.0);
 }
 
 TEST(DatabaseManager, DiscardsStaleAndDuplicateTelemetry) {
   // Regression: a duplicating/reordering transport must not corrupt the
   // state database — a late copy of an old record may not shadow newer
-  // state, and duplicates may not inflate the history.
+  // state, and duplicates may not count as stored records.
   sim::World world(kOrigin);
   pf::DatabaseManager db(world.bus());
   db.attach_uav("u1");
@@ -96,40 +81,11 @@ TEST(DatabaseManager, DiscardsStaleAndDuplicateTelemetry) {
   publish_at(2.0, 0.98);
   publish_at(2.0, 0.98);  // duplicate delivery
   publish_at(1.5, 0.985);  // reordered stale copy
+  EXPECT_DOUBLE_EQ(db.latest("gcs", "u1")->time_s, 2.0);
+  EXPECT_DOUBLE_EQ(db.latest("gcs", "u1")->battery_soc, 0.98);
   publish_at(3.0, 0.97);
-  const auto history = db.history("gcs", "u1");
-  ASSERT_EQ(history.size(), 3u);
-  EXPECT_DOUBLE_EQ(history[0].time_s, 1.0);
-  EXPECT_DOUBLE_EQ(history[1].time_s, 2.0);
-  EXPECT_DOUBLE_EQ(history[2].time_s, 3.0);
+  EXPECT_DOUBLE_EQ(db.latest("gcs", "u1")->time_s, 3.0);
   EXPECT_DOUBLE_EQ(db.latest("gcs", "u1")->battery_soc, 0.97);
-  EXPECT_EQ(db.records_stored(), 3u);
-  EXPECT_EQ(db.records_rejected(), 2u);
-}
-
-TEST(Database, HistoryLimitOneKeepsOnlyTheLatestRecord) {
-  // The runner's configuration: latest state per vehicle, no history.
-  sim::World world(kOrigin);
-  pf::DatabaseManager db(world.bus(), 1);
-  db.attach_uav("u1");
-  db.allow_client("gcs");
-  const auto publish_at = [&](double t, double soc) {
-    sim::Telemetry tel;
-    tel.uav = "u1";
-    tel.time_s = t;
-    tel.battery_soc = soc;
-    world.bus().publish(sim::telemetry_topic("u1"), tel, "u1", t);
-  };
-  publish_at(1.0, 0.99);
-  publish_at(2.0, 0.98);
-  publish_at(3.0, 0.97);
-  publish_at(2.5, 0.975);  // stale: older than the stored record
-  publish_at(3.0, 0.97);   // duplicate of the stored record
-  const auto latest = db.latest("gcs", "u1");
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_DOUBLE_EQ(latest->time_s, 3.0);
-  EXPECT_DOUBLE_EQ(latest->battery_soc, 0.97);
-  EXPECT_EQ(db.history("gcs", "u1").size(), 1u);
   EXPECT_EQ(db.records_stored(), 3u);
   EXPECT_EQ(db.records_rejected(), 2u);
 }
@@ -537,9 +493,13 @@ TEST(GroundControlStation, PrefixSharingNamesKeepSeparateState) {
   const auto battery = gcs.events_of("battery");
   ASSERT_EQ(battery.size(), 1u);
   EXPECT_EQ(battery[0].uav, "uav1");
-  ASSERT_TRUE(db.latest("gcs", "uav10").has_value());
-  EXPECT_EQ(db.history("gcs", "uav1").size(), 120u);
-  EXPECT_EQ(db.history("gcs", "uav10").size(), 120u);
+  for (const std::string name : {"uav1", "uav10"}) {
+    const auto latest = db.latest("gcs", name);
+    ASSERT_TRUE(latest.has_value()) << name;
+    EXPECT_EQ(latest->uav, name);
+    EXPECT_DOUBLE_EQ(latest->time_s, 120.0) << name;
+  }
+  EXPECT_EQ(db.records_stored(), 240u);  // 120 per vehicle
 }
 
 #include "sesame/platform/config_io.hpp"

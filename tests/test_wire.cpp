@@ -340,15 +340,37 @@ TEST(Codec, GoldenMessageBytesMatchProtocolDoc) {
 
 // --- Framing ---------------------------------------------------------------
 
-/// Collects delivered message payloads.
+/// Collects the payloads `link` delivers, crediting each back once kept.
 struct Sink {
+  explicit Sink(mw::Framing& framing) : link(framing) {}
+  mw::Framing& link;
   std::vector<std::vector<std::uint8_t>> messages;
   mw::Framing::MessageSink fn() {
     return [this](std::span<const std::uint8_t> payload, std::uint64_t) {
       messages.emplace_back(payload.begin(), payload.end());
+      link.release(1);
     };
   }
 };
+
+/// One frame as a peer that ignores flow control puts it on the wire.
+std::vector<std::uint8_t> raw_frame(mw::Framing::FrameType type,
+                                    std::uint64_t seq,
+                                    std::vector<std::uint8_t> body) {
+  std::vector<std::uint8_t> frame{static_cast<std::uint8_t>(type)};
+  for (int i = 0; i < 8; ++i)
+    frame.push_back(static_cast<std::uint8_t>(seq >> (8 * i)));
+  frame.insert(frame.end(), body.begin(), body.end());
+  const std::uint32_t crc = mw::crc32_ieee(frame);
+  for (int i = 0; i < 4; ++i)
+    frame.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  std::vector<std::uint8_t> wire;
+  mw::cobs_encode(frame, wire);
+  return wire;
+}
+
+constexpr auto kInit = mw::Framing::FrameType::kInit;
+constexpr auto kMessage = mw::Framing::FrameType::kMessage;
 
 /// Pumps both directions until quiet.
 void pump(mw::Framing& a, mw::Framing& b, Sink& sa, Sink& sb) {
@@ -364,7 +386,7 @@ void pump(mw::Framing& a, mw::Framing& b, Sink& sa, Sink& sb) {
 
 TEST(Framing, HandshakeEstablishesAndNegotiatesVersion) {
   mw::Framing a, b;
-  Sink sa, sb;
+  Sink sa{a}, sb{b};
   EXPECT_FALSE(a.established());
   a.start();
   b.start();
@@ -377,7 +399,7 @@ TEST(Framing, HandshakeEstablishesAndNegotiatesVersion) {
 
 TEST(Framing, MessagesQueueUntilEstablished) {
   mw::Framing a, b;
-  Sink sa, sb;
+  Sink sa{a}, sb{b};
   const auto payload = bytes_of({1, 2, 3});
   a.send_message(payload);  // before any handshake
   EXPECT_EQ(a.queued_bytes(), 3u);
@@ -390,7 +412,7 @@ TEST(Framing, MessagesQueueUntilEstablished) {
 
 TEST(Framing, RoundTripsMessagesBothWays) {
   mw::Framing a, b;
-  Sink sa, sb;
+  Sink sa{a}, sb{b};
   a.start();
   b.start();
   pump(a, b, sa, sb);
@@ -423,7 +445,7 @@ TEST(Framing, WindowStallsAndReleases) {
   small.window = 2;  // B grants A two in-flight messages
   mw::Framing a;     // default window toward B
   mw::Framing b(small);
-  Sink sa, sb;
+  Sink sa{a}, sb{b};
   a.start();
   b.start();
   pump(a, b, sa, sb);
@@ -437,9 +459,89 @@ TEST(Framing, WindowStallsAndReleases) {
   EXPECT_EQ(a.send_credit(), 2u);  // all credit returned
 }
 
+TEST(Framing, CreditReturnsOnlyOnRelease) {
+  mw::FramingConfig small;
+  small.window = 2;
+  mw::Framing a;
+  mw::Framing b(small);
+  Sink sa{a}, sb{b};
+  a.start();
+  b.start();
+  pump(a, b, sa, sb);
+  std::size_t delivered = 0;
+  const mw::Framing::MessageSink unhandled =
+      [&delivered](std::span<const std::uint8_t>, std::uint64_t) {
+        ++delivered;
+      };
+  a.send_message(bytes_of({1}));
+  a.send_message(bytes_of({2}));
+  a.send_message(bytes_of({3}));  // window closed: queued
+  b.feed(a.take_outbound(), unhandled);
+  EXPECT_EQ(delivered, 2u);
+  EXPECT_FALSE(b.has_outbound());  // delivered is not credited
+  EXPECT_EQ(a.send_credit(), 0u);
+  EXPECT_EQ(a.queued_bytes(), 1u);
+
+  b.release(1);  // one handled
+  a.feed(b.take_outbound(), sa.fn());
+  EXPECT_EQ(a.queued_bytes(), 0u);  // the credit sent the third
+  b.feed(a.take_outbound(), unhandled);
+  EXPECT_EQ(delivered, 3u);
+  EXPECT_EQ(b.counters().window_violations, 0u);
+  EXPECT_THROW(b.release(3), std::logic_error);  // only two outstanding
+  EXPECT_THROW(b.release(0), std::logic_error);
+  b.release(2);
+  a.feed(b.take_outbound(), sa.fn());
+  EXPECT_EQ(a.send_credit(), 2u);  // all credit returned
+}
+
+TEST(Framing, MessageBeyondTheWindowIsCountedAndNotDelivered) {
+  mw::FramingConfig small;
+  small.window = 2;
+  mw::Framing b(small);
+  std::vector<std::uint8_t> delivered;
+  const mw::Framing::MessageSink unhandled =
+      [&delivered](std::span<const std::uint8_t> payload, std::uint64_t) {
+        delivered.push_back(payload[0]);
+      };
+  b.feed(raw_frame(kInit, 1, {2, 0, 1, 0}), unhandled);
+  for (std::uint8_t i = 2; i <= 4; ++i) {
+    b.feed(raw_frame(kMessage, i, {i}), unhandled);
+  }
+  EXPECT_EQ(delivered, bytes_of({2, 3}));
+  EXPECT_EQ(b.counters().window_violations, 1u);
+  EXPECT_EQ(b.counters().messages_rx, 2u);
+
+  b.release(2);
+  b.feed(raw_frame(kMessage, 5, {5}), unhandled);  // inside the window
+  EXPECT_EQ(delivered, bytes_of({2, 3, 5}));
+  EXPECT_EQ(b.counters().window_violations, 1u);
+}
+
+TEST(Framing, ReInitKeepsOutstandingMessages) {
+  mw::FramingConfig small;
+  small.window = 2;
+  mw::Framing b(small);
+  std::size_t delivered = 0;
+  const mw::Framing::MessageSink unhandled =
+      [&delivered](std::span<const std::uint8_t>, std::uint64_t) {
+        ++delivered;
+      };
+  b.feed(raw_frame(kInit, 1, {2, 0, 1, 0}), unhandled);
+  b.feed(raw_frame(kMessage, 2, {1}), unhandled);
+  b.feed(raw_frame(kMessage, 3, {2}), unhandled);
+  // The peer restarts its session and sends again: the two Messages
+  // still outstanding fill the window.
+  b.feed(raw_frame(kInit, 1, {2, 0, 1, 0}), unhandled);
+  b.feed(raw_frame(kMessage, 2, {3}), unhandled);
+  EXPECT_TRUE(b.established());
+  EXPECT_EQ(delivered, 2u);
+  EXPECT_EQ(b.counters().window_violations, 1u);
+}
+
 TEST(Framing, CorruptedFrameIsRejectedAndLinkResyncs) {
   mw::Framing a, b;
-  Sink sa, sb;
+  Sink sa{a}, sb{b};
   a.start();
   b.start();
   pump(a, b, sa, sb);
@@ -465,7 +567,7 @@ TEST(Framing, EverySingleBitFlipIsRejected) {
   a.start();
   {  // establish a against a scratch peer
     mw::Framing peer;
-    Sink sa, sp;
+    Sink sa{a}, sp{peer};
     peer.start();
     pump(a, peer, sa, sp);
   }
@@ -476,7 +578,7 @@ TEST(Framing, EverySingleBitFlipIsRejected) {
       auto corrupted = wire;
       corrupted[i] ^= static_cast<std::uint8_t>(1 << bit);
       mw::Framing fresh;
-      Sink s;
+      Sink s{fresh};
       fresh.feed(corrupted, s.fn());
       fresh.feed(bytes_of({0x00}), s.fn());  // flush any partial packet
       EXPECT_TRUE(s.messages.empty())
@@ -487,7 +589,7 @@ TEST(Framing, EverySingleBitFlipIsRejected) {
 
 TEST(Framing, ReplayedFrameIsRejected) {
   mw::Framing a, b;
-  Sink sa, sb;
+  Sink sa{a}, sb{b};
   a.start();
   b.start();
   pump(a, b, sa, sb);
@@ -502,7 +604,7 @@ TEST(Framing, ReplayedFrameIsRejected) {
 
 TEST(Framing, SequenceGapIsCountedButAccepted) {
   mw::Framing a, b;
-  Sink sa, sb;
+  Sink sa{a}, sb{b};
   a.start();
   b.start();
   pump(a, b, sa, sb);
@@ -521,7 +623,7 @@ TEST(Framing, SequenceGapIsCountedButAccepted) {
 
 TEST(Framing, FragmentedDeliveryReassembles) {
   mw::Framing a, b;
-  Sink sa, sb;
+  Sink sa{a}, sb{b};
   a.start();
   b.start();
   pump(a, b, sa, sb);
@@ -573,7 +675,7 @@ TEST(Framing, SecurityTransformRoundTrips) {
   ca.transform = &ka;
   cb.transform = &kb;
   mw::Framing a(ca), b(cb);
-  Sink sa, sb;
+  Sink sa{a}, sb{b};
   a.start();
   b.start();
   pump(a, b, sa, sb);
@@ -590,7 +692,7 @@ TEST(Framing, MismatchedKeysFailAuthenticationNotCrc) {
   ca.transform = &ka;
   cb.transform = &kb;
   mw::Framing a(ca), b(cb);
-  Sink sb;
+  Sink sb{b};
   a.start();
   b.feed(a.take_outbound(), sb.fn());
   EXPECT_FALSE(b.established());
@@ -599,23 +701,11 @@ TEST(Framing, MismatchedKeysFailAuthenticationNotCrc) {
 }
 
 TEST(Framing, FutureVersionPeerNegotiatesDownToOurs) {
-  // Hand-craft an Init advertising max version 7 (a future build).
-  std::vector<std::uint8_t> frame;
-  frame.push_back(0x01);  // kInit
-  for (int i = 0; i < 8; ++i)
-    frame.push_back(i == 0 ? 1 : 0);  // link seq 1
-  frame.push_back(8);
-  frame.push_back(0);  // window 8
-  frame.push_back(7);
-  frame.push_back(0);  // max version 7
-  const std::uint32_t crc = mw::crc32_ieee(frame);
-  for (int i = 0; i < 4; ++i)
-    frame.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-  std::vector<std::uint8_t> wire;
-  mw::cobs_encode(frame, wire);
+  // Hand-craft an Init advertising window 8 and max version 7 (a future
+  // build).
   mw::Framing b;
-  Sink sb;
-  b.feed(wire, sb.fn());
+  Sink sb{b};
+  b.feed(raw_frame(kInit, 1, {8, 0, 7, 0}), sb.fn());
   EXPECT_TRUE(b.established());
   EXPECT_EQ(b.negotiated_version(), 1u);
   EXPECT_EQ(b.send_credit(), 8u);
@@ -637,7 +727,7 @@ TEST(Fuzz, RandomBytesNeverCrashCodecDecode) {
 TEST(Fuzz, RandomBytesNeverDeliverThroughFraming) {
   mathx::Rng rng(0xF8A);
   mw::Framing b;
-  Sink s;
+  Sink s{b};
   for (int iter = 0; iter < 2000; ++iter) {
     std::vector<std::uint8_t> buf(rng.uniform_index(300));
     for (auto& x : buf)

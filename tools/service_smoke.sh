@@ -13,7 +13,9 @@
 #   5. malformed submissions (300 KB of nested brackets, a negative
 #      vehicle count) get a 400, and a Content-Length of -1 (followed by
 #      1 MB of body) or of 10^9 bytes gets the connection closed; none of
-#      them stops the daemon serving or changes a stored report;
+#      them stops the daemon serving or changes a stored report; the
+#      resets of step 4 and the closes of step 5 are counted in
+#      sesame.service.client_disconnects_total{reason};
 #   6. a submission priced past the cost cap (20,000 vehicles for 1e9 s)
 #      gets a 429 without running anything;
 #   7. a client that half-closes (shutdown(SHUT_WR)) right after its
@@ -148,6 +150,12 @@ for length, body in (("-1", b"x" * 1000000), ("1000000000", b"")):
         sys.exit("FAIL: Content-Length: %s left the connection open" % length)
 PY
 still_serving "bad input"
+# The daemon counts why it dropped those connections (steps 4 and 5).
+curl -fsS "http://127.0.0.1:$HTTP_PORT/metrics" > "$WORK/metrics.txt"
+for reason in peer_reset malformed; do
+  grep -q "sesame_service_client_disconnects_total{reason=\"$reason\"}" \
+    "$WORK/metrics.txt" || fail "no $reason disconnect counted"
+done
 echo "ok: malformed submissions refused, daemon still serving"
 
 # --- 6. a submission over the cost cap is refused ---------------------------
