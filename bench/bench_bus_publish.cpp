@@ -3,7 +3,7 @@
 // Every simulated second funnels through Bus::publish (telemetry, position
 // fixes, alerts), so per-publish overhead bounds how much faster than real
 // time the whole stack can run. These benches isolate the pipeline stages:
-// bare fan-out, fan-out width, journaling, tap + fault-policy bookkeeping,
+// bare fan-out, fan-out width, tap + fault-policy bookkeeping, metrics
 // and subscription churn. `BM_BusPublishSteadyState` is the number the CI
 // bench-smoke job gates on (>20% regression vs the committed
 // BENCH_bus_publish.json baseline fails the build).
@@ -35,11 +35,10 @@ struct Telemetry {
 };
 
 /// Steady state of a mission run: a warm topic, a few subscribers, no
-/// journal growth, no instrumentation — the configuration the ≥2×
-/// campaign-throughput target lives or dies on.
+/// instrumentation — the configuration the ≥2× campaign-throughput
+/// target lives or dies on.
 void BM_BusPublishSteadyState(benchmark::State& state) {
   mw::Bus bus;
-  bus.enable_journal(false);
   std::uint64_t sink = 0;
   std::vector<mw::Subscription> subs;
   for (int i = 0; i < 3; ++i) {
@@ -66,7 +65,6 @@ BENCHMARK(BM_BusPublishSteadyState);
 /// BM_BusPublishSteadyState is the price of the string-keyed shim.
 void BM_BusPublishInterned(benchmark::State& state) {
   mw::Bus bus;
-  bus.enable_journal(false);
   std::uint64_t sink = 0;
   std::vector<mw::Subscription> subs;
   for (int i = 0; i < 3; ++i) {
@@ -92,7 +90,6 @@ BENCHMARK(BM_BusPublishInterned);
 /// Fan-out width: per-publish cost with N subscribers on the topic.
 void BM_BusPublishFanout(benchmark::State& state) {
   mw::Bus bus;
-  bus.enable_journal(false);
   std::uint64_t sink = 0;
   std::vector<mw::Subscription> subs;
   for (std::int64_t i = 0; i < state.range(0); ++i) {
@@ -111,31 +108,11 @@ void BM_BusPublishFanout(benchmark::State& state) {
 }
 BENCHMARK(BM_BusPublishFanout)->Arg(1)->Arg(4)->Arg(16);
 
-/// Journal cost: steady state plus the per-attempt journal record.
-void BM_BusPublishJournaled(benchmark::State& state) {
-  mw::Bus bus;  // journal enabled by default
-  std::uint64_t sink = 0;
-  auto sub = bus.subscribe<Telemetry>(
-      "uav/uav1/telemetry",
-      [&sink](const mw::MessageHeader& h, const Telemetry&) { sink += h.seq; });
-  const Telemetry t;
-  std::uint64_t n = 0;
-  for (auto _ : state) {
-    bus.publish("uav/uav1/telemetry", t, "uav1", 1.0);
-    // Keep the journal from growing without bound across bench iterations.
-    if ((++n & 0xFFFFu) == 0) bus.clear_journal();
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BusPublishJournaled);
-
 /// Tap + fault-policy bookkeeping: an IDS-style tap observes every
 /// attempt and a FaultInjector (whose rule never matches this topic) is
 /// consulted for every accepted publication.
 void BM_BusPublishWithTapAndPolicy(benchmark::State& state) {
   mw::Bus bus;
-  bus.enable_journal(false);
   std::uint64_t sink = 0;
   auto sub = bus.subscribe<Telemetry>(
       "uav/uav1/telemetry",
@@ -166,7 +143,6 @@ BENCHMARK(BM_BusPublishWithTapAndPolicy);
 /// the delivery-latency histogram on the fan-out).
 void BM_BusPublishWithMetrics(benchmark::State& state) {
   mw::Bus bus;
-  bus.enable_journal(false);
   obs::MetricsRegistry metrics;
   bus.set_metrics(&metrics);
   std::uint64_t sink = 0;
@@ -182,11 +158,10 @@ void BM_BusPublishWithMetrics(benchmark::State& state) {
 }
 BENCHMARK(BM_BusPublishWithMetrics);
 
-/// Publish into the void: no subscribers, journal off — the floor of the
-/// pipeline (header build + topic resolution + counters).
+/// Publish into the void: no subscribers — the floor of the pipeline
+/// (header build + topic resolution + counters).
 void BM_BusPublishNoSubscribers(benchmark::State& state) {
   mw::Bus bus;
-  bus.enable_journal(false);
   const Telemetry t;
   for (auto _ : state) {
     bus.publish("uav/uav1/telemetry", t, "uav1", 1.0);
@@ -200,7 +175,6 @@ BENCHMARK(BM_BusPublishNoSubscribers);
 /// teardown).
 void BM_BusSubscribeUnsubscribe(benchmark::State& state) {
   mw::Bus bus;
-  bus.enable_journal(false);
   std::vector<mw::Subscription> standing;
   for (int i = 0; i < 16; ++i) {
     standing.push_back(bus.subscribe<Telemetry>(

@@ -72,7 +72,6 @@ void BM_CodecDecodeDeliver(benchmark::State& state) {
   sim::register_wire_types(codec);
   const auto wire = codec.encode(bench_header(), bench_telemetry());
   mw::Bus bus;
-  bus.enable_journal(false);
   std::uint64_t sink = 0;
   auto sub = bus.subscribe<sim::Telemetry>(
       "uav/uav1/telemetry",
@@ -129,8 +128,6 @@ void BM_BridgeFederation(benchmark::State& state) {
   mw::Codec codec;
   sim::register_wire_types(codec);
   mw::Bus bus_a, bus_b;
-  bus_a.enable_journal(false);
-  bus_b.enable_journal(false);
   mw::BusBridge bridge_a(bus_a, codec), bridge_b(bus_b, codec);
   bridge_a.start();
   bridge_b.start();
@@ -163,7 +160,6 @@ BENCHMARK(BM_BridgeFederation);
 /// subscriber). The federation slowdown factor is this / federation.
 void BM_InProcessPublish(benchmark::State& state) {
   mw::Bus bus;
-  bus.enable_journal(false);
   std::uint64_t sink = 0;
   auto sub = bus.subscribe<sim::Telemetry>(
       "uav/uav1/telemetry",

@@ -1,5 +1,7 @@
 #include "sesame/mw/bus.hpp"
 
+#include <vector>
+
 namespace sesame::mw {
 
 TopicId Bus::intern_topic(std::string_view name) {
@@ -72,36 +74,6 @@ std::size_t Bus::subscriber_count(TopicId topic) const {
     if (e.died == kLive) ++n;
   }
   return n;
-}
-
-std::vector<JournalEntry> Bus::journal() const {
-  // Unroll the ring oldest-first: [head, end) wrapped before [0, head).
-  std::vector<JournalEntry> ordered;
-  ordered.reserve(journal_.size());
-  for (std::size_t i = journal_head_; i < journal_.size(); ++i) {
-    ordered.push_back(journal_[i]);
-  }
-  for (std::size_t i = 0; i < journal_head_; ++i) {
-    ordered.push_back(journal_[i]);
-  }
-  return ordered;
-}
-
-void Bus::set_journal_capacity(std::size_t capacity) {
-  if (capacity == 0) {
-    throw std::invalid_argument(
-        "Bus::set_journal_capacity: capacity must be >= 1");
-  }
-  std::vector<JournalEntry> ordered = journal();
-  if (ordered.size() > capacity) {
-    const std::size_t evict = ordered.size() - capacity;
-    journal_dropped_ += evict;
-    ordered.erase(ordered.begin(),
-                  ordered.begin() + static_cast<std::ptrdiff_t>(evict));
-  }
-  journal_ = std::move(ordered);
-  journal_head_ = 0;
-  journal_capacity_ = capacity;
 }
 
 void Bus::scan_subscriber_types(const TopicState& ts, std::type_index type,

@@ -19,19 +19,17 @@
 //  - `MessageHeader` carries the interned ids plus string views into the
 //    bus-owned name table (valid for the bus's lifetime) — no per-message
 //    string copies.
-//  - The journal is a capped ring buffer (default generous); once warm it
-//    overwrites its oldest slot instead of growing, and counts what it
-//    evicted (`journal_dropped`).
 //
 // Delivery contract (single-threaded by design — the simulator steps the
 // world deterministically, so fan-out is synchronous and in subscription
 // order):
-//  - Each publication runs the pipeline journal → taps → ACL → type
-//    validation → fault policies → delivery. Taps and the journal observe
-//    every attempt; the ACL drops unauthorized publications before
-//    subscribers; subscriber payload types are validated *before* any
-//    handler runs; registered `DeliveryPolicy` objects may then drop,
-//    delay, duplicate or reorder the message (see fault_plan.hpp).
+//  - Each publication runs the pipeline taps → ACL → type validation →
+//    fault policies → delivery. Taps observe every attempt, in
+//    registration order, so a tap is the one way to record the traffic;
+//    the ACL drops unauthorized publications before subscribers;
+//    subscriber payload types are validated *before* any handler runs;
+//    registered `DeliveryPolicy` objects may then drop, delay, duplicate
+//    or reorder the message (see fault_plan.hpp).
 //  - Delivery order is subscription order, and unsubscribing never
 //    reorders the remaining subscribers. (Removal is ordered rather than
 //    swap-and-pop precisely to keep this guarantee — campaign reports are
@@ -41,8 +39,11 @@
 //    of being copied, so handlers may freely (un)subscribe, add taps, or
 //    release their own Subscription mid-delivery. A handler or tap removed
 //    during a fan-out still observes the in-flight message; one added
-//    during a fan-out first observes the next message. Delivery policies
-//    must not mutate the bus from inside decide().
+//    during a fan-out first observes the next message. A tap or handler
+//    that publishes runs the inner publication to completion before the
+//    outer fan-out resumes: taps registered before a publishing tap see
+//    the outer message first, taps after it see the inner one first.
+//    Delivery policies must not mutate the bus from inside decide().
 //  - Delayed messages sit in a queue drained by `drain_delayed()` (called
 //    once per `sim::World::step`); they are delivered to the subscribers
 //    registered *at drain time*, with their original header.
@@ -59,7 +60,6 @@
 #include <string>
 #include <string_view>
 #include <typeindex>
-#include <vector>
 
 #include "sesame/obs/metrics.hpp"
 
@@ -107,13 +107,6 @@ struct MessageHeader {
   std::string_view topic;
   TopicId topic_id;             ///< interned handle of `topic`
   SourceId source_id;           ///< interned handle of `source`
-};
-
-/// Journal entry kept for diagnostics and the IDS. `type_name` views the
-/// payload's typeid name (static storage — always valid).
-struct JournalEntry {
-  MessageHeader header;
-  std::string_view type_name;  ///< mangled C++ type of the payload
 };
 
 /// What a delivery policy decided for one accepted publication.
@@ -205,9 +198,9 @@ class Bus {
   /// duplicate or reorder the accepted message; without policies delivery
   /// is immediate and lossless.
   ///
-  /// This id overload is the hot path: with the journal off and no taps,
-  /// policies or metrics attached, it performs no allocation and no
-  /// string or map lookup of any kind.
+  /// This id overload is the hot path: with no taps, policies or metrics
+  /// attached, it performs no allocation and no string or map lookup of
+  /// any kind.
   template <typename T>
   void publish(TopicId topic, const T& payload, SourceId source,
                double time_s) {
@@ -219,14 +212,13 @@ class Bus {
     h.topic = topic_names_[topic.index_];
     h.topic_id = topic;
     h.source_id = source;
-    // Instrumentation rides the same point as the journal: both observe
+    // Instrumentation rides the same point as the taps: both observe
     // every publication attempt, accepted or not.
     TopicInstruments* ti = nullptr;
     if (metrics_ != nullptr) {
       ti = &instruments(topic);
       ti->publish->inc();
     }
-    if (journal_enabled_) journal_push(h, typeid(T).name());
     // Taps see everything, before subscribers. Generation-counted
     // iteration: a tap may re-entrantly add taps or release tap
     // Subscriptions; entries born during this fan-out are skipped,
@@ -396,28 +388,10 @@ class Bus {
   std::size_t subscriber_count(std::string_view topic) const;
   std::size_t subscriber_count(TopicId topic) const;
 
-  /// Message journal (headers only); enabled by default. Bounded: a capped
-  /// ring buffer that overwrites its oldest entry once `journal_capacity`
-  /// is reached, so long campaigns cannot exhaust memory.
-  void enable_journal(bool on) { journal_enabled_ = on; }
-  /// Snapshot of the retained entries, oldest first.
-  std::vector<JournalEntry> journal() const;
-  void clear_journal() {
-    journal_.clear();
-    journal_head_ = 0;
-    journal_dropped_ = 0;
-  }
-  /// Resizes the ring (default 65536 entries). Shrinking evicts the oldest
-  /// entries (counted as dropped). Throws std::invalid_argument on 0.
-  void set_journal_capacity(std::size_t capacity);
-  std::size_t journal_capacity() const noexcept { return journal_capacity_; }
-  /// Entries evicted from the ring since the journal was last cleared.
-  std::uint64_t journal_dropped() const noexcept { return journal_dropped_; }
-
   /// Publications accepted by the transport (attempts minus ACL rejects).
   /// Messages later dropped or delayed by fault policies still count: the
-  /// transport accepted them, the link lost them. The journal records
-  /// every attempt, accepted or not.
+  /// transport accepted them, the link lost them. Taps see every attempt,
+  /// accepted or not.
   std::uint64_t messages_published() const noexcept { return published_; }
 
   /// Enables authenticated publishing on `topic`: only `source` may
@@ -442,7 +416,7 @@ class Bus {
 
   /// Attaches (nullptr: detaches) a metrics registry. While attached the
   /// bus maintains, per topic: `sesame.mw.publish_total` (every publication
-  /// attempt, like the journal), `sesame.mw.deliver_total` (handler
+  /// attempt, as taps see them), `sesame.mw.deliver_total` (handler
   /// invocations), `sesame.mw.delivery_latency_seconds` (wall time to
   /// fan one message out to a topic's subscribers) and the fault-policy
   /// counters `sesame.mw.fault_dropped_total` /
@@ -563,16 +537,6 @@ class Bus {
   /// fan-out on the stack.
   void compact();
 
-  void journal_push(const MessageHeader& h, const char* type_name) {
-    if (journal_.size() < journal_capacity_) {
-      journal_.push_back(JournalEntry{h, type_name});
-      return;
-    }
-    journal_[journal_head_] = JournalEntry{h, type_name};
-    if (++journal_head_ == journal_capacity_) journal_head_ = 0;
-    ++journal_dropped_;
-  }
-
   /// Synchronous fan-out of one message to the current subscribers.
   /// Re-validates types (the subscriber set may have changed since a
   /// delayed message was enqueued) and records delivery metrics for the
@@ -628,13 +592,6 @@ class Bus {
   std::deque<TapEntry> taps_;
   std::deque<PolicyEntry> policies_;
   std::deque<Delayed> delayed_;
-
-  // --- journal ring -------------------------------------------------------
-  std::vector<JournalEntry> journal_;
-  std::size_t journal_head_ = 0;      ///< oldest slot once the ring is full
-  std::size_t journal_capacity_ = 65536;
-  std::uint64_t journal_dropped_ = 0;
-  bool journal_enabled_ = true;
 
   // --- bookkeeping --------------------------------------------------------
   obs::MetricsRegistry* metrics_ = nullptr;

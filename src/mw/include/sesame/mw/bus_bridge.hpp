@@ -13,9 +13,9 @@
 // socketpair between two processes; tests pump in memory).
 //
 // Delivery-policy integration: a remote message enters the local bus
-// through the ordinary `Bus::publish` pipeline — journal, taps (the IDS
-// sees federated traffic), ACL, type validation, fault-injection
-// policies, metrics. A fault plan on the receiving bus drops/delays
+// through the ordinary `Bus::publish` pipeline — taps (the IDS sees
+// federated traffic), ACL, type validation, fault-injection policies,
+// metrics. A fault plan on the receiving bus drops/delays
 // bridged messages exactly like local ones. Outbound capture is
 // tap-level, i.e. *pre*-policy on the sending side: the bridge behaves
 // like a network interface, not a subscriber — what the local bus's fault

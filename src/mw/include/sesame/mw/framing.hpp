@@ -160,6 +160,8 @@ class Framing {
   /// Drains the bytes to put on the wire.
   std::vector<std::uint8_t> take_outbound();
   bool has_outbound() const noexcept { return !outbound_.empty(); }
+  /// Wire bytes waiting for take_outbound().
+  std::size_t outbound_bytes() const noexcept { return outbound_.size(); }
 
   /// Consumes received wire bytes, delivering every accepted Message
   /// frame's payload to `sink`. Partial packets are buffered for the next

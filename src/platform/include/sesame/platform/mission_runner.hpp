@@ -86,6 +86,11 @@ struct RunnerConfig {
   double descend_altitude_m = 18.0;
   /// Consecutive over-threshold assessments before descending.
   int descend_patience = 3;
+  /// Per-UAV EDDI settings; not read from or written to the config JSON.
+  /// With SESAME on, setup_sesame overwrites `safeml.measure`,
+  /// `safeml.full_scale`, `safeml.high_threshold`, `safeml.low_threshold`
+  /// and `dk_uncertainty_baseline` whatever the caller set: tuning those
+  /// changes nothing.
   eddi::UavEddiConfig eddi;
   /// C2 link budget: each UAV's comm_link_good evidence comes from the
   /// link quality at its range from the ground station (its home pad).

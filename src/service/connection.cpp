@@ -61,6 +61,15 @@ void ServiceConnection::service(short revents, double now_s) {
     }
   }
   moved += pump_.flush();
+  // Requests the session held at the mark resume once unsent bytes are
+  // back under it; a peer waiting for their replies sends nothing more.
+  // A session held for credit instead produces nothing, which ends this.
+  while (wire_ && wire_->holds_requests() && pump_.owed() < kHighWaterBytes) {
+    wire_->feed({});
+    if (!wire_->has_outbound()) break;
+    pump_.queue(wire_->take_outbound());
+    moved += pump_.flush();
+  }
   if (moved > 0) last_activity_s_ = now_s;
 }
 

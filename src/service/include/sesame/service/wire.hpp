@@ -54,9 +54,10 @@
 namespace sesame::service {
 
 /// Backpressure bound, in bytes. A wire session handles no request while
-/// this many reply bytes wait for the peer's window credit (later requests
-/// are held uncredited, so the receive window bounds them); a daemon
-/// connection reads nothing while this many bytes are unsent.
+/// this many reply bytes wait for the peer's window credit or for
+/// take_outbound() (later requests are held uncredited, so the receive
+/// window bounds them); a daemon connection reads nothing while this many
+/// bytes are unsent.
 inline constexpr std::size_t kHighWaterBytes = std::size_t{1} << 20;
 
 /// Server side of one wire connection.
@@ -78,7 +79,8 @@ class WireSession {
 
   /// Consumes inbound wire bytes; responses queue on take_outbound().
   /// Requests are handled, then credited, in arrival order; while
-  /// kHighWaterBytes of replies wait for credit, new ones are held.
+  /// kHighWaterBytes of replies wait for credit or for take_outbound(),
+  /// new ones are held. Feeding no bytes resumes held requests.
   void feed(std::span<const std::uint8_t> bytes);
   std::vector<std::uint8_t> take_outbound() {
     return framing_.take_outbound();
@@ -87,6 +89,8 @@ class WireSession {
 
   /// Reply payload bytes waiting for the peer's window credit.
   std::size_t queued_bytes() const noexcept { return framing_.queued_bytes(); }
+  /// Requests received and not yet handled (see feed).
+  bool holds_requests() const noexcept { return !held_.empty(); }
 
   /// Polls the link's counters into the wire monitor (call after feed).
   void poll_security(double now_s) {

@@ -72,8 +72,11 @@ void WireSession::feed(std::span<const std::uint8_t> bytes) {
     held_.emplace_back(reinterpret_cast<const char*>(payload.data()),
                        payload.size());
   });
-  // Credit each request once handled; the rest wait, uncredited.
-  while (!held_.empty() && framing_.queued_bytes() < kHighWaterBytes) {
+  // Credit each request once handled; the rest wait, uncredited. Replies
+  // the peer's credit lets through count until the owner takes them.
+  while (!held_.empty() &&
+         framing_.queued_bytes() + framing_.outbound_bytes() <
+             kHighWaterBytes) {
     handle(held_.front());
     held_.pop_front();
     framing_.release(1);

@@ -3,17 +3,19 @@
 // Runs a fixed, fully seeded "faulty mission" at the bus level — telemetry
 // traffic through a FaultInjector (drop / delay / duplicate / reorder), an
 // ACL-restricted command topic probed by an attacker, and subscriber churn
-// mid-run — and digests everything observable about it: the journal, the
-// exact delivery order each subscriber saw, the fault counters, and the
-// deterministic slice of the metrics snapshot.
+// mid-run — and digests everything observable about it: every publication
+// attempt (the journal), the exact delivery order each subscriber saw, the
+// fault counters, and the deterministic slice of the metrics snapshot.
 //
 // The expected constants below were recorded on the string-keyed bus
-// before the topic-interning optimisation (PR "faster-than-real-time hot
-// path"). They pin the externally observable semantics of the publish →
-// journal → taps → ACL → fault-policy → delivery pipeline: any change to
-// delivery order, fault realization, ACL accounting, or journal contents
-// shows up as a digest mismatch here. An optimisation must reproduce them
-// bit for bit.
+// before the topic-interning optimisation, when the bus still kept a
+// journal ring of its own. They pin the externally observable semantics
+// of the publish → taps → ACL → fault-policy → delivery pipeline: any
+// change to delivery order, fault realization, ACL accounting, or the
+// attempts a tap observes shows up as a digest mismatch here. The journal
+// is now recorded by a tap registered first on the fresh bus, and it
+// reproduces the ring's digest bit for bit: the tap sees exactly the
+// attempts, in the order, that the ring stored.
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -24,6 +26,7 @@
 #include "sesame/mw/bus.hpp"
 #include "sesame/mw/fault_plan.hpp"
 #include "sesame/obs/metrics.hpp"
+#include "support/tap_recorder.hpp"
 
 namespace mw = sesame::mw;
 namespace obs = sesame::obs;
@@ -70,6 +73,7 @@ struct GoldenRun {
 
 GoldenRun run_golden_mission() {
   mw::Bus bus;
+  const sesame::test::TapRecorder recorder(bus);
   obs::MetricsRegistry metrics;
   bus.set_metrics(&metrics);
 
@@ -138,12 +142,12 @@ GoldenRun run_golden_mission() {
 
   GoldenRun run;
   Digest journal;
-  for (const auto& entry : bus.journal()) {
-    journal.u64(entry.header.seq);
-    journal.f64(entry.header.time_s);
-    journal.str(entry.header.source);
-    journal.str(entry.header.topic);
-    journal.str(entry.type_name);
+  for (const auto& row : recorder.rows()) {
+    journal.u64(row.seq);
+    journal.f64(row.time_s);
+    journal.str(row.source);
+    journal.str(row.topic);
+    journal.str(row.type_name);
   }
   Digest metric_digest;
   const obs::MetricsSnapshot snap = metrics.snapshot();
@@ -164,7 +168,7 @@ GoldenRun run_golden_mission() {
   run.journal_digest = journal.h;
   run.delivery_digest = delivery.h;
   run.metrics_digest = metric_digest.h;
-  run.journal_size = bus.journal().size();
+  run.journal_size = recorder.rows().size();
   run.deliveries = delivered;
   run.published = bus.messages_published();
   run.rejected = bus.rejected_publications();

@@ -334,20 +334,18 @@ TEST(MotorFailurePipeline, DegradedPropulsionRaisesRiskButMissionFinishes) {
 // ---------------------------------------------------------------------------
 
 #include "sesame/mw/fault_plan.hpp"
+#include "support/tap_recorder.hpp"
 
 TEST(Determinism, FaultPlanRunIsBitReproducible) {
-  // Same seed + same fault plan + lossy links => identical event journal
-  // and identical recorded state series, run after run.
+  // Same seed + same fault plan + lossy links => identical stream of
+  // publication attempts and identical recorded state series, run after
+  // run.
   //
-  // JournalEntry holds views into bus-owned name tables, so the journal is
-  // copied into owning strings here *before* the runner (and its bus) dies.
-  struct JournalRow {
-    std::uint64_t seq;
-    double time_s;
-    std::string source;
-    std::string topic;
-    std::string type_name;
-  };
+  // The recorder taps the bus after the runner built it, so the IDS tap is
+  // already registered ahead of it. The IDS publishes its alerts from
+  // inside its tap, which runs the alert's whole pipeline first: this
+  // recorder lists each alert *before* the publication that triggered it.
+  // Both runs are recorded the same way, so the comparison holds.
   auto run_once = [] {
     platform::RunnerConfig cfg;
     cfg.n_uavs = 2;
@@ -365,25 +363,20 @@ TEST(Determinism, FaultPlanRunIsBitReproducible) {
     cfg.fault_plan = plan;
     cfg.spoofing = platform::SpoofingEvent{"uav1", 40.0, 2.0};
     platform::MissionRunner runner(cfg);
+    const sesame::test::TapRecorder recorder(runner.world().bus());
     auto result = runner.run();
-    std::vector<JournalRow> rows;
-    for (const auto& e : runner.world().bus().journal()) {
-      rows.push_back({e.header.seq, e.header.time_s,
-                      std::string(e.header.source), std::string(e.header.topic),
-                      std::string(e.type_name)});
-    }
-    return std::make_pair(std::move(result), std::move(rows));
+    return std::make_pair(std::move(result), recorder.rows());
   };
-  const auto [a, journal_a] = run_once();
-  const auto [b, journal_b] = run_once();
+  const auto [a, attempts_a] = run_once();
+  const auto [b, attempts_b] = run_once();
 
-  ASSERT_EQ(journal_a.size(), journal_b.size());
-  for (std::size_t i = 0; i < journal_a.size(); ++i) {
-    EXPECT_EQ(journal_a[i].seq, journal_b[i].seq);
-    EXPECT_EQ(journal_a[i].time_s, journal_b[i].time_s);
-    EXPECT_EQ(journal_a[i].source, journal_b[i].source);
-    EXPECT_EQ(journal_a[i].topic, journal_b[i].topic);
-    EXPECT_EQ(journal_a[i].type_name, journal_b[i].type_name);
+  ASSERT_EQ(attempts_a.size(), attempts_b.size());
+  for (std::size_t i = 0; i < attempts_a.size(); ++i) {
+    EXPECT_EQ(attempts_a[i].seq, attempts_b[i].seq);
+    EXPECT_EQ(attempts_a[i].time_s, attempts_b[i].time_s);
+    EXPECT_EQ(attempts_a[i].source, attempts_b[i].source);
+    EXPECT_EQ(attempts_a[i].topic, attempts_b[i].topic);
+    EXPECT_EQ(attempts_a[i].type_name, attempts_b[i].type_name);
   }
   ASSERT_EQ(a.series.size(), b.series.size());
   for (const auto& [name, series_a] : a.series) {

@@ -1,6 +1,6 @@
-// Tests for the pub/sub middleware: delivery, typing, taps, journal,
-// subscription lifetimes, and the deliberate injectability property the
-// spoofing scenario relies on.
+// Tests for the pub/sub middleware: delivery, typing, taps, subscription
+// lifetimes, and the deliberate injectability property the spoofing
+// scenario relies on.
 #include <string>
 #include <vector>
 
@@ -8,6 +8,7 @@
 
 #include "sesame/mw/bus.hpp"
 #include "sesame/obs/metrics.hpp"
+#include "support/tap_recorder.hpp"
 
 namespace mw = sesame::mw;
 
@@ -161,23 +162,20 @@ TEST(Bus, TapCanInspectPayload) {
   EXPECT_DOUBLE_EQ(value, 35.5);
 }
 
-TEST(Bus, JournalRecordsHeaders) {
+TEST(Bus, TapRecordsHeaders) {
   mw::Bus bus;
+  const sesame::test::TapRecorder recorder(bus);
   bus.publish("a", 1, "alice", 0.5);
-  bus.publish("b", 2, "bob", 1.5);
-  ASSERT_EQ(bus.journal().size(), 2u);
-  EXPECT_EQ(bus.journal()[0].header.source, "alice");
-  EXPECT_EQ(bus.journal()[1].header.topic, "b");
-  bus.clear_journal();
-  EXPECT_TRUE(bus.journal().empty());
-}
-
-TEST(Bus, JournalCanBeDisabled) {
-  mw::Bus bus;
-  bus.enable_journal(false);
-  bus.publish("a", 1, "n", 0.0);
-  EXPECT_TRUE(bus.journal().empty());
-  EXPECT_EQ(bus.messages_published(), 1u);
+  bus.publish("b", 2.0, "bob", 1.5);
+  const auto& rows = recorder.rows();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].seq, 0u);
+  EXPECT_EQ(rows[0].source, "alice");
+  EXPECT_EQ(rows[0].time_s, 0.5);
+  EXPECT_EQ(rows[0].type_name, typeid(int).name());
+  EXPECT_EQ(rows[1].seq, 1u);
+  EXPECT_EQ(rows[1].topic, "b");
+  EXPECT_EQ(rows[1].type_name, typeid(double).name());
 }
 
 // The security-critical property the paper's attack scenario exploits:
@@ -289,7 +287,7 @@ TEST(BusMetrics, RejectedPublicationsAreCounted) {
   bus.restrict_publisher("cmd", "operator");
   bus.publish("cmd", 1, "attacker", 0.0);
   EXPECT_DOUBLE_EQ(reg.counter("sesame.mw.rejected_total").value(), 1.0);
-  // The attempt still shows in publish_total, mirroring the journal.
+  // The attempt still shows in publish_total, as a tap sees it.
   EXPECT_DOUBLE_EQ(
       reg.counter("sesame.mw.publish_total", {{"topic", "cmd"}}).value(), 1.0);
 }
@@ -364,6 +362,32 @@ TEST(Bus, TapMayReleaseOtherTapDuringFanOut) {
   EXPECT_EQ(released_tap_calls, 1);
   bus.publish("t", 2, "n", 1.0);
   EXPECT_EQ(released_tap_calls, 1);
+}
+
+TEST(Bus, TapThatPublishesRunsTheInnerPublicationFirst) {
+  // The IDS publishes its alerts from inside its tap. The inner
+  // publication runs its whole pipeline before the outer fan-out resumes:
+  // a tap registered before the publishing tap sees the outer message and
+  // then the inner one; a tap registered after it sees the inner one
+  // first. Test-side recorders rely on this order.
+  mw::Bus bus;
+  const sesame::test::TapRecorder before(bus);
+  auto alerting = bus.add_tap(
+      [&](const mw::MessageHeader& h, const std::any&, std::type_index) {
+        if (h.topic == "telemetry") bus.publish("alerts", 1, "ids", h.time_s);
+      });
+  const sesame::test::TapRecorder after(bus);
+  bus.publish("telemetry", 2.0, "uav1", 3.0);
+
+  ASSERT_EQ(before.rows().size(), 2u);
+  EXPECT_EQ(before.rows()[0].topic, "telemetry");
+  EXPECT_EQ(before.rows()[1].topic, "alerts");
+  ASSERT_EQ(after.rows().size(), 2u);
+  EXPECT_EQ(after.rows()[0].topic, "alerts");
+  EXPECT_EQ(after.rows()[1].topic, "telemetry");
+  // Sequence numbers follow publication, not observation, order.
+  EXPECT_EQ(after.rows()[0].seq, 1u);
+  EXPECT_EQ(after.rows()[1].seq, 0u);
 }
 
 TEST(Bus, TypeMismatchDeliversToNoOneAtAll) {
@@ -500,6 +524,7 @@ TEST(FaultInjection, DropRuleSuppressesDeliveryButCountsAsPublished) {
   plan.rules.push_back(rule);
   mw::FaultInjector injector(plan);
   auto policy = bus.add_delivery_policy(&injector);
+  const sesame::test::TapRecorder recorder(bus);
 
   int delivered = 0;
   auto sub = bus.subscribe<int>(
@@ -514,7 +539,8 @@ TEST(FaultInjection, DropRuleSuppressesDeliveryButCountsAsPublished) {
   // Accepted by the transport, lost on the link: still "published".
   EXPECT_EQ(bus.messages_published(), 2u);
   EXPECT_EQ(bus.faults_dropped(), 1u);
-  EXPECT_EQ(bus.journal().size(), 2u);  // the journal records the attempt
+  ASSERT_EQ(recorder.rows().size(), 2u);  // a tap sees the dropped attempt
+  EXPECT_EQ(recorder.rows()[0].topic, "lossy");
 }
 
 TEST(FaultInjection, DelayedMessageArrivesAfterNDrains) {
@@ -789,7 +815,6 @@ TEST(Bus, ReusedBusStartsSecondRunClean) {
 
   // Between runs: the reset the World performs on reuse/teardown.
   bus.clear_delayed();
-  bus.clear_journal();
 
   // Run 2: a fresh subscriber must never see run 1's in-flight message.
   std::vector<int> run2_received;
@@ -804,47 +829,6 @@ TEST(Bus, ReusedBusStartsSecondRunClean) {
   bus.drain_delayed();
   ASSERT_EQ(run2_received.size(), 1u);
   EXPECT_EQ(run2_received[0], 22);  // run 2 traffic only
-}
-
-TEST(BusJournal, RingBufferKeepsNewestAndCountsDrops) {
-  mw::Bus bus;
-  bus.set_journal_capacity(4);
-  for (int i = 0; i < 10; ++i) {
-    bus.publish("t" + std::to_string(i), i, "src", static_cast<double>(i));
-  }
-  const auto entries = bus.journal();
-  ASSERT_EQ(entries.size(), 4u);
-  // The ring keeps the newest entries in publication order.
-  EXPECT_EQ(entries[0].header.topic, "t6");
-  EXPECT_EQ(entries[1].header.topic, "t7");
-  EXPECT_EQ(entries[2].header.topic, "t8");
-  EXPECT_EQ(entries[3].header.topic, "t9");
-  EXPECT_EQ(bus.journal_dropped(), 6u);
-}
-
-TEST(BusJournal, ClearResetsRingAndDropCounter) {
-  mw::Bus bus;
-  bus.set_journal_capacity(2);
-  for (int i = 0; i < 5; ++i) bus.publish("t", i, "src", 0.0);
-  EXPECT_EQ(bus.journal_dropped(), 3u);
-  bus.clear_journal();
-  EXPECT_TRUE(bus.journal().empty());
-  EXPECT_EQ(bus.journal_dropped(), 0u);
-  bus.publish("t", 9, "src", 1.0);
-  ASSERT_EQ(bus.journal().size(), 1u);
-  EXPECT_EQ(bus.journal_dropped(), 0u);
-}
-
-TEST(BusJournal, ShrinkingCapacityKeepsNewestEntries) {
-  mw::Bus bus;
-  for (int i = 0; i < 6; ++i) {
-    bus.publish("t" + std::to_string(i), i, "src", 0.0);
-  }
-  bus.set_journal_capacity(3);
-  const auto entries = bus.journal();
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].header.topic, "t3");
-  EXPECT_EQ(entries[2].header.topic, "t5");
 }
 
 TEST(Bus, DeliveryOrderSurvivesUnsubscribe) {

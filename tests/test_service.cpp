@@ -739,12 +739,13 @@ struct RawWirePeer {
   }
 };
 
-/// Runs a job whose report is about 50 KB (one frame) and returns it with
-/// a poll request for it. Polling past the last event keeps each events
-/// reply small.
-std::pair<std::string, std::string> flood_target(Daemon& daemon) {
-  const auto submitted = daemon.svc.submit(
-      tiny_submission("flood", 7, /*runs=*/1, /*n_uavs=*/64));
+/// Runs a job whose report is about 800 bytes per vehicle (50 KB, one
+/// frame, for the default 64) and returns it with a poll request for it.
+/// Polling past the last event keeps each events reply small.
+std::pair<std::string, std::string> flood_target(Daemon& daemon,
+                                                 std::size_t n_uavs = 64) {
+  const auto submitted =
+      daemon.svc.submit(tiny_submission("flood", 7, /*runs=*/1, n_uavs));
   EXPECT_TRUE(submitted.accepted);
   const std::uint64_t job = submitted.job_id;
   EXPECT_EQ(daemon.svc.wait(job).state, service::JobState::kCompleted);
@@ -848,6 +849,86 @@ TEST(Connection, PeerThatNeverReadsStallsReadsInsteadOfGrowingMemory) {
     EXPECT_EQ(replies, 3u * kPolls);
     EXPECT_EQ(misplaced, 0u);
     EXPECT_LE(max_held, std::size_t{8} << 20);
+    EXPECT_EQ(decoder.counters().crc_errors, 0u);
+    EXPECT_FALSE(conn.finished(0.0));
+  }
+}
+
+TEST(Connection, OneReadOfPipelinedPollsHoldsAtMostTwoMarks) {
+  // A peer granting credit pipelines 24 polls for a report over 256 KB in
+  // one write. The credit lets each reply out as soon as it is made, so
+  // the session counts the bytes nobody has taken yet against the mark:
+  // one read handles polls only until a mark of replies waits. The rest
+  // are held, and resume as the peer reads even when it sends nothing
+  // more (its window covers every reply, so it owes no credit).
+  Daemon daemon;
+  const auto [report, poll] = flood_target(daemon, /*n_uavs=*/384);
+  ASSERT_GE(report.size(), std::size_t{256} * 1024);
+  const std::size_t reply_bytes = report.size() + report.size() / 100 + 1024;
+  constexpr std::size_t kPolls = 24;
+
+  for (const bool credits : {true, false}) {
+    SCOPED_TRACE(credits ? "peer credits as it reads" : "peer only reads");
+    const auto [server_fd, peer_fd] = socket_pair();
+    service::ServiceConnection conn(server_fd, daemon.context, 0.0,
+                                    "pipeline");
+    sesame::mw::SocketPump peer(peer_fd);
+    RawWirePeer raw;
+    std::vector<std::uint8_t> burst = raw.init(65535);
+    for (std::size_t i = 0; i < kPolls; ++i) {
+      const auto frame = raw.message(poll);
+      burst.insert(burst.end(), frame.begin(), frame.end());
+    }
+    peer.queue(std::move(burst));
+    peer.flush();
+    ASSERT_EQ(peer.owed(), 0u);  // one write
+
+    conn.service(POLLIN | POLLOUT, 0.0);  // the first read
+    EXPECT_LE(conn.held_bytes(), 2 * service::kHighWaterBytes + reply_bytes);
+
+    // The peer reads: every poll is answered, in order.
+    sesame::mw::Framing decoder;  // its own outbound frames are unused
+    std::size_t answered = 0;
+    std::size_t misplaced = 0;
+    std::size_t frames = 0;
+    std::size_t credited = 0;
+    std::size_t announced = 0;  // report bytes still to come
+    std::string partial;
+    for (int round = 0; round < 100000 && answered < kPolls; ++round) {
+      peer.read([&](std::span<const std::uint8_t> bytes) {
+        decoder.feed(bytes, [&](std::span<const std::uint8_t> payload,
+                                std::uint64_t) {
+          ++frames;
+          decoder.release(1);
+          const std::string text(
+              reinterpret_cast<const char*>(payload.data()), payload.size());
+          if (announced > 0) {
+            partial += text;
+            if (partial.size() < announced) return;
+            misplaced += partial == report ? 0 : 1;
+            ++answered;
+            partial.clear();
+            announced = 0;
+            return;
+          }
+          const auto doc = ode::parse_json(text);
+          if (doc.at("type").as_string() == "report_follows") {
+            announced = doc.at("bytes").as_integer<std::size_t>();
+          } else {
+            misplaced += doc.at("type").as_string() == "events" ? 0 : 1;
+          }
+        });
+      });
+      if (credits && frames > credited) {
+        peer.queue(
+            raw.release(static_cast<std::uint16_t>(frames - credited)));
+        credited = frames;
+      }
+      peer.flush();
+      conn.service(POLLIN | POLLOUT, 0.0);
+    }
+    EXPECT_EQ(answered, kPolls);
+    EXPECT_EQ(misplaced, 0u);
     EXPECT_EQ(decoder.counters().crc_errors, 0u);
     EXPECT_FALSE(conn.finished(0.0));
   }

@@ -6,7 +6,9 @@ Compares `items_per_second` for selected benchmarks between a fresh
 (exit 1) when a gated benchmark's throughput drops by more than the
 allowed fraction; improvements and small wobble pass. Benchmarks present
 in only one of the two files are reported but never fatal, so adding or
-renaming a bench does not brick CI before the baseline is refreshed.
+renaming a bench does not brick CI before the baseline is refreshed. A
+`--gate` name that no pair has in both files fails, though: a gated bench
+renamed or deleted everywhere would otherwise switch its gate off.
 
 Usage:
   check_bench_regression.py --baseline BENCH_bus_publish.json \
@@ -61,8 +63,13 @@ def load_results(path):
     return out
 
 
-def check_pair(baseline_path, current_path, gate_names, max_regression):
-    """Gates one baseline/current report pair; returns True on failure."""
+def check_pair(baseline_path, current_path, gate_names, max_regression,
+               checked=None):
+    """Gates one baseline/current report pair; returns True on failure.
+
+    Adds each benchmark compared in both files to the `checked` set, when
+    one is given.
+    """
     baseline = load_results(baseline_path)
     current = load_results(current_path)
     gates = gate_names or sorted(set(baseline) & set(current))
@@ -82,6 +89,8 @@ def check_pair(baseline_path, current_path, gate_names, max_regression):
                 f"{baseline_path}: {name} has a zero or negative baseline "
                 f"items_per_second ({base}); the gate cannot compute a ratio "
                 f"— refresh the baseline from a real bench run")
+        if checked is not None:
+            checked.add(name)
         ratio = cur / base
         verdict = "ok"
         if ratio < 1.0 - max_regression:
@@ -105,8 +114,9 @@ def main():
                          "combined with --baseline/--current)")
     ap.add_argument("--gate", action="append", default=[],
                     help="benchmark name to gate (repeatable); names absent "
-                         "from a pair are skipped there; default: all "
-                         "benchmarks present in both files of each pair")
+                         "from a pair are skipped there, and a name checked "
+                         "in no pair fails; default: all benchmarks present "
+                         "in both files of each pair")
     ap.add_argument("--max-regression", type=float, default=0.20,
                     help="fatal fractional throughput drop (default 0.20)")
     args = ap.parse_args()
@@ -125,9 +135,15 @@ def main():
         ap.error("nothing to do: give --baseline/--current or --compare")
 
     failed = False
+    checked = set()
     for baseline_path, current_path in pairs:
         failed |= check_pair(baseline_path, current_path, args.gate,
-                             args.max_regression)
+                             args.max_regression, checked)
+    for name in args.gate:
+        if name not in checked:
+            print(f"FAIL: gate {name} matched no pair (renamed or deleted? "
+                  f"update the --gate list)")
+            failed = True
     if failed:
         return 1
     print("bench regression gate passed")

@@ -8,11 +8,14 @@ the checker itself is under test. Run directly or via ctest:
   python3 tools/test_check_bench_regression.py
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
 import tempfile
 import unittest
+from unittest import mock
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import check_bench_regression as cbr  # noqa: E402
@@ -130,6 +133,39 @@ class CheckPairTest(unittest.TestCase):
             [bench("BM_A", 100.0), bench("BM_B", 100.0)],
             [bench("BM_A", 95.0), bench("BM_B", 10.0)])
         self.assertTrue(cbr.check_pair(base, cur, [], 0.20))
+
+
+class MainTest(unittest.TestCase):
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(self.tmp.cleanup)
+        self.bus_base = write_report(self.tmp.name, "bus_base.json",
+                                     [bench("BM_A", 100.0)], wrap_after=True)
+        self.bus_cur = write_report(self.tmp.name, "bus_cur.json",
+                                    [bench("BM_A", 95.0)])
+        self.wire_base = write_report(self.tmp.name, "wire_base.json",
+                                      [bench("BM_W", 100.0)], wrap_after=True)
+        self.wire_cur = write_report(self.tmp.name, "wire_cur.json",
+                                     [bench("BM_W", 99.0)])
+
+    def run_main(self, *gates):
+        argv = ["check_bench_regression.py",
+                "--compare", f"{self.bus_base}:{self.bus_cur}",
+                "--compare", f"{self.wire_base}:{self.wire_cur}"]
+        for gate in gates:
+            argv += ["--gate", gate]
+        with mock.patch.object(sys, "argv", argv), \
+                contextlib.redirect_stdout(io.StringIO()):
+            return cbr.main()
+
+    def test_each_gate_checked_in_one_pair_passes(self):
+        # Each gate is absent from the other pair: skipped there, not fatal.
+        self.assertEqual(self.run_main("BM_A", "BM_W"), 0)
+
+    def test_gate_matched_by_no_pair_fails(self):
+        # A gated bench renamed or deleted from every pair must not switch
+        # its gate off silently.
+        self.assertEqual(self.run_main("BM_A", "BM_Gone"), 1)
 
 
 if __name__ == "__main__":
