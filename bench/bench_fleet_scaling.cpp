@@ -12,7 +12,9 @@
 // BM_FleetRunnerTick times the whole platform tick instead: the
 // `fleet_1024` campaign preset's MissionRunner with observability attached,
 // whose bus fan-out to the state database and recovery watchdogs costs
-// several times the world step. It is recorded, not gated.
+// several times the world step. BM_FleetRunnerTickDetached runs the same
+// with nothing attached; the ratio of the two is the cost of observing the
+// run. Both are recorded, not gated.
 //
 //   bench_fleet_scaling --json fleet.json    # machine-readable results
 //
@@ -20,6 +22,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -98,32 +101,47 @@ void BM_FleetNeighborSweep(benchmark::State& state) {
 BENCHMARK(BM_FleetNeighborSweep)->Arg(4)->Arg(32)->Arg(256)->Arg(1024);
 
 /// One platform tick of a `fleet_1024` campaign run (1,024 vehicles, chaos
-/// failures, recovery, the full C2 fan-out), metrics attached as campaigns
-/// attach them. An iteration is one whole run of campaign seed 1, run 0;
-/// runner set-up and teardown are outside the timed region. Reports ticks
-/// per wall-clock second and `ms_per_tick`.
-void BM_FleetRunnerTick(benchmark::State& state) {
+/// failures, recovery, the full C2 fan-out). An iteration is one whole run
+/// of campaign seed 1, run 0; runner set-up and teardown are outside the
+/// timed region. Reports ticks per wall-clock second and `ms_per_tick`.
+void run_fleet_ticks(benchmark::State& state, bool observed) {
   const auto factory = campaign::ScenarioFactory::preset("fleet_1024");
   double ticks = 0.0;
   double seconds = 0.0;
   for (auto _ : state) {
     obs::Observability o;
     const auto runner = factory.make_runner(/*campaign_seed=*/1, /*run=*/0);
-    runner->attach_observability(o);
+    if (observed) runner->attach_observability(o);
     const auto t0 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(runner->run());
+    const auto result = runner->run();
     const double run_s = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - t0)
                              .count();
+    benchmark::DoNotOptimize(result);
     state.SetIterationTime(run_s);
     seconds += run_s;
-    ticks += o.metrics.counter("sesame.mission.ticks_total").value();
+    ticks += std::round(result.total_time_s / factory.base().dt_s);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(ticks));
   state.counters["ms_per_tick"] = ticks > 0.0 ? 1000.0 * seconds / ticks : 0.0;
   state.counters["uavs"] = 1024.0;
 }
+
+/// Metrics and tracing attached, as campaigns attach them.
+void BM_FleetRunnerTick(benchmark::State& state) {
+  run_fleet_ticks(state, /*observed=*/true);
+}
 BENCHMARK(BM_FleetRunnerTick)
+    ->UseManualTime()
+    ->Iterations(3)
+    ->Unit(benchmark::kMillisecond);
+
+/// The same run with nothing attached. BM_FleetRunnerTick over this is
+/// what observing a 1,024-vehicle run costs.
+void BM_FleetRunnerTickDetached(benchmark::State& state) {
+  run_fleet_ticks(state, /*observed=*/false);
+}
+BENCHMARK(BM_FleetRunnerTickDetached)
     ->UseManualTime()
     ->Iterations(3)
     ->Unit(benchmark::kMillisecond);

@@ -165,6 +165,7 @@ void Bus::set_metrics(obs::MetricsRegistry* registry) {
   for (TopicState& ts : topics_) {  // cached pointers belong to the old registry
     ts.instruments = TopicInstruments{};
     ts.instruments_ready = false;
+    ts.fanouts = 0;
   }
   rejected_counter_ =
       metrics_ != nullptr ? &metrics_->counter("sesame.mw.rejected_total")

@@ -421,8 +421,12 @@ class Bus {
   /// fan one message out to a topic's subscribers) and the fault-policy
   /// counters `sesame.mw.fault_dropped_total` /
   /// `sesame.mw.fault_delayed_total` / `sesame.mw.fault_duplicated_total`;
-  /// plus the bus-wide `sesame.mw.rejected_total`. The registry must
-  /// outlive the attachment.
+  /// plus the bus-wide `sesame.mw.rejected_total`. The counters are exact.
+  /// The latency histogram is sampled: the 16th, 32nd, ... fan-out of each
+  /// topic since attachment is timed and recorded with weight 16, so its
+  /// count is a multiple of 16 and its sum estimates the topic's total
+  /// fan-out time; a topic with fewer than 16 fan-outs has no samples.
+  /// The registry must outlive the attachment.
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
@@ -431,6 +435,11 @@ class Bus {
   static constexpr std::uint64_t kLive =
       std::numeric_limits<std::uint64_t>::max();
   static constexpr std::uint32_t kNoRestriction = 0xFFFFFFFFu;
+  /// One fan-out in this many per topic is timed into the latency
+  /// histogram, with this weight: a clock pair costs about 100 ns in
+  /// place, and one per fan-out was the largest cost of observing a
+  /// `fleet_1024` run (docs/PERFORMANCE.md).
+  static constexpr std::uint32_t kTimingStride = 16;
 
   /// A subscriber registration. `born`/`died` are bus-epoch stamps that
   /// implement copy-free re-entrant iteration: a fan-out with snapshot S
@@ -485,6 +494,9 @@ class Bus {
     std::deque<Entry> subscribers;
     std::uint32_t allowed_source = kNoRestriction;  ///< ACL (SourceId index)
     TopicInstruments instruments;
+    /// Fan-outs of this topic since the registry was attached; selects
+    /// the timed ones (see kTimingStride).
+    std::uint32_t fanouts = 0;
     bool instruments_ready = false;
     bool has_tombstones = false;
     /// Payload type of the first subscriber the topic ever had, and
@@ -549,17 +561,22 @@ class Bus {
                               typeid(T).name(), h.topic);
     TopicInstruments* ti =
         metrics_ != nullptr ? &instruments(topic) : nullptr;
-    const auto t0 = ti != nullptr ? std::chrono::steady_clock::now()
-                                  : std::chrono::steady_clock::time_point{};
+    // Only every kTimingStride-th fan-out of a topic reads the clock; the
+    // first never does, so a cold fan-out is not weighted up.
+    const bool timed = ti != nullptr && ++ts.fanouts % kTimingStride == 0;
+    const auto t0 = timed ? std::chrono::steady_clock::now()
+                          : std::chrono::steady_clock::time_point{};
     FanoutGuard guard(*this);
     const std::uint64_t snap = ++epoch_;
     std::size_t completed = 0;
     const auto record = [&] {
       if (ti == nullptr) return;
       ti->deliver->inc(static_cast<double>(completed));
+      if (!timed) return;
       ti->latency->observe(std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t0)
-                               .count());
+                               .count(),
+                           kTimingStride);
     };
     try {
       // Index-based: handlers may subscribe re-entrantly, growing the

@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -86,7 +85,13 @@ class Histogram {
   /// empty or non-ascending bound list.
   explicit Histogram(std::vector<double> bounds);
 
-  void observe(double v) noexcept;
+  /// Records `v` as `weight` observations of the same value: `weight` is
+  /// added to v's bucket and to count(), `weight * v` to sum(), and the
+  /// extremes take v. A sampled instrument records one value in N with
+  /// weight N, so count() and sum() estimate the unsampled totals (the
+  /// bus's delivery latency does this with N = 16). `weight` must be at
+  /// least 1.
+  void observe(double v, std::size_t weight = 1) noexcept;
 
   std::size_t count() const noexcept { return count_; }
   double sum() const noexcept { return sum_; }
@@ -196,17 +201,28 @@ class MetricsRegistry {
   std::size_t series_count() const noexcept;
 
  private:
+  /// One series: its sorted labels beside its instrument. Map nodes never
+  /// move, so the instrument's address is stable for the registry's life.
+  template <typename T>
+  struct Series {
+    Labels labels;
+    T instrument;
+  };
   struct Family {
     MetricKind kind = MetricKind::kCounter;
     std::vector<double> bounds;  // histograms only
-    // Keyed by the serialized label set; pointers are address-stable.
-    std::map<std::string, std::unique_ptr<Counter>> counters;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms;
-    std::map<std::string, Labels> label_sets;
+    // Keyed by the serialized label set (snapshot order within a family).
+    std::map<std::string, Series<Counter>> counters;
+    std::map<std::string, Series<Gauge>> gauges;
+    std::map<std::string, Series<Histogram>> histograms;
   };
 
   Family& family_of(const std::string& name, MetricKind kind);
+  /// The instrument registered under `labels` (sorted here), created with
+  /// `make()` on first registration.
+  template <typename T, typename Make>
+  static T& series(std::map<std::string, Series<T>>& family, Labels labels,
+                   const Make& make);
 
   std::map<std::string, Family> families_;
 };

@@ -96,18 +96,18 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   counts_.assign(bounds_.size() + 1, 0);
 }
 
-void Histogram::observe(double v) noexcept {
+void Histogram::observe(double v, std::size_t weight) noexcept {
   std::size_t i = 0;
   while (i < bounds_.size() && v > bounds_[i]) ++i;
-  ++counts_[i];
+  counts_[i] += weight;
   if (count_ == 0) {
     min_ = max_ = v;
   } else {
     min_ = std::min(min_, v);
     max_ = std::max(max_, v);
   }
-  ++count_;
-  sum_ += v;
+  count_ += weight;
+  sum_ += static_cast<double>(weight) * v;
 }
 
 double Histogram::quantile(double q) const {
@@ -206,9 +206,10 @@ std::vector<double> duration_buckets_s() {
 
 const MetricSample* MetricsSnapshot::find(const std::string& name,
                                           const Labels& labels) const {
+  const Labels wanted = sorted(labels);
   for (const auto& s : samples) {
     if (s.name != name) continue;
-    if (!labels.empty() && sorted(labels) != s.labels) continue;
+    if (!wanted.empty() && wanted != s.labels) continue;
     return &s;
   }
   return nullptr;
@@ -227,73 +228,68 @@ MetricsRegistry::Family& MetricsRegistry::family_of(const std::string& name,
   return it->second;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name, Labels labels) {
-  Family& fam = family_of(name, MetricKind::kCounter);
+template <typename T, typename Make>
+T& MetricsRegistry::series(std::map<std::string, Series<T>>& family,
+                           Labels labels, const Make& make) {
   labels = sorted(std::move(labels));
-  const std::string key = labels_key(labels);
-  auto [it, inserted] = fam.counters.try_emplace(key);
-  if (inserted) {
-    it->second = std::make_unique<Counter>();
-    fam.label_sets[key] = std::move(labels);
+  std::string key = labels_key(labels);
+  auto it = family.lower_bound(key);
+  if (it == family.end() || it->first != key) {
+    it = family.emplace_hint(it, std::move(key),
+                             Series<T>{std::move(labels), make()});
   }
-  return *it->second;
+  return it->second.instrument;
+}
+
+Counter& MetricsRegistry::counter(const std::string& name, Labels labels) {
+  return series(family_of(name, MetricKind::kCounter).counters,
+                std::move(labels), [] { return Counter{}; });
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name, Labels labels) {
-  Family& fam = family_of(name, MetricKind::kGauge);
-  labels = sorted(std::move(labels));
-  const std::string key = labels_key(labels);
-  auto [it, inserted] = fam.gauges.try_emplace(key);
-  if (inserted) {
-    it->second = std::make_unique<Gauge>();
-    fam.label_sets[key] = std::move(labels);
-  }
-  return *it->second;
+  return series(family_of(name, MetricKind::kGauge).gauges, std::move(labels),
+                [] { return Gauge{}; });
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name, Labels labels,
                                       std::vector<double> bounds) {
   Family& fam = family_of(name, MetricKind::kHistogram);
   if (fam.bounds.empty()) fam.bounds = std::move(bounds);
-  labels = sorted(std::move(labels));
-  const std::string key = labels_key(labels);
-  auto [it, inserted] = fam.histograms.try_emplace(key);
-  if (inserted) {
-    it->second = std::make_unique<Histogram>(fam.bounds);
-    fam.label_sets[key] = std::move(labels);
-  }
-  return *it->second;
+  return series(fam.histograms, std::move(labels),
+                [&fam] { return Histogram(fam.bounds); });
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
+  snap.samples.reserve(series_count());
   for (const auto& [name, fam] : families_) {
-    const auto emit = [&](const std::string& key, MetricSample sample) {
+    const auto emit = [&](const Labels& labels, MetricSample sample) {
       sample.name = name;
       sample.kind = fam.kind;
-      sample.labels = fam.label_sets.at(key);
+      sample.labels = labels;
       snap.samples.push_back(std::move(sample));
     };
     for (const auto& [key, c] : fam.counters) {
       MetricSample s;
-      s.value = c->value();
-      emit(key, std::move(s));
+      s.value = c.instrument.value();
+      emit(c.labels, std::move(s));
     }
     for (const auto& [key, g] : fam.gauges) {
       MetricSample s;
-      s.value = g->value();
-      s.gauge_stamp = g->stamp();
-      emit(key, std::move(s));
+      s.value = g.instrument.value();
+      s.gauge_stamp = g.instrument.stamp();
+      emit(g.labels, std::move(s));
     }
-    for (const auto& [key, h] : fam.histograms) {
+    for (const auto& [key, hs] : fam.histograms) {
+      const Histogram& h = hs.instrument;
       MetricSample s;
-      s.value = h->sum();
-      s.observations = h->count();
-      s.bucket_bounds = h->bounds();
-      s.bucket_counts = h->bucket_counts();
-      s.min_observed = h->min_observed();
-      s.max_observed = h->max_observed();
-      emit(key, std::move(s));
+      s.value = h.sum();
+      s.observations = h.count();
+      s.bucket_bounds = h.bounds();
+      s.bucket_counts = h.bucket_counts();
+      s.min_observed = h.min_observed();
+      s.max_observed = h.max_observed();
+      emit(hs.labels, std::move(s));
     }
   }
   return snap;

@@ -270,14 +270,59 @@ TEST(BusMetrics, DeliverCountsHandlerInvocations) {
   bus.set_metrics(&reg);
   auto s1 = bus.subscribe<int>("t", [](const mw::MessageHeader&, const int&) {});
   auto s2 = bus.subscribe<int>("t", [](const mw::MessageHeader&, const int&) {});
-  bus.publish("t", 1, "n", 0.0);
-  EXPECT_DOUBLE_EQ(
-      reg.counter("sesame.mw.deliver_total", {{"topic", "t"}}).value(), 2.0);
-  // The latency histogram saw exactly one fan-out.
-  EXPECT_EQ(reg.histogram("sesame.mw.delivery_latency_seconds",
-                          {{"topic", "t"}})
-                .count(),
-            1u);
+  const auto& deliver =
+      reg.counter("sesame.mw.deliver_total", {{"topic", "t"}});
+  const auto& latency =
+      reg.histogram("sesame.mw.delivery_latency_seconds", {{"topic", "t"}});
+  // deliver_total is exact on every fan-out; the latency histogram times
+  // only the 16th fan-out of the topic, recorded with weight 16.
+  for (int i = 1; i <= 15; ++i) {
+    bus.publish("t", i, "n", 0.0);
+    EXPECT_DOUBLE_EQ(deliver.value(), 2.0 * i);
+  }
+  EXPECT_EQ(latency.count(), 0u);
+  bus.publish("t", 16, "n", 0.0);
+  EXPECT_DOUBLE_EQ(deliver.value(), 32.0);
+  EXPECT_EQ(latency.count(), 16u);
+  EXPECT_DOUBLE_EQ(latency.sum(), 16.0 * latency.max_observed());
+  for (int i = 17; i <= 32; ++i) bus.publish("t", i, "n", 0.0);
+  EXPECT_DOUBLE_EQ(deliver.value(), 64.0);
+  EXPECT_EQ(latency.count(), 32u);
+}
+
+TEST(BusMetrics, TimingStrideIsPerTopic) {
+  mw::Bus bus;
+  sesame::obs::MetricsRegistry reg;
+  bus.set_metrics(&reg);
+  auto sa = bus.subscribe<int>("a", [](const mw::MessageHeader&, const int&) {});
+  auto sb = bus.subscribe<int>("b", [](const mw::MessageHeader&, const int&) {});
+  const auto& lat_a =
+      reg.histogram("sesame.mw.delivery_latency_seconds", {{"topic", "a"}});
+  const auto& lat_b =
+      reg.histogram("sesame.mw.delivery_latency_seconds", {{"topic", "b"}});
+  // Interleaved: 16 fan-outs of "a" and 15 of "b" make 31 bus-wide, but
+  // only "a" has reached its own 16th.
+  for (int i = 1; i <= 15; ++i) {
+    bus.publish("a", i, "n", 0.0);
+    bus.publish("b", i, "n", 0.0);
+  }
+  bus.publish("a", 16, "n", 0.0);
+  EXPECT_EQ(lat_a.count(), 16u);
+  EXPECT_EQ(lat_b.count(), 0u);
+  bus.publish("b", 16, "n", 0.0);
+  EXPECT_EQ(lat_a.count(), 16u);
+  EXPECT_EQ(lat_b.count(), 16u);
+  // Re-attaching restarts every topic's count: "a" stands at 20 fan-outs,
+  // and the new registry still sees its first timing at the 16th after.
+  for (int i = 17; i <= 20; ++i) bus.publish("a", i, "n", 0.0);
+  sesame::obs::MetricsRegistry fresh;
+  bus.set_metrics(&fresh);
+  const auto& fresh_a =
+      fresh.histogram("sesame.mw.delivery_latency_seconds", {{"topic", "a"}});
+  for (int i = 1; i <= 15; ++i) bus.publish("a", i, "n", 0.0);
+  EXPECT_EQ(fresh_a.count(), 0u);
+  bus.publish("a", 16, "n", 0.0);
+  EXPECT_EQ(fresh_a.count(), 16u);
 }
 
 TEST(BusMetrics, RejectedPublicationsAreCounted) {
@@ -434,16 +479,21 @@ TEST(BusMetrics, ThrowingHandlerStillRecordsCompletedDeliveries) {
   sesame::obs::MetricsRegistry reg;
   bus.set_metrics(&reg);
   auto ok = bus.subscribe<int>("t", [](const mw::MessageHeader&, const int&) {});
-  auto boom = bus.subscribe<int>("t", [](const mw::MessageHeader&, const int&) {
-    throw std::runtime_error("handler failure");
+  auto boom = bus.subscribe<int>("t", [](const mw::MessageHeader&, const int& v) {
+    if (v == 16) throw std::runtime_error("handler failure");
   });
-  EXPECT_THROW(bus.publish("t", 1, "n", 0.0), std::runtime_error);
-  EXPECT_DOUBLE_EQ(
-      reg.counter("sesame.mw.deliver_total", {{"topic", "t"}}).value(), 1.0);
-  EXPECT_EQ(
-      reg.histogram("sesame.mw.delivery_latency_seconds", {{"topic", "t"}})
-          .count(),
-      1u);
+  const auto& deliver =
+      reg.counter("sesame.mw.deliver_total", {{"topic", "t"}});
+  const auto& latency =
+      reg.histogram("sesame.mw.delivery_latency_seconds", {{"topic", "t"}});
+  for (int i = 1; i <= 15; ++i) bus.publish("t", i, "n", 0.0);
+  EXPECT_DOUBLE_EQ(deliver.value(), 30.0);
+  EXPECT_EQ(latency.count(), 0u);
+  // The 16th fan-out is the timed one, and its second handler throws: the
+  // handler that completed is counted and the timing is still recorded.
+  EXPECT_THROW(bus.publish("t", 16, "n", 0.0), std::runtime_error);
+  EXPECT_DOUBLE_EQ(deliver.value(), 31.0);
+  EXPECT_EQ(latency.count(), 16u);
 }
 
 // ---------------------------------------------------------------------------
